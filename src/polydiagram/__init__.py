@@ -8,9 +8,7 @@ appear only in rendered output.
 """
 
 from .areas import (
-    DEFAULT_PICK_BUDGET,
     AreaCrossCheck,
-    PickBudgetExceeded,
     area_closed_form_k2,
     area_general,
     area_pick,
@@ -55,13 +53,11 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "DEFAULT_DIGITS",
-    "DEFAULT_PICK_BUDGET",
     "AreaCrossCheck",
     "AreaSequence",
     "CheckFailure",
     "DiagramDiagnostics",
     "LatticePoint",
-    "PickBudgetExceeded",
     "PolynomialDiagram",
     "RenderSpec",
     "SequenceReport",

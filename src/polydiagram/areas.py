@@ -5,11 +5,15 @@ degree-2 family) and two geometric oracles (the shoelace sum over the vertex
 cycle, and lattice-point counting through Pick's relation A = I + B/2 - 1)
 must all produce the same rational.  Every function returns a Fraction in
 lowest terms; for a lattice polygon the reduced denominator is always 1 or 2.
+Every route costs O(k) big-integer operations; none grows with the polygon's
+x-extent q^(n+k).
 
 The slab decomposition cuts the region under the monomial chain into k-1
 rectangular trapezoids plus one right triangle at the far end.  Slab m
 (0 <= m <= k-2) spans x = q^(n+m)..q^(n+m+1) with parallel vertical sides of
 heights k-m and k-m-1, hence area (q^(n+m+1) - q^(n+m)) * (2k-2m-1) / 2.
+The triangle (m = k-1) fits the same expression, so area_general sums the
+integer numerators for m = 0..k-1 and halves once at the end.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from fractions import Fraction
 from .core import PolynomialDiagram, SpecialPolynomial, build_diagram
 
 __all__ = [
-    "DEFAULT_PICK_BUDGET",
-    "PickBudgetExceeded",
     "AreaCrossCheck",
     "area_closed_form_k2",
     "trapezoid_area",
@@ -34,20 +36,6 @@ __all__ = [
     "area_pick",
     "cross_check",
 ]
-
-# Interior-point counting walks one integer column at a time, so its cost is
-# linear in the x-extent q^(n+k) - q^n.  The budget caps how many columns the
-# oracle will scan before declining.
-DEFAULT_PICK_BUDGET = 10**6
-
-
-class PickBudgetExceeded(Exception):
-    """The interior-point scan would exceed the configured column budget.
-
-    Signals that the counting oracle declined to run, not that any computed
-    value is wrong.
-    """
-
 
 @dataclass(frozen=True)
 class AreaCrossCheck:
@@ -86,13 +74,19 @@ def triangle_area(p: SpecialPolynomial) -> Fraction:
 def area_general(p: SpecialPolynomial) -> Fraction:
     """Total diagram area: sum of the k-1 trapezoid slabs plus the triangle.
 
-    For k = 1 the slab sum is empty and only the triangle remains.  Equals
-    area_closed_form_k2 exactly when k = 2, and 0 when q = 1.
+    Adds the integer twice-areas (q^(n+m+1) - q^(n+m)) * (2k-2m-1) for
+    m = 0..k-1, stepping the power of q by one multiplication per slab, and
+    halves the total once; m = k-1 is the triangle.  For k = 1 only the
+    triangle remains.  Equals area_closed_form_k2 exactly when k = 2, and 0
+    when q = 1.
     """
-    total = triangle_area(p)
-    for m in range(p.k - 1):
-        total += trapezoid_area(p, m)
-    return total
+    power = p.q**p.n  # q^(n+m)
+    twice = 0
+    for m in range(p.k):
+        step = power * p.q
+        twice += (step - power) * (2 * (p.k - m) - 1)
+        power = step
+    return Fraction(twice, 2)
 
 
 def area_shoelace(d: PolynomialDiagram) -> Fraction:
@@ -121,71 +115,50 @@ def boundary_lattice_count(d: PolynomialDiagram) -> int:
     )
 
 
-def interior_lattice_count(d: PolynomialDiagram, budget: int = DEFAULT_PICK_BUDGET) -> int:
-    """Lattice points strictly inside, counted column by column.
+def interior_lattice_count(d: PolynomialDiagram) -> int:
+    """Lattice points strictly inside, counted in closed form per chain edge.
 
-    For each integer x strictly between the leftmost and rightmost vertices,
-    the interior points are the integers y with 0 < y < h(x), where h is the
-    height of the monomial chain at x; that count is (num-1) // den for
-    h = num/den.  Raises PickBudgetExceeded when more than `budget` columns
-    would be scanned, and ValueError for degenerate diagrams.
+    Every chain edge a -> b steps right and descends exactly one unit, so the
+    chain height h(x) lies strictly between b.y and a.y on the columns
+    a.x < x < b.x, each of which holds a.y - 1 interior points (0 < y < h),
+    and the column through b holds b.y - 1.  The column through the final
+    vertex lies on the boundary and is excluded, as is the anchor's column.
+    Raises ValueError for degenerate diagrams and for any chain edge that
+    does not step right and down by one.
     """
     if d.degenerate:
         raise ValueError("degenerate diagram (q = 1) has no interior")
     chain = d.vertices[1:]
-    x_left, x_right = chain[0].x, chain[-1].x
-    columns = x_right - x_left - 1
-    if columns > budget:
-        raise PickBudgetExceeded(
-            f"scan of {columns} columns exceeds the budget of {budget}"
-        )
     count = 0
-    last = len(chain) - 1
-    for i in range(last):
-        a, b = chain[i], chain[i + 1]
-        den = b.x - a.x
-        # Columns a.x < x <= b.x belong to this segment; the rightmost
-        # vertex column of the whole chain is excluded.  Stepping one
-        # column right lowers the height numerator by exactly 1, so the
-        # scan only decrements instead of recomputing h(x) each time.
-        span = den if i + 1 < last else den - 1
-        num = a.y * den - 2  # h(x)-numerator minus 1, at x = a.x + 1
-        for _ in range(span):
-            if num >= 0:
-                count += num // den
-            num -= 1
-    return count
+    for a, b in zip(chain, chain[1:]):
+        if b.x <= a.x or b.y != a.y - 1:
+            raise ValueError(
+                f"chain edge {tuple(a)} -> {tuple(b)} does not step right and down by one"
+            )
+        count += (b.x - a.x - 1) * (a.y - 1) + (b.y - 1)
+    return count - (chain[-1].y - 1)  # drop the final vertex column
 
 
-def area_pick(d: PolynomialDiagram, budget: int = DEFAULT_PICK_BUDGET) -> Fraction:
+def area_pick(d: PolynomialDiagram) -> Fraction:
     """Lattice-point oracle: area = interior + boundary/2 - 1."""
-    interior = interior_lattice_count(d, budget=budget)
+    interior = interior_lattice_count(d)
     boundary = boundary_lattice_count(d)
     return Fraction(2 * interior + boundary - 2, 2)
 
 
-def cross_check(
-    p: SpecialPolynomial, pick_budget: int = DEFAULT_PICK_BUDGET
-) -> AreaCrossCheck:
+def cross_check(p: SpecialPolynomial) -> AreaCrossCheck:
     """Compute the area by every applicable route and compare exactly.
 
     The slab formula and the shoelace oracle always run; the closed form
-    joins when k = 2, and the Pick oracle joins when the diagram is
-    non-degenerate and within the scan budget.  Disagreement is reported in
-    the record, never raised.
+    joins when k = 2, and the Pick oracle joins whenever the diagram is
+    non-degenerate (q >= 2).  Disagreement is reported in the record, never
+    raised.
     """
     d = build_diagram(p)
     general = area_general(p)
     lace = area_shoelace(d)
     closed = area_closed_form_k2(p.q, p.n) if p.k == 2 else None
-    pick: Fraction | None
-    if d.degenerate:
-        pick = None
-    else:
-        try:
-            pick = area_pick(d, budget=pick_budget)
-        except PickBudgetExceeded:
-            pick = None
+    pick = None if d.degenerate else area_pick(d)
     present = [v for v in (closed, general, lace, pick) if v is not None]
     agree = all(v == present[0] for v in present)
     return AreaCrossCheck(

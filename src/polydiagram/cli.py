@@ -13,8 +13,6 @@ import sys
 from fractions import Fraction
 
 from .areas import (
-    DEFAULT_PICK_BUDGET,
-    PickBudgetExceeded,
     area_closed_form_k2,
     area_general,
     area_pick,
@@ -66,15 +64,13 @@ def cmd_area(args: argparse.Namespace) -> int:
     results: list[tuple[str, Fraction]] = []
     agree = True
     if args.method == "all":
-        check = cross_check(p, pick_budget=args.pick_budget)
+        check = cross_check(p)
         if check.closed_form is not None:
             results.append(("closed", check.closed_form))
         results.append(("general", check.general_formula))
         results.append(("shoelace", check.shoelace))
         if check.pick is not None:
             results.append(("pick", check.pick))
-        elif not p.degenerate:
-            _warn("pick oracle skipped (out of scan budget)")
         agree = check.agree
     elif args.method == "closed":
         results.append(("closed", area_closed_form_k2(p.q, p.n)))
@@ -83,11 +79,7 @@ def cmd_area(args: argparse.Namespace) -> int:
     elif args.method == "shoelace":
         results.append(("shoelace", area_shoelace(build_diagram(p))))
     else:  # pick
-        try:
-            results.append(("pick", area_pick(build_diagram(p), budget=args.pick_budget)))
-        except PickBudgetExceeded as exc:
-            print(f"error: pick oracle out of budget: {exc}", file=sys.stderr)
-            return 2
+        results.append(("pick", area_pick(build_diagram(p))))
 
     headers = ["method", "area", "area_decimal"]
     rows = [
@@ -210,7 +202,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         q_max=args.q_max,
         n_max=args.n_max,
         k_max=args.k_max,
-        pick_budget=args.pick_budget,
     )
     failures = [
         {
@@ -227,7 +218,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "q_max": str(report.q_max),
             "n_max": str(report.n_max),
             "k_max": str(report.k_max),
-            "pick_budget": str(report.pick_budget),
         },
         "points": report.points,
         "checks": report.checks,
@@ -325,12 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="area route; 'all' cross-checks every applicable one (default: all)",
     )
-    area.add_argument(
-        "--pick-budget",
-        type=int,
-        default=DEFAULT_PICK_BUDGET,
-        help=f"max columns the pick oracle may scan (default: {DEFAULT_PICK_BUDGET})",
-    )
     _add_format_flags(area)
     area.set_defaults(func=cmd_area)
 
@@ -355,12 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--q-max", type=int, default=50, help="grid bound for q (default: 50)")
     verify.add_argument("--n-max", type=int, default=10, help="grid bound for n (default: 10)")
     verify.add_argument("--k-max", type=int, default=12, help="grid bound for k (default: 12)")
-    verify.add_argument(
-        "--pick-budget",
-        type=int,
-        default=DEFAULT_PICK_BUDGET,
-        help=f"max columns the pick oracle may scan (default: {DEFAULT_PICK_BUDGET})",
-    )
     _add_format_flags(verify, default="json")
     verify.set_defaults(func=cmd_verify)
 

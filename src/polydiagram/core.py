@@ -6,9 +6,10 @@ point (coefficient, exponent) gives a descending chain from (q^n, k) to
 (q^(n+k), 0); prepending the anchor (q^n, 0) and closing the cycle along the
 x-axis yields the polynomial diagram, a simple polygon whenever q >= 2.
 
-Everything here is exact integer arithmetic: slope and intersection tests
-use cross-multiplied comparisons, never division, so no rounding can occur
-even when coordinates reach q^(n+k).
+Everything here is exact integer arithmetic: slope and turn tests use
+cross-multiplied comparisons, never division, so no rounding can occur even
+when coordinates reach q^(n+k).  Building and validating a diagram costs
+O(k) big-integer operations.
 """
 
 from __future__ import annotations
@@ -112,9 +113,15 @@ def monomial_map(p: SpecialPolynomial) -> list[LatticePoint]:
     """Map each monomial q^(n+i) * x^(k-i) to the point (q^(n+i), k-i).
 
     Returns the k+1 points in increasing i, from (q^n, k) down to
-    (q^(n+k), 0); consecutive x-coordinates differ by a factor of exactly q.
+    (q^(n+k), 0); consecutive x-coordinates differ by a factor of exactly q,
+    so each is one multiplication from the last.
     """
-    return [LatticePoint(p.q ** (p.n + i), p.k - i) for i in range(p.k + 1)]
+    x = p.q**p.n
+    points = [LatticePoint(x, p.k)]
+    for y in range(p.k - 1, -1, -1):
+        x *= p.q
+        points.append(LatticePoint(x, y))
+    return points
 
 
 def build_diagram(p: SpecialPolynomial) -> PolynomialDiagram:
@@ -131,9 +138,10 @@ def validate_diagram(d: PolynomialDiagram) -> DiagramDiagnostics:
     """Run the exact structural checks and report the findings.
 
     For q >= 2 the diagram is expected to be simple with strictly increasing
-    chain slopes, and convex exactly when k == 1.  Degenerate (q == 1)
-    diagrams collapse onto one vertical segment with overlapping edges, so
-    they report simple=False and convex=False.
+    chain slopes, and convex exactly when k == 1.  Simplicity is judged by
+    the diagram's shape (see _is_simple), so every check is O(k).
+    Degenerate (q == 1) diagrams collapse onto one vertical segment with
+    overlapping edges, so they report simple=False and convex=False.
     """
     if d.degenerate:
         return DiagramDiagnostics(
@@ -158,43 +166,27 @@ def _orientation(a: LatticePoint, b: LatticePoint, c: LatticePoint) -> int:
     return (cross > 0) - (cross < 0)
 
 
-def _on_segment(p: LatticePoint, a: LatticePoint, b: LatticePoint) -> bool:
-    """True when a point already known collinear with ab lies within its box."""
-    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-
-
-def _segments_intersect(
-    a: LatticePoint, b: LatticePoint, c: LatticePoint, d: LatticePoint
-) -> bool:
-    """Exact test for any contact (proper crossing or touching) of ab and cd."""
-    o1 = _orientation(a, b, c)
-    o2 = _orientation(a, b, d)
-    o3 = _orientation(c, d, a)
-    o4 = _orientation(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_segment(c, a, b):
-        return True
-    if o2 == 0 and _on_segment(d, a, b):
-        return True
-    if o3 == 0 and _on_segment(a, c, d):
-        return True
-    if o4 == 0 and _on_segment(b, c, d):
-        return True
-    return False
-
-
 def _is_simple(vertices: tuple[LatticePoint, ...]) -> bool:
-    """True when no two non-adjacent edges of the closed cycle touch."""
-    m = len(vertices)
-    edges = [(vertices[i], vertices[(i + 1) % m]) for i in range(m)]
-    for i in range(m):
-        for j in range(i + 2, m):
-            if i == 0 and j == m - 1:
-                continue  # the closing edge is adjacent to the first one
-            if _segments_intersect(*edges[i], *edges[j]):
-                return False
-    return True
+    """True for a diagram-shaped cycle, which is simple; False for any other.
+
+    The cycle is anchor first, then the chain.  It has the diagram's shape
+    when the first chain vertex lies directly above the anchor, chain x
+    strictly increases, every chain vertex but the last lies strictly above
+    the anchor's row, and the last lies on that row.  Such a cycle is
+    simple: the chain is an x-monotone path whose non-adjacent edges span
+    disjoint x-ranges, and only its end edges reach the anchor's column and
+    row.  Every other cycle is reported not simple, even one that is simple
+    in another shape.  O(k) comparisons.
+    """
+    if len(vertices) < 3:
+        return False
+    anchor, chain = vertices[0], vertices[1:]
+    return (
+        chain[0].x == anchor.x
+        and all(a.x < b.x for a, b in zip(chain, chain[1:]))
+        and all(v.y > anchor.y for v in chain[:-1])
+        and chain[-1].y == anchor.y
+    )
 
 
 def _chain_slopes_increasing(vertices: tuple[LatticePoint, ...]) -> bool:

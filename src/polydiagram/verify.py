@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .areas import (
-    DEFAULT_PICK_BUDGET,
-    PickBudgetExceeded,
     area_closed_form_k2,
     area_general,
     area_pick,
@@ -62,7 +60,6 @@ class VerificationReport:
     q_max: int
     n_max: int
     k_max: int
-    pick_budget: int
     points: int
     checks: int
     pick_checks: int
@@ -82,7 +79,6 @@ def run_grid_verification(
     q_max: int = 50,
     n_max: int = 10,
     k_max: int = 12,
-    pick_budget: int = DEFAULT_PICK_BUDGET,
 ) -> VerificationReport:
     """Sweep the grid and return the aggregated report."""
     if q_max < 1:
@@ -99,14 +95,13 @@ def run_grid_verification(
         for n in range(n_max + 1):
             for k in range(1, k_max + 1):
                 points += 1
-                ran, picked = _verify_point(q, n, k, pick_budget, failures)
+                ran, picked = _verify_point(q, n, k, failures)
                 checks += ran
                 pick_checks += picked
     return VerificationReport(
         q_max=q_max,
         n_max=n_max,
         k_max=k_max,
-        pick_budget=pick_budget,
         points=points,
         checks=checks,
         pick_checks=pick_checks,
@@ -115,9 +110,7 @@ def run_grid_verification(
     )
 
 
-def _verify_point(
-    q: int, n: int, k: int, pick_budget: int, failures: list[CheckFailure]
-) -> tuple[int, int]:
+def _verify_point(q: int, n: int, k: int, failures: list[CheckFailure]) -> tuple[int, int]:
     """Run every check at one grid point; returns (checks run, pick checks run)."""
     checks = 0
     pick_checks = 0
@@ -152,15 +145,11 @@ def _verify_point(
     if d.degenerate:
         return checks, pick_checks
 
-    try:
-        pick = area_pick(d, budget=pick_budget)
-    except PickBudgetExceeded:
-        pick = None
-    if pick is not None:
-        checks += 1
-        pick_checks += 1
-        if pick != lace:
-            fail("pick_vs_shoelace", f"pick={pick} shoelace={lace}")
+    pick = area_pick(d)
+    checks += 1
+    pick_checks += 1
+    if pick != lace:
+        fail("pick_vs_shoelace", f"pick={pick} shoelace={lace}")
 
     diag = validate_diagram(d)
     checks += 1

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from polydiagram import (
-    PickBudgetExceeded,
+    LatticePoint,
+    PolynomialDiagram,
     area_closed_form_k2,
     area_general,
     area_pick,
@@ -20,6 +21,7 @@ from polydiagram import (
     trapezoid_area,
     triangle_area,
 )
+from references import interior_by_column_scan
 
 
 class TestClosedForm:
@@ -123,10 +125,35 @@ class TestPick:
         with pytest.raises(ValueError, match="degenerate"):
             area_pick(build_diagram(build_polynomial(1, 0, 2)))
 
-    def test_budget_refusal(self):
+    def test_large_extent_is_exact(self):
+        # x-extent 10^8 - 1: far past what a column scan can visit
         d = build_diagram(build_polynomial(10, 0, 8))
-        with pytest.raises(PickBudgetExceeded):
-            area_pick(d, budget=10**3)
+        assert area_pick(d) == area_shoelace(d) == area_general(build_polynomial(10, 0, 8))
+
+    def test_huge_degree_matches_shoelace(self):
+        p = build_polynomial(2, 0, 2000)
+        d = build_diagram(p)
+        assert area_pick(d) == area_shoelace(d) == area_general(p)
+
+    @pytest.mark.parametrize("q,n,k", [(2, 0, 1), (2, 3, 6), (3, 1, 5), (7, 0, 4), (50, 0, 2)])
+    def test_interior_matches_column_scan(self, q, n, k):
+        d = build_diagram(build_polynomial(q, n, k))
+        assert interior_lattice_count(d) == interior_by_column_scan(d)
+
+    @pytest.mark.parametrize(
+        "chain",
+        [
+            [(1, 3), (2, 1), (4, 0)],  # drops two units
+            [(1, 2), (2, 2), (4, 0)],  # flat edge
+            [(1, 2), (1, 1), (4, 0)],  # vertical edge
+            [(1, 2), (3, 1), (2, 0)],  # steps left
+        ],
+    )
+    def test_rejects_chain_edges_not_one_unit_down(self, chain):
+        vertices = tuple(LatticePoint(*v) for v in [(1, 0), *chain])
+        d = PolynomialDiagram(vertices, build_polynomial(2, 0, 2), degenerate=False)
+        with pytest.raises(ValueError, match="down by one"):
+            interior_lattice_count(d)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     @pytest.mark.parametrize("n", [0, 1, 2])
@@ -159,9 +186,10 @@ class TestCrossCheck:
         assert check.agree
         assert check.closed_form is None  # k != 2
 
-    def test_pick_skipped_when_out_of_budget(self):
-        check = cross_check(build_polynomial(3, 0, 2), pick_budget=1)
-        assert check.pick is None
+    def test_pick_joins_at_large_extent(self):
+        check = cross_check(build_polynomial(10, 0, 8))
+        assert check.pick is not None
+        assert check.pick == check.general_formula == check.shoelace
         assert check.agree
 
     @pytest.mark.parametrize("q,n,k", [(2, 0, 2), (3, 1, 4), (12, 0, 3), (50, 2, 6)])

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import polydiagram
 from polydiagram.cli import main
 from polydiagram.formats import rational_from_json
 
@@ -55,13 +58,22 @@ class TestArea:
         assert code == 2
         assert "q" in err
 
-    def test_pick_out_of_budget_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "area", "--q", "10", "--k", "8", "--method", "pick", "--pick-budget", "100",
+    def test_pick_at_large_extent_is_exact(self, capsys):
+        # q^k - (2k-1) + 2(q^k - q)/(q-1) = 10^8 - 15 + 22222220, halved
+        code, out, err = run_cli(
+            capsys, "area", "--q", "10", "--k", "8", "--method", "pick"
         )
-        assert code == 2
-        assert "budget" in err
+        assert code == 0
+        assert out.splitlines()[1:] == ["pick,122222205/2,61111102.5"]
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "command", [("area", "--q", "2", "--k", "2"), ("verify",)], ids=["area", "verify"]
+    )
+    def test_pick_budget_flag_is_usage_error(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--pick-budget", "100"])
+        assert exc.value.code == 2
 
     def test_json_document_round_trips(self, capsys):
         code, out, _ = run_cli(
@@ -169,6 +181,16 @@ class TestVerify:
         assert out.splitlines()[0] == "key,value"
         assert "passed,true" in out
 
+    def test_default_grid_runs_pick_at_every_nondegenerate_point(self, capsys):
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] is True
+        assert doc["points"] == 50 * 11 * 12
+        assert doc["pick_checks"] == 49 * 11 * 12 == 6468
+        assert doc["checks"] == 59158
+        assert "pick_budget" not in doc["params"]
+
     def test_invalid_bounds_are_usage_errors(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--q-max", "0")
         assert code == 2
@@ -212,10 +234,14 @@ def test_unknown_command_exits_2(capsys):
 
 
 def test_module_entry_point():
+    # run the package these tests imported, installed or not
+    package_root = str(Path(polydiagram.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "polydiagram", "area", "--q", "5", "--k", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "general,16/1,16" in proc.stdout

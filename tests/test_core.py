@@ -5,12 +5,15 @@ from __future__ import annotations
 import pytest
 
 from polydiagram import (
+    LatticePoint,
     build_diagram,
     build_polynomial,
     evaluate_polynomial,
     monomial_map,
     validate_diagram,
 )
+from polydiagram.core import _is_simple
+from references import simple_by_pairwise_test
 
 
 class TestBuildPolynomial:
@@ -118,3 +121,31 @@ class TestValidateDiagram:
         assert diag.simple
         assert diag.chain_slopes_increasing
         assert not diag.convex
+
+
+class TestIsSimple:
+    def test_collapsed_cycle_is_not_simple(self):
+        # every vertex on one line: the pairwise test never compares the
+        # overlapping adjacent edges, so it wrongly calls this simple
+        cycle = (LatticePoint(3, 0), LatticePoint(3, 0), LatticePoint(28, 0))
+        assert simple_by_pairwise_test(cycle)
+        assert not _is_simple(cycle)
+
+    @pytest.mark.parametrize(
+        "cycle",
+        [
+            [(1, 0), (2, 2), (4, 0)],  # first chain vertex not above the anchor
+            [(1, 0), (1, 2), (3, 1), (2, 0)],  # chain x steps back
+            [(1, 0), (1, 2), (1, 1), (3, 0)],  # chain runs back down the anchor's column
+            [(1, 0), (1, 2), (2, 0), (4, 0)],  # inner vertex on the anchor's row
+            [(1, 0), (1, 2), (2, 1)],  # last vertex above the row
+            [(1, 0), (1, 2)],  # too few vertices
+        ],
+    )
+    def test_other_shapes_are_not_simple(self, cycle):
+        assert not _is_simple(tuple(LatticePoint(*v) for v in cycle))
+
+    @pytest.mark.parametrize("q,n,k", [(2, 0, 1), (2, 0, 40), (3, 2, 7), (50, 10, 12)])
+    def test_diagrams_agree_with_pairwise_test(self, q, n, k):
+        vertices = build_diagram(build_polynomial(q, n, k)).vertices
+        assert _is_simple(vertices) == simple_by_pairwise_test(vertices) is True

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polydiagram import (
+    LatticePoint,
     area_general,
     area_sequence,
     area_shoelace,
@@ -16,10 +17,13 @@ from polydiagram import (
     evaluate_polynomial,
     finite_difference,
     format_decimal,
+    interior_lattice_count,
     monomial_map,
     rational_from_json,
     rational_to_json,
 )
+from polydiagram.core import _is_simple
+from references import interior_by_column_scan, simple_by_pairwise_test
 
 bases = st.integers(min_value=1, max_value=50)
 shifts = st.integers(min_value=0, max_value=10)
@@ -49,6 +53,58 @@ def test_monomial_points_step_by_factor_q(q, n, k):
     assert len(pts) == k + 1
     assert all(a.x * q == b.x for a, b in zip(pts, pts[1:]))
     assert [pt.y for pt in pts] == list(range(k, -1, -1))
+
+
+@given(
+    q=st.integers(min_value=2, max_value=10), n=st.integers(min_value=0, max_value=3), k=degrees
+)
+def test_interior_count_matches_column_scan(q, n, k):
+    d = build_diagram(build_polynomial(q, n, k))
+    extent = d.vertices[-1].x - d.vertices[0].x
+    assume(extent <= 10**4)
+    assert interior_lattice_count(d) == interior_by_column_scan(d)
+
+
+@st.composite
+def cycles_near_diagram_shape(draw, shaped=False):
+    """Anchor on y = 0 followed by a chain of small lattice points.
+
+    With shaped=True the cycle has the diagram's shape except that inner
+    chain y may be any value >= 0: the first chain vertex sits above the
+    anchor, chain x strictly increases and the last vertex is on y = 0.
+    Otherwise each of those conditions may fail, so both answers of the
+    simplicity test occur.
+    """
+    x0 = draw(st.integers(min_value=0, max_value=5))
+    step = st.integers(min_value=1, max_value=4) if shaped else st.integers(min_value=-1, max_value=2)
+    steps = draw(st.lists(step, min_size=1, max_size=8))
+    inner = draw(
+        st.lists(st.integers(min_value=0, max_value=4), min_size=len(steps) - 1,
+                 max_size=len(steps) - 1)
+    )
+    first_x = x0 if shaped else x0 + draw(st.sampled_from([-1, 0, 0, 0, 1]))
+    first_y = draw(st.integers(min_value=1 if shaped else 0, max_value=4))
+    last_y = 0 if shaped else draw(st.integers(min_value=0, max_value=2))
+    xs = [first_x]
+    for step in steps:
+        xs.append(xs[-1] + step)
+    ys = [first_y, *inner, last_y]
+    return (LatticePoint(x0, 0), *(LatticePoint(x, y) for x, y in zip(xs, ys)))
+
+
+@given(cycle=cycles_near_diagram_shape(shaped=True))
+@settings(max_examples=300)
+def test_simplicity_matches_pairwise_test_on_diagram_shapes(cycle):
+    assert _is_simple(cycle) == simple_by_pairwise_test(cycle)
+
+
+@given(cycle=cycles_near_diagram_shape())
+@settings(max_examples=1000)
+def test_simple_cycles_have_no_contact_between_nonadjacent_edges(cycle):
+    # _is_simple may refuse a simple cycle of another shape, but it must
+    # never accept one whose non-adjacent edges touch
+    if _is_simple(cycle):
+        assert simple_by_pairwise_test(cycle)
 
 
 @given(q=st.integers(min_value=2, max_value=50), n=shifts, k=degrees)
