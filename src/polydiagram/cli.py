@@ -23,19 +23,15 @@ from .core import build_diagram, build_polynomial
 from .formats import (
     DEFAULT_DIGITS,
     csv_document,
-    format_decimal,
-    format_rational,
     json_document,
     markdown_document,
-    rational_to_json,
+    records_document,
 )
 from .render import RenderSpec, diagram_svg
 from .sequences import area_sequence, finite_difference, ratio_sequence
 from .verify import run_grid_verification
 
 __all__ = ["main", "build_parser"]
-
-UNDEFINED = "undefined"
 
 
 def _warn(message: str) -> None:
@@ -81,30 +77,15 @@ def cmd_area(args: argparse.Namespace) -> int:
     else:  # pick
         results.append(("pick", area_pick(build_diagram(p))))
 
-    headers = ["method", "area", "area_decimal"]
-    rows = [
-        [name, format_rational(value), format_decimal(value, args.digits)]
-        for name, value in results
-    ]
-    payload = {
-        "params": {
-            "q": str(args.q),
-            "n": str(args.n),
-            "k": str(args.k),
-            "method": args.method,
-            "digits": args.digits,
-        },
-        "results": [
-            {
-                "method": name,
-                "area": rational_to_json(value),
-                "area_decimal": format_decimal(value, args.digits),
-            }
-            for name, value in results
-        ],
-        "agree": agree,
+    params = {
+        "q": str(args.q),
+        "n": str(args.n),
+        "k": str(args.k),
+        "method": args.method,
+        "digits": args.digits,
     }
-    _emit(_tabular(args.format, headers, rows, payload))
+    records = [{"method": name, "area": value} for name, value in results]
+    _emit(records_document(args.format, records, params, args.digits, "results", agree=agree))
     if not agree:
         print("error: area methods disagree", file=sys.stderr)
         return 1
@@ -120,43 +101,18 @@ def cmd_table(args: argparse.Namespace) -> int:
     seq = area_sequence(args.k, args.n, args.q_from, args.q_to + 1)
     ratios = ratio_sequence(seq)
 
-    headers = ["q", "area", "area_decimal", "ratio", "ratio_decimal"]
-    rows: list[list[str]] = []
-    json_rows: list[dict] = []
-    for j, q in enumerate(range(args.q_from, args.q_to + 1)):
-        area = seq.values[j]
-        ratio = ratios[j]
-        rows.append(
-            [
-                str(q),
-                format_rational(area),
-                format_decimal(area, args.digits),
-                format_rational(ratio) if ratio is not None else UNDEFINED,
-                format_decimal(ratio, args.digits) if ratio is not None else UNDEFINED,
-            ]
-        )
-        json_rows.append(
-            {
-                "q": str(q),
-                "area": rational_to_json(area),
-                "area_decimal": format_decimal(area, args.digits),
-                "ratio": rational_to_json(ratio) if ratio is not None else None,
-                "ratio_decimal": (
-                    format_decimal(ratio, args.digits) if ratio is not None else None
-                ),
-            }
-        )
-    payload = {
-        "params": {
-            "k": str(args.k),
-            "n": str(args.n),
-            "q_from": str(args.q_from),
-            "q_to": str(args.q_to),
-            "digits": args.digits,
-        },
-        "rows": json_rows,
+    params = {
+        "k": str(args.k),
+        "n": str(args.n),
+        "q_from": str(args.q_from),
+        "q_to": str(args.q_to),
+        "digits": args.digits,
     }
-    _emit(_tabular(args.format, headers, rows, payload))
+    records = [
+        {"q": str(q), "area": area, "ratio": ratio}
+        for q, area, ratio in zip(range(args.q_from, args.q_to + 1), seq.values, ratios)
+    ]
+    _emit(records_document(args.format, records, params, args.digits))
     return 0
 
 
@@ -166,34 +122,18 @@ def cmd_diff(args: argparse.Namespace) -> int:
     seq = area_sequence(args.k, args.n, args.q_from, args.q_to)
     values = finite_difference(seq, args.order)  # rejects ranges too short
 
-    headers = ["q", "difference", "difference_decimal"]
-    rows = [
-        [
-            str(args.q_from + j),
-            format_rational(value),
-            format_decimal(value, args.digits),
-        ]
-        for j, value in enumerate(values)
-    ]
-    payload = {
-        "params": {
-            "k": str(args.k),
-            "n": str(args.n),
-            "q_from": str(args.q_from),
-            "q_to": str(args.q_to),
-            "order": str(args.order),
-            "digits": args.digits,
-        },
-        "rows": [
-            {
-                "q": str(args.q_from + j),
-                "difference": rational_to_json(value),
-                "difference_decimal": format_decimal(value, args.digits),
-            }
-            for j, value in enumerate(values)
-        ],
+    params = {
+        "k": str(args.k),
+        "n": str(args.n),
+        "q_from": str(args.q_from),
+        "q_to": str(args.q_to),
+        "order": str(args.order),
+        "digits": args.digits,
     }
-    _emit(_tabular(args.format, headers, rows, payload))
+    records = [
+        {"q": str(args.q_from + j), "difference": value} for j, value in enumerate(values)
+    ]
+    _emit(records_document(args.format, records, params, args.digits))
     return 0
 
 
@@ -362,11 +302,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Python >= 3.11 refuses int<->str conversions beyond 4300 digits; the
+    # documents print exact values of any size, so lift the cap per command.
+    capped = hasattr(sys, "set_int_max_str_digits")
+    if capped:
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if capped:
+            sys.set_int_max_str_digits(previous)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ values survive any JSON reader; CSV and markdown carry "num/den" text plus
 a rounded decimal column.  Decimal rendering rounds half to even at the
 configured number of places, trims trailing zeros, and always uses '.' as
 the decimal point, so identical inputs give byte-identical output.
+`records_document` renders one list of records in any of the three formats.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 __all__ = [
     "DEFAULT_DIGITS",
+    "UNDEFINED",
     "format_rational",
     "format_decimal",
     "rational_to_json",
@@ -24,9 +26,11 @@ __all__ = [
     "csv_document",
     "markdown_document",
     "json_document",
+    "records_document",
 ]
 
 DEFAULT_DIGITS = 4
+UNDEFINED = "undefined"  # CSV/markdown text of a missing rational; JSON uses null
 
 
 def format_rational(value: Fraction) -> str:
@@ -38,9 +42,13 @@ def format_decimal(value: Fraction, digits: int = DEFAULT_DIGITS) -> str:
     """Round to `digits` decimal places (half to even) and trim trailing zeros."""
     if digits < 0:
         raise ValueError(f"digits must be non-negative, got {digits}")
-    scaled = round(value * 10**digits)  # Fraction rounding ties to even
+    unit = 10**digits
+    den = value.denominator
+    scaled, rest = divmod(value.numerator * unit, den)  # floor; 0 <= rest < den
+    if 2 * rest > den or (2 * rest == den and scaled & 1):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), 10**digits)
+    whole, frac = divmod(abs(scaled), unit)
     if digits == 0:
         return f"{sign}{whole}"
     text = f"{whole}.{frac:0{digits}d}".rstrip("0").rstrip(".")
@@ -86,3 +94,41 @@ def markdown_document(headers: list[str], rows: list[list[str]]) -> str:
 def json_document(payload: dict) -> str:
     """Stable two-space-indented JSON document (insertion key order)."""
     return json.dumps(payload, indent=2) + "\n"
+
+
+def records_document(
+    fmt: str,
+    records: list[dict[str, str | Fraction | None]],
+    params: dict,
+    digits: int,
+    key: str = "rows",
+    **extra: object,
+) -> str:
+    """Render records (field -> str | Fraction | None) as a csv, markdown or json document.
+
+    A text field is one column.  A rational field `f` becomes the columns
+    `f` ("num/den", or {"num", "den"} in JSON) and `f_decimal`; None, a
+    rational that does not exist, fills both with UNDEFINED (null in JSON).
+    The JSON document is {"params": params, key: records, **extra}; CSV
+    and markdown take their header from the first record and omit params.
+    """
+    as_json = fmt == "json"
+    rows: list[dict] = []
+    for record in records:
+        row: dict = {}
+        for name, value in record.items():
+            if isinstance(value, str):
+                row[name] = value
+            elif value is None:
+                row[name] = row[name + "_decimal"] = None if as_json else UNDEFINED
+            else:
+                row[name] = rational_to_json(value) if as_json else format_rational(value)
+                row[name + "_decimal"] = format_decimal(value, digits)
+        rows.append(row)
+    if as_json:
+        return json_document({"params": params, key: rows, **extra})
+    headers = list(rows[0]) if rows else []
+    cells = [list(row.values()) for row in rows]
+    if fmt == "markdown":
+        return markdown_document(headers, cells)
+    return csv_document(headers, cells)

@@ -90,9 +90,12 @@ def finite_difference(s: AreaSequence, order: int) -> list[Fraction]:
             f"order {order} needs more than {order} values, sequence has {len(s.values)}"
         )
     weights = [(-1) ** (order - i) * math.comb(order, i) for i in range(order + 1)]
+    # Weighted sums over integer numerators on one common denominator.
+    den = math.lcm(*(v.denominator for v in s.values))
+    nums = [v.numerator * (den // v.denominator) for v in s.values]
     return [
-        sum(w * v for w, v in zip(weights, s.values[j : j + order + 1]))
-        for j in range(len(s.values) - order)
+        Fraction(sum(w * x for w, x in zip(weights, nums[j : j + order + 1])), den)
+        for j in range(len(nums) - order)
     ]
 
 

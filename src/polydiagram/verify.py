@@ -92,10 +92,13 @@ def run_grid_verification(
     checks = 0
     pick_checks = 0
     for q in range(1, q_max + 1):
+        # lifted[k]: the area at (q, n, k), computed as the n -> n+1 lift
+        # at the point below; None while n = 0.
+        lifted: list[Fraction | None] = [None] * (k_max + 1)
         for n in range(n_max + 1):
             for k in range(1, k_max + 1):
                 points += 1
-                ran, picked = _verify_point(q, n, k, failures)
+                ran, picked, lifted[k] = _verify_point(q, n, k, lifted[k], failures)
                 checks += ran
                 pick_checks += picked
     return VerificationReport(
@@ -110,8 +113,14 @@ def run_grid_verification(
     )
 
 
-def _verify_point(q: int, n: int, k: int, failures: list[CheckFailure]) -> tuple[int, int]:
-    """Run every check at one grid point; returns (checks run, pick checks run)."""
+def _verify_point(
+    q: int, n: int, k: int, general: Fraction | None, failures: list[CheckFailure]
+) -> tuple[int, int, Fraction]:
+    """Run every check at one grid point.
+
+    `general` is the point's slab-sum area when already known (None computes
+    it).  Returns (checks run, pick checks run, slab-sum area at n + 1).
+    """
     checks = 0
     pick_checks = 0
 
@@ -120,7 +129,8 @@ def _verify_point(q: int, n: int, k: int, failures: list[CheckFailure]) -> tuple
 
     p = SpecialPolynomial(q, n, k)
     d = build_diagram(p)
-    general = area_general(p)
+    if general is None:
+        general = area_general(p)
     lace = area_shoelace(d)
 
     checks += 1
@@ -143,7 +153,7 @@ def _verify_point(q: int, n: int, k: int, failures: list[CheckFailure]) -> tuple
         fail("scaling_in_n", f"area(n+1)={lifted} q*area(n)={q * general}")
 
     if d.degenerate:
-        return checks, pick_checks
+        return checks, pick_checks, lifted
 
     pick = area_pick(d)
     checks += 1
@@ -170,7 +180,7 @@ def _verify_point(q: int, n: int, k: int, failures: list[CheckFailure]) -> tuple
     ys = [v.y for v in d.vertices[1:]]
     if not all(a < b for a, b in zip(xs, xs[1:])) or ys != list(range(k, -1, -1)):
         fail("chain_structure", "x not strictly increasing or y not unit steps")
-    return checks, pick_checks
+    return checks, pick_checks, lifted
 
 
 def _golden_quadratic_problems() -> list[str]:

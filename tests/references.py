@@ -3,13 +3,39 @@
 The column scan and the pairwise segment test are the package's former
 implementations of the interior count and the simplicity test.  They cost
 O(q^(n+k)) and O(k^2) respectively, so tests call them only on small
-inputs, as oracles for the O(k) versions in the package.
+inputs, as oracles for the O(k) versions in the package.  The Fraction
+forms of decimal rendering and forward differences are the package's former
+implementations of the integer-arithmetic `format_decimal` and
+`finite_difference`.
 """
 
 from __future__ import annotations
 
-from polydiagram import LatticePoint, PolynomialDiagram
+import math
+from fractions import Fraction
+
+from polydiagram import AreaSequence, LatticePoint, PolynomialDiagram
 from polydiagram.core import _orientation
+
+
+def decimal_by_fraction_round(value: Fraction, digits: int) -> str:
+    """`format_decimal` through Fraction multiplication and Fraction.__round__."""
+    scaled = round(value * 10**digits)  # Fraction rounding ties to even
+    sign = "-" if scaled < 0 else ""
+    whole, frac = divmod(abs(scaled), 10**digits)
+    if digits == 0:
+        return f"{sign}{whole}"
+    text = f"{whole}.{frac:0{digits}d}".rstrip("0").rstrip(".")
+    return sign + text
+
+
+def difference_by_fraction_sums(s: AreaSequence, order: int) -> list[Fraction]:
+    """`finite_difference` as binomial-weighted sums of Fractions."""
+    weights = [(-1) ** (order - i) * math.comb(order, i) for i in range(order + 1)]
+    return [
+        sum(w * v for w, v in zip(weights, s.values[j : j + order + 1]))
+        for j in range(len(s.values) - order)
+    ]
 
 
 def interior_by_column_scan(d: PolynomialDiagram) -> int:

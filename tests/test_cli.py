@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -194,6 +195,58 @@ class TestVerify:
     def test_invalid_bounds_are_usage_errors(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--q-max", "0")
         assert code == 2
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the int<->str digit cap (Python >= 3.11) while comparing huge values."""
+    previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
+
+
+class TestHugeValues:
+    def test_area_beyond_the_int_digit_cap_is_exact(self, capsys):
+        q, k = 3, 20000
+        code, out, err = run_cli(capsys, "area", "--q", str(q), "--k", str(k), "--method", "all")
+        assert code == 0
+        assert err == ""
+        # A = q^n (q^k - (2k-1) + 2(q^k - q)/(q-1)) / 2 at n = 0
+        expected = Fraction(q**k - (2 * k - 1) + 2 * (q**k - q) // (q - 1), 2)
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["general", "shoelace", "pick"]
+        with unlimited_int_digits():
+            assert len(str(expected.numerator)) > 4300
+            for _method, area, decimal in rows:
+                assert Fraction(area) == expected
+                assert Fraction(decimal) == expected
+
+    def test_render_beyond_the_int_digit_cap(self, capsys):
+        # labels print x = 10^4300 .. 10^4302 in full
+        code, out, _ = run_cli(capsys, "render", "--q", "10", "--n", "4300", "--k", "2")
+        assert code == 0
+        assert f'>(1{"0" * 4302}, 0)</text>' in out
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int digit cap before 3.11"
+    )
+    @pytest.mark.parametrize(
+        "argv", [("area", "--q", "3", "--k", "9000"), ("area", "--q", "0", "--k", "2")],
+        ids=["success", "usage-error"],
+    )
+    def test_main_restores_the_int_digit_cap(self, capsys, argv):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            main(list(argv))
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(previous)
 
 
 class TestRender:

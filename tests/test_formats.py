@@ -15,6 +15,7 @@ from polydiagram.formats import (
     markdown_document,
     rational_from_json,
     rational_to_json,
+    records_document,
 )
 
 
@@ -94,3 +95,30 @@ class TestDocuments:
         doc = json_document({"x": 1})
         assert doc.endswith("\n")
         assert json.loads(doc) == {"x": 1}
+
+
+class TestRecordsDocument:
+    RECORDS = [
+        {"q": "1", "ratio": None},
+        {"q": "2", "ratio": Fraction(7, 4)},
+    ]
+
+    def test_csv_splits_rationals_and_marks_missing_ones(self):
+        doc = records_document("csv", self.RECORDS, {"k": "2"}, 1)
+        assert doc == "q,ratio,ratio_decimal\n1,undefined,undefined\n2,7/4,1.8\n"
+
+    def test_markdown_has_the_csv_columns(self):
+        doc = records_document("markdown", self.RECORDS, {"k": "2"}, 1)
+        assert doc.splitlines()[0] == "| q | ratio | ratio_decimal |"
+        assert doc.splitlines()[2] == "| 1 | undefined | undefined |"
+
+    def test_json_carries_params_rows_and_extra_keys(self):
+        doc = records_document("json", self.RECORDS, {"k": "2"}, 1, "results", agree=True)
+        assert json.loads(doc) == {
+            "params": {"k": "2"},
+            "results": [
+                {"q": "1", "ratio": None, "ratio_decimal": None},
+                {"q": "2", "ratio": {"num": "7", "den": "4"}, "ratio_decimal": "1.8"},
+            ],
+            "agree": True,
+        }

@@ -1,0 +1,106 @@
+"""Frozen CLI documents: stdout, stderr and exit codes must stay byte-identical.
+
+Each case's stdout is stored in `golden/<name>.out`, and its stderr, when not
+empty, in `golden/<name>.err`.  To refreeze after an intended change of
+output, run `python tests/test_golden.py` from the repository root with the
+trusted sources on the path and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from polydiagram.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_SUBJECTS = {
+    "area": ("area", "--q", "2", "--n", "0", "--k", "3"),
+    "table": ("table", "--k", "3", "--n", "1", "--q-from", "2", "--q-to", "12"),
+    "diff": ("diff", "--k", "3", "--n", "0", "--q-from", "2", "--q-to", "12"),
+}
+
+# name -> (argv, exit code)
+CASES: dict[str, tuple[tuple[str, ...], int]] = {
+    f"{command}_{fmt}_d{digits}": ((*argv, "--format", fmt, "--digits", str(digits)), 0)
+    for command, argv in _SUBJECTS.items()
+    for fmt in ("csv", "json", "markdown")
+    for digits in (0, 4, 7)
+}
+CASES.update(
+    {
+        "area_degenerate_csv": (("area", "--q", "1", "--k", "3"), 0),
+        "area_degenerate_json": (("area", "--q", "1", "--k", "3", "--format", "json"), 0),
+        "area_closed_json": (("area", "--q", "2", "--k", "2", "--method", "closed",
+                              "--format", "json"), 0),
+        "area_pick_markdown": (("area", "--q", "4", "--n", "2", "--k", "5", "--method", "pick",
+                                "--format", "markdown"), 0),
+        "table_default_csv": (("table",), 0),
+        "table_q_from_1_csv": (("table", "--q-from", "1", "--q-to", "6"), 0),
+        "table_q_from_1_json": (("table", "--q-from", "1", "--q-to", "6", "--format", "json"), 0),
+        "table_q_from_1_markdown": (("table", "--q-from", "1", "--q-to", "6",
+                                     "--format", "markdown"), 0),
+        "diff_order_1_csv": (("diff", "--k", "3", "--order", "1", "--q-from", "1",
+                              "--q-to", "9"), 0),
+        "diff_order_4_json": (("diff", "--k", "2", "--n", "2", "--order", "4",
+                               "--q-to", "12", "--format", "json"), 0),
+        "diff_order_4_markdown": (("diff", "--k", "2", "--n", "2", "--order", "4",
+                                   "--q-to", "12", "--format", "markdown"), 0),
+        "verify_csv": (("verify", "--q-max", "4", "--n-max", "2", "--k-max", "3",
+                        "--format", "csv"), 0),
+        "error_table_empty_range": (("table", "--q-from", "5", "--q-to", "4"), 2),
+        "error_diff_order_too_high": (("diff", "--order", "5", "--q-from", "2",
+                                       "--q-to", "6"), 2),
+        "error_diff_order_zero": (("diff", "--order", "0"), 2),
+        "error_area_closed_needs_k2": (("area", "--q", "2", "--k", "3",
+                                        "--method", "closed"), 2),
+        "error_area_base_zero": (("area", "--q", "0", "--k", "2", "--format", "json"), 2),
+        "error_table_negative_digits": (("table", "--digits", "-1"), 2),
+        "error_area_negative_digits_json": (("area", "--q", "2", "--k", "2",
+                                             "--format", "json", "--digits", "-1"), 2),
+    }
+)
+
+
+def run(argv: tuple[str, ...]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_byte_identical_to_golden(name):
+    argv, expected_code = CASES[name]
+    code, out, err = run(argv)
+    assert code == expected_code
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    err_path = GOLDEN / f"{name}.err"
+    assert err == (err_path.read_text(encoding="utf-8") if err_path.exists() else "")
+
+
+def test_every_golden_file_has_a_case():
+    assert {path.stem for path in GOLDEN.iterdir()} == set(CASES)
+
+
+def freeze() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for path in GOLDEN.iterdir():
+        path.unlink()
+    for name, (argv, expected_code) in sorted(CASES.items()):
+        code, out, err = run(argv)
+        if code != expected_code:
+            raise SystemExit(f"{name}: exit {code}, expected {expected_code}")
+        (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
+        if err:
+            (GOLDEN / f"{name}.err").write_text(err, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    freeze()
+    print(f"froze {len(CASES)} cases in {GOLDEN}", file=sys.stderr)

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polydiagram import (
+    AreaSequence,
     LatticePoint,
     area_general,
     area_sequence,
@@ -23,7 +24,12 @@ from polydiagram import (
     rational_to_json,
 )
 from polydiagram.core import _is_simple
-from references import interior_by_column_scan, simple_by_pairwise_test
+from references import (
+    decimal_by_fraction_round,
+    difference_by_fraction_sums,
+    interior_by_column_scan,
+    simple_by_pairwise_test,
+)
 
 bases = st.integers(min_value=1, max_value=50)
 shifts = st.integers(min_value=0, max_value=10)
@@ -143,3 +149,39 @@ def test_json_rational_round_trip(value):
 def test_decimal_rendering_is_within_half_a_step(value, digits):
     text = format_decimal(value, digits)
     assert abs(Fraction(text) - value) <= Fraction(1, 2 * 10**digits)
+
+
+digit_counts = st.integers(min_value=0, max_value=8)
+
+
+@given(value=rationals, digits=digit_counts)
+@settings(max_examples=300)
+def test_decimal_rendering_matches_fraction_rounding(value, digits):
+    assert format_decimal(value, digits) == decimal_by_fraction_round(value, digits)
+
+
+@given(
+    steps=st.integers(min_value=-(10**12), max_value=10**12),
+    digits=digit_counts,
+    halving=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=300)
+def test_decimal_rendering_ties_match_fraction_rounding(steps, digits, halving):
+    # exactly half-way between two rendered values, at the last place or
+    # (halving > 0) at a place beyond it
+    value = Fraction(2 * steps + 1, 2 * 10**digits * 2**halving)
+    assert format_decimal(value, digits) == decimal_by_fraction_round(value, digits)
+
+
+@given(
+    values=st.lists(
+        st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**6),
+        min_size=2,
+        max_size=12,
+    ),
+    data=st.data(),
+)
+def test_finite_difference_matches_fraction_sums(values, data):
+    order = data.draw(st.integers(min_value=1, max_value=len(values) - 1))
+    s = AreaSequence(k=1, n=0, q_start=1, values=tuple(values))
+    assert finite_difference(s, order) == difference_by_fraction_sums(s, order)
