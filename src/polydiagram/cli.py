@@ -22,6 +22,7 @@ from .areas import (
 from .core import build_diagram, build_polynomial
 from .formats import (
     DEFAULT_DIGITS,
+    MAX_DIGITS,
     csv_document,
     json_document,
     markdown_document,
@@ -48,6 +49,13 @@ def _tabular(fmt: str, headers: list[str], rows: list[list[str]], payload: dict)
     if fmt == "markdown":
         return markdown_document(headers, rows)
     return csv_document(headers, rows)
+
+
+def _check_digits(digits: int) -> None:
+    if digits < 0:
+        raise ValueError(f"digits must be non-negative, got {digits}")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"digits must be at most {MAX_DIGITS}, got {digits}")
 
 
 def cmd_area(args: argparse.Namespace) -> int:
@@ -234,7 +242,7 @@ def _add_format_flags(parser: argparse.ArgumentParser, default: str = "csv") -> 
         "--digits",
         type=int,
         default=DEFAULT_DIGITS,
-        help=f"decimal places in rendered decimals (default: {DEFAULT_DIGITS})",
+        help=f"decimal places in rendered decimals, 0..{MAX_DIGITS} (default: {DEFAULT_DIGITS})",
     )
 
 
@@ -309,6 +317,8 @@ def main(argv: list[str] | None = None) -> int:
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
+        if "digits" in vars(args):  # area, table, diff, verify: refuse before any work
+            _check_digits(args.digits)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,9 +15,11 @@ import csv
 import io
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 __all__ = [
     "DEFAULT_DIGITS",
+    "MAX_DIGITS",
     "UNDEFINED",
     "format_rational",
     "format_decimal",
@@ -30,6 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_DIGITS = 4
+MAX_DIGITS = 1000  # the CLI's --digits limit; the work grows with 10**digits
 UNDEFINED = "undefined"  # CSV/markdown text of a missing rational; JSON uses null
 
 
@@ -92,8 +95,34 @@ def markdown_document(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def json_document(payload: dict) -> str:
-    """Stable two-space-indented JSON document (insertion key order)."""
-    return json.dumps(payload, indent=2) + "\n"
+    """Stable two-space-indented JSON document (insertion key order).
+
+    Byte-identical to what `json.dumps` writes with a two-space indent, plus
+    a final newline, but written in one pass: given an indent, `json.dumps`
+    falls back to its pure-Python generator encoder.  Dict keys are always
+    `str` in this package and are not converted; tuples are arrays, as in
+    `json.dumps`.
+    """
+    return _json_value(payload, "") + "\n"
+
+
+def _json_value(value: object, pad: str) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{_quote(key)}: {_json_value(item, inner)}" for key, item in value.items()
+        )
+        return f"{{\n{items}\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = ",\n".join(f"{inner}{_json_value(item, inner)}" for item in value)
+        return f"[\n{items}\n{pad}]"
+    return json.dumps(value)  # int, bool, None
 
 
 def records_document(

@@ -11,7 +11,6 @@ identical invocations produce byte-identical documents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import PolynomialDiagram
 
@@ -65,12 +64,12 @@ def diagram_svg(d: PolynomialDiagram, spec: RenderSpec | None = None) -> str:
     def px(x: int) -> float:
         if x_hi == x_lo:
             return (left + right) / 2
-        # Fraction keeps the ratio exact for huge coordinates before the
-        # single final float conversion.
-        return left + float(Fraction(x - x_lo, x_hi - x_lo)) * (right - left)
+        # int / int is correctly rounded even past the float range, so huge
+        # coordinates need no exact ratio before the conversion.
+        return left + (x - x_lo) / (x_hi - x_lo) * (right - left)
 
     def py(y: int) -> float:
-        return bottom - float(Fraction(y, y_hi)) * (bottom - top)
+        return bottom - y / y_hi * (bottom - top)
 
     def fmt(v: float) -> str:
         return f"{v:.2f}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,10 +11,14 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import polydiagram
+import polydiagram.cli as cli
 from polydiagram.cli import main
 from polydiagram.formats import rational_from_json
 
@@ -247,6 +253,49 @@ class TestHugeValues:
             assert sys.get_int_max_str_digits() == 5000
         finally:
             sys.set_int_max_str_digits(previous)
+
+
+DIGIT_COMMANDS = {
+    "area": ("area", "--q", "3", "--k", "2"),
+    "table": ("table", "--q-to", "4"),
+    "diff": ("diff", "--q-to", "6"),
+    "verify": ("verify", "--q-max", "2", "--n-max", "1", "--k-max", "2"),
+}
+
+
+class TestDigitsLimit:
+    def test_the_limit_itself_is_accepted(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--q-to", "4", "--digits", "1000")
+        assert (code, err) == (0, "")
+        decimals = [line.split(",")[-1] for line in out.splitlines()[1:]]
+        assert max(len(text.partition(".")[2]) for text in decimals) == 1000
+
+    @pytest.mark.parametrize("command", sorted(DIGIT_COMMANDS))
+    def test_one_past_the_limit_is_a_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, *DIGIT_COMMANDS[command], "--digits", "1001")
+        assert (code, out) == (2, "")
+        assert err == "error: digits must be at most 1000, got 1001\n"
+
+    @pytest.mark.parametrize("command", sorted(DIGIT_COMMANDS))
+    def test_negative_digits_are_a_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, *DIGIT_COMMANDS[command], "--digits", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: digits must be non-negative, got -1\n"
+
+
+@given(command=st.sampled_from(sorted(DIGIT_COMMANDS)), digits=st.integers(min_value=1001))
+def test_digits_past_the_limit_are_refused_before_any_work(command, digits):
+    out, err = io.StringIO(), io.StringIO()
+    work = mock.Mock(side_effect=AssertionError("work started"))
+    with contextlib.ExitStack() as stack:
+        for name in ("build_polynomial", "area_sequence", "run_grid_verification"):
+            stack.enter_context(mock.patch.object(cli, name, work))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = main([*DIGIT_COMMANDS[command], "--digits", str(digits)])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: digits must be at most 1000, got {digits}\n"
+    assert not work.called
 
 
 class TestRender:

@@ -6,7 +6,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import polydiagram.cli as cli
+import polydiagram.verify as verify
 from polydiagram.formats import (
     csv_document,
     format_decimal,
@@ -95,6 +99,48 @@ class TestDocuments:
         doc = json_document({"x": 1})
         assert doc.endswith("\n")
         assert json.loads(doc) == {"x": 1}
+
+    def test_json_document_of_an_injected_verify_failure(self, monkeypatch):
+        payloads = []
+        monkeypatch.setattr(cli, "json_document", lambda payload: payloads.append(payload) or "")
+        original = verify.area_general
+        monkeypatch.setattr(verify, "area_general", lambda p: original(p) + (p.n == 1))
+        assert cli.main(["verify", "--q-max", "2", "--n-max", "1", "--k-max", "2"]) == 1
+        (payload,) = payloads
+        assert payload["failures"] and isinstance(payload["first_failure"], dict)
+        assert payload["passed"] is False
+        assert json_document(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+# Strings that stress the escaping: quotes, backslashes, control characters,
+# non-ASCII, astral characters and lone surrogates.
+json_texts = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff\U0001f600'),
+        st.characters(exclude_categories=()),
+    )
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    json_texts,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_texts, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(value=json_values)
+def test_json_document_is_json_dumps_with_indent_2(value):
+    assert json_document(value) == json.dumps(value, indent=2) + "\n"
 
 
 class TestRecordsDocument:

@@ -53,6 +53,11 @@ CASES.update(
                                    "--q-to", "12", "--format", "markdown"), 0),
         "verify_csv": (("verify", "--q-max", "4", "--n-max", "2", "--k-max", "3",
                         "--format", "csv"), 0),
+        "verify_json": (("verify", "--q-max", "3", "--n-max", "1", "--k-max", "3"), 0),
+        "verify_markdown": (("verify", "--q-max", "3", "--n-max", "1", "--k-max", "3",
+                             "--format", "markdown"), 0),
+        "area_huge_json": (("area", "--q", "10", "--n", "4300", "--k", "2",
+                            "--format", "json"), 0),
         "error_table_empty_range": (("table", "--q-from", "5", "--q-to", "4"), 2),
         "error_diff_order_too_high": (("diff", "--order", "5", "--q-from", "2",
                                        "--q-to", "6"), 2),

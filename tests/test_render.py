@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -80,3 +81,21 @@ def test_render_spec_validation():
         RenderSpec(margin_px=-1)
     with pytest.raises(ValueError):
         RenderSpec(width_px=100, height_px=100, margin_px=50)
+
+
+@pytest.mark.parametrize("q, k", [(2, 3), (7, 40)])
+def test_positions_beyond_the_float_range_are_correctly_rounded(q, k):
+    # x reaches q^(1100 + k) > 2^1100, where float(x) alone would overflow;
+    # the plotted positions must equal the exact ratio rounded once.
+    d = build_diagram(build_polynomial(q, 1100, k))
+    xs = [v.x for v in d.vertices]
+    x_lo, x_hi, y_hi = min(xs), max(xs), max(v.y for v in d.vertices)
+    assert x_hi - x_lo > 2**1100
+    expected = [
+        (
+            f"{48 + float(Fraction(v.x - x_lo, x_hi - x_lo)) * 544:.2f}",
+            f"{432 - float(Fraction(v.y, y_hi)) * 384:.2f}",
+        )
+        for v in d.vertices
+    ]
+    assert re.findall(r'<circle cx="([0-9.]+)" cy="([0-9.]+)"', diagram_svg(d)) == expected
