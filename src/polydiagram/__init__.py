@@ -8,8 +8,9 @@ appear only in rendered output.
 """
 
 from .areas import (
+    ROUTES,
     AreaCrossCheck,
-    area_closed_form_k2,
+    area_closed_form,
     area_general,
     area_pick,
     area_shoelace,
@@ -53,6 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "DEFAULT_DIGITS",
+    "ROUTES",
     "AreaCrossCheck",
     "AreaSequence",
     "CheckFailure",
@@ -63,7 +65,7 @@ __all__ = [
     "SequenceReport",
     "SpecialPolynomial",
     "VerificationReport",
-    "area_closed_form_k2",
+    "area_closed_form",
     "area_general",
     "area_pick",
     "area_sequence",

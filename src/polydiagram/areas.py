@@ -1,12 +1,13 @@
 """Exact diagram areas by four independent routes, cross-checked.
 
-Two formula routes (the per-slab trapezoid sum, and its closed form for the
-degree-2 family) and two geometric oracles (the shoelace sum over the vertex
+Two formula routes (the per-slab trapezoid sum, and the closed form it
+telescopes to) and two geometric oracles (the shoelace sum over the vertex
 cycle, and lattice-point counting through Pick's relation A = I + B/2 - 1)
-must all produce the same rational.  Every function returns a Fraction in
-lowest terms; for a lattice polygon the reduced denominator is always 1 or 2.
-Every route costs O(k) big-integer operations; none grows with the polygon's
-x-extent q^(n+k).
+must all produce the same rational.  ROUTES names them, once, in the order
+documents list them.  Every function returns a Fraction in lowest terms; for
+a lattice polygon the reduced denominator is always 1 or 2.  The closed form
+costs O(1) big-integer operations and every other route O(k); none grows
+with the polygon's x-extent q^(n+k).
 
 The slab decomposition cuts the region under the monomial chain into k-1
 rectangular trapezoids plus one right triangle at the far end.  Slab m
@@ -21,12 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .core import PolynomialDiagram, SpecialPolynomial, build_diagram
 
 __all__ = [
+    "ROUTES",
     "AreaCrossCheck",
-    "area_closed_form_k2",
+    "area_closed_form",
     "trapezoid_area",
     "triangle_area",
     "area_general",
@@ -39,19 +42,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AreaCrossCheck:
-    """Areas from every applicable route; agree is exact equality of all present."""
+    """Area by every route that applies, keyed by route name in ROUTES order."""
 
-    closed_form: Fraction | None
-    general_formula: Fraction
-    shoelace: Fraction
-    pick: Fraction | None
-    agree: bool
+    areas: dict[str, Fraction]
+
+    @property
+    def agree(self) -> bool:
+        """Exact equality of every area present."""
+        return len(set(self.areas.values())) <= 1
 
 
-def area_closed_form_k2(q: int, n: int) -> Fraction:
-    """Closed-form area q^n * (q+3) * (q-1) / 2 for the degree-2 family."""
-    SpecialPolynomial(q, n, 2)  # reuse the parameter validation
-    return Fraction(q**n * (q + 3) * (q - 1), 2)
+def area_closed_form(p: SpecialPolynomial) -> Fraction:
+    """Closed-form area q^n * (q^k - (2k-1) + 2(q^k - q)/(q-1)) / 2; 0 when q = 1.
+
+    The slab sum telescopes: summing (q^(m+1) - q^m) * (2k-2m-1) by parts over
+    m = 0..k-1 leaves q^k - (2k-1) + 2(q + q^2 + ... + q^(k-1)), and the
+    geometric sum is (q^k - q)/(q-1).  At k = 2 this is q^n (q+3)(q-1) / 2.
+    """
+    if p.degenerate:
+        return Fraction(0)
+    q, k = p.q, p.k
+    qk = q**k
+    return Fraction(q**p.n * (qk - (2 * k - 1) + 2 * ((qk - q) // (q - 1))), 2)
 
 
 def trapezoid_area(p: SpecialPolynomial, m: int) -> Fraction:
@@ -77,8 +89,7 @@ def area_general(p: SpecialPolynomial) -> Fraction:
     Adds the integer twice-areas (q^(n+m+1) - q^(n+m)) * (2k-2m-1) for
     m = 0..k-1, stepping the power of q by one multiplication per slab, and
     halves the total once; m = k-1 is the triangle.  For k = 1 only the
-    triangle remains.  Equals area_closed_form_k2 exactly when k = 2, and 0
-    when q = 1.
+    triangle remains.  Equals area_closed_form exactly, and 0 when q = 1.
     """
     power = p.q**p.n  # q^(n+m)
     twice = 0
@@ -146,25 +157,23 @@ def area_pick(d: PolynomialDiagram) -> Fraction:
     return Fraction(2 * interior + boundary - 2, 2)
 
 
-def cross_check(p: SpecialPolynomial) -> AreaCrossCheck:
-    """Compute the area by every applicable route and compare exactly.
+# Every route maps a diagram to its area; documents list them in this order.
+ROUTES: dict[str, Callable[[PolynomialDiagram], Fraction]] = {
+    "closed": lambda d: area_closed_form(d.source),
+    "general": lambda d: area_general(d.source),
+    "shoelace": area_shoelace,
+    "pick": area_pick,
+}
 
-    The slab formula and the shoelace oracle always run; the closed form
-    joins when k = 2, and the Pick oracle joins whenever the diagram is
-    non-degenerate (q >= 2).  Disagreement is reported in the record, never
-    raised.
+
+def cross_check(p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> AreaCrossCheck:
+    """Compute the area by every route that applies and compare exactly.
+
+    Every route applies except Pick, which needs q >= 2: a degenerate
+    diagram has no interior.  `d` is p's diagram when the caller has already
+    built it.  Disagreement is reported in the record, never raised.
     """
-    d = build_diagram(p)
-    general = area_general(p)
-    lace = area_shoelace(d)
-    closed = area_closed_form_k2(p.q, p.n) if p.k == 2 else None
-    pick = None if d.degenerate else area_pick(d)
-    present = [v for v in (closed, general, lace, pick) if v is not None]
-    agree = all(v == present[0] for v in present)
+    d = build_diagram(p) if d is None else d
     return AreaCrossCheck(
-        closed_form=closed,
-        general_formula=general,
-        shoelace=lace,
-        pick=pick,
-        agree=agree,
+        {name: route(d) for name, route in ROUTES.items() if name != "pick" or not d.degenerate}
     )

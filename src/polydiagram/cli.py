@@ -10,15 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from .areas import (
-    area_closed_form_k2,
-    area_general,
-    area_pick,
-    area_shoelace,
-    cross_check,
-)
+from .areas import ROUTES, cross_check
 from .core import build_diagram, build_polynomial
 from .formats import (
     DEFAULT_DIGITS,
@@ -60,30 +53,14 @@ def _check_digits(digits: int) -> None:
 
 def cmd_area(args: argparse.Namespace) -> int:
     p = build_polynomial(args.q, args.n, args.k)
-    if args.method == "closed" and p.k != 2:
-        raise ValueError(f"method 'closed' requires k = 2, got k = {p.k}")
     if p.degenerate:
         _warn("q = 1 produces a degenerate diagram; every area is 0")
 
-    results: list[tuple[str, Fraction]] = []
-    agree = True
     if args.method == "all":
         check = cross_check(p)
-        if check.closed_form is not None:
-            results.append(("closed", check.closed_form))
-        results.append(("general", check.general_formula))
-        results.append(("shoelace", check.shoelace))
-        if check.pick is not None:
-            results.append(("pick", check.pick))
-        agree = check.agree
-    elif args.method == "closed":
-        results.append(("closed", area_closed_form_k2(p.q, p.n)))
-    elif args.method == "general":
-        results.append(("general", area_general(p)))
-    elif args.method == "shoelace":
-        results.append(("shoelace", area_shoelace(build_diagram(p))))
-    else:  # pick
-        results.append(("pick", area_pick(build_diagram(p))))
+        areas, agree = check.areas, check.agree
+    else:
+        areas, agree = {args.method: ROUTES[args.method](build_diagram(p))}, True
 
     params = {
         "q": str(args.q),
@@ -92,7 +69,7 @@ def cmd_area(args: argparse.Namespace) -> int:
         "method": args.method,
         "digits": args.digits,
     }
-    records = [{"method": name, "area": value} for name, value in results]
+    records = [{"method": name, "area": value} for name, value in areas.items()]
     _emit(records_document(args.format, records, params, args.digits, "results", agree=agree))
     if not agree:
         print("error: area methods disagree", file=sys.stderr)
@@ -231,19 +208,23 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_format_flags(parser: argparse.ArgumentParser, default: str = "csv") -> None:
+def _add_format_flags(
+    parser: argparse.ArgumentParser, default: str = "csv", digits: bool = True
+) -> None:
     parser.add_argument(
         "--format",
         choices=("csv", "json", "markdown"),
         default=default,
         help=f"output document format (default: {default})",
     )
-    parser.add_argument(
-        "--digits",
-        type=int,
-        default=DEFAULT_DIGITS,
-        help=f"decimal places in rendered decimals, 0..{MAX_DIGITS} (default: {DEFAULT_DIGITS})",
-    )
+    if digits:
+        parser.add_argument(
+            "--digits",
+            type=int,
+            default=DEFAULT_DIGITS,
+            help=f"decimal places in rendered decimals, 0..{MAX_DIGITS} "
+            f"(default: {DEFAULT_DIGITS})",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     area.add_argument("--k", type=int, required=True, help="degree, k >= 1")
     area.add_argument(
         "--method",
-        choices=("closed", "general", "shoelace", "pick", "all"),
+        choices=(*ROUTES, "all"),
         default="all",
         help="area route; 'all' cross-checks every applicable one (default: all)",
     )
@@ -287,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--q-max", type=int, default=50, help="grid bound for q (default: 50)")
     verify.add_argument("--n-max", type=int, default=10, help="grid bound for n (default: 10)")
     verify.add_argument("--k-max", type=int, default=12, help="grid bound for k (default: 12)")
-    _add_format_flags(verify, default="json")
+    _add_format_flags(verify, default="json", digits=False)
     verify.set_defaults(func=cmd_verify)
 
     render = sub.add_parser("render", help="render the diagram polygon as SVG")
@@ -317,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        if "digits" in vars(args):  # area, table, diff, verify: refuse before any work
+        if "digits" in vars(args):  # area, table, diff: refuse before any work
             _check_digits(args.digits)
         return args.func(args)
     except ValueError as exc:

@@ -205,11 +205,16 @@ def _chain_slopes_increasing(vertices: tuple[LatticePoint, ...]) -> bool:
 
 
 def _is_convex(vertices: tuple[LatticePoint, ...]) -> bool:
-    """True when every turn of the closed cycle has the same sign."""
+    """True when every non-zero turn of the closed cycle has the same sign.
+
+    Returns False at the first turn whose sign differs from an earlier
+    non-zero turn; for a diagram with k >= 2 that is the second turn.
+    """
     m = len(vertices)
-    signs = set()
+    sign = 0
     for i in range(m):
         turn = _orientation(vertices[i], vertices[(i + 1) % m], vertices[(i + 2) % m])
-        if turn:
-            signs.add(turn)
-    return len(signs) <= 1
+        if turn and sign and turn != sign:
+            return False
+        sign = sign or turn
+    return True

@@ -1,11 +1,11 @@
 """Grid conformance sweep: every area route and structural invariant, exactly.
 
 run_grid_verification walks q = 1..q_max, n = 0..n_max, k = 1..k_max and at
-each point cross-checks the area routes against each other, the n -> n+1
-scaling law, the reduced denominators, and (for q >= 2) the diagram's
-structural invariants.  It also replays the frozen golden rows for the
-degree-2, n=0 family.  Points are visited in (q, n, k) order and failures
-recorded in that order, so reports are deterministic.
+each point checks every area route against the shoelace oracle, the
+n-1 -> n scaling law, the reduced denominators, and (for q >= 2) the
+diagram's structural invariants.  It also replays the frozen golden rows
+for the degree-2, n=0 family.  Points are visited in (q, n, k) order and
+failures recorded in that order, so reports are deterministic.
 """
 
 from __future__ import annotations
@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .areas import (
-    area_closed_form_k2,
-    area_general,
-    area_pick,
-    area_shoelace,
-)
+from .areas import area_general, cross_check
 from .core import SpecialPolynomial, build_diagram, validate_diagram
 
 __all__ = [
@@ -92,13 +87,12 @@ def run_grid_verification(
     checks = 0
     pick_checks = 0
     for q in range(1, q_max + 1):
-        # lifted[k]: the area at (q, n, k), computed as the n -> n+1 lift
-        # at the point below; None while n = 0.
-        lifted: list[Fraction | None] = [None] * (k_max + 1)
+        # below[k]: the slab-sum area at (q, n - 1, k); None while n = 0.
+        below: list[Fraction | None] = [None] * (k_max + 1)
         for n in range(n_max + 1):
             for k in range(1, k_max + 1):
                 points += 1
-                ran, picked, lifted[k] = _verify_point(q, n, k, lifted[k], failures)
+                ran, picked, below[k] = _verify_point(q, n, k, below[k], failures)
                 checks += ran
                 pick_checks += picked
     return VerificationReport(
@@ -114,52 +108,41 @@ def run_grid_verification(
 
 
 def _verify_point(
-    q: int, n: int, k: int, general: Fraction | None, failures: list[CheckFailure]
+    q: int, n: int, k: int, below: Fraction | None, failures: list[CheckFailure]
 ) -> tuple[int, int, Fraction]:
     """Run every check at one grid point.
 
-    `general` is the point's slab-sum area when already known (None computes
-    it).  Returns (checks run, pick checks run, slab-sum area at n + 1).
+    `below` is the slab-sum area at (q, n - 1, k), or None when n = 0.
+    Returns (checks run, pick checks run, this point's slab-sum area).
     """
     checks = 0
-    pick_checks = 0
 
     def fail(check: str, detail: str) -> None:
         failures.append(CheckFailure(q=q, n=n, k=k, check=check, detail=detail))
 
     p = SpecialPolynomial(q, n, k)
     d = build_diagram(p)
-    if general is None:
-        general = area_general(p)
-    lace = area_shoelace(d)
+    areas = cross_check(p, d).areas
+    lace = areas["shoelace"]
+    for name, area in areas.items():
+        if name != "shoelace":
+            checks += 1
+            if area != lace:
+                fail(f"{name}_vs_shoelace", f"{name}={area} shoelace={lace}")
 
-    checks += 1
-    if general != lace:
-        fail("area_general_vs_shoelace", f"general={general} shoelace={lace}")
-
-    if k == 2:
-        closed = area_closed_form_k2(q, n)
-        checks += 1
-        if closed != general:
-            fail("closed_form_vs_general", f"closed={closed} general={general}")
-
+    general = areas["general"]
     checks += 1
     if general.denominator not in (1, 2):
         fail("reduced_denominator", f"denominator={general.denominator}")
 
-    checks += 1
-    lifted = area_general(SpecialPolynomial(q, n + 1, k))
-    if lifted != q * general:
-        fail("scaling_in_n", f"area(n+1)={lifted} q*area(n)={q * general}")
+    if below is not None:
+        checks += 1
+        if general != q * below:
+            fail("scaling_in_n", f"area(n)={general} q*area(n-1)={q * below}")
 
+    picked = int("pick" in areas)
     if d.degenerate:
-        return checks, pick_checks, lifted
-
-    pick = area_pick(d)
-    checks += 1
-    pick_checks += 1
-    if pick != lace:
-        fail("pick_vs_shoelace", f"pick={pick} shoelace={lace}")
+        return checks, picked, general
 
     diag = validate_diagram(d)
     checks += 1
@@ -180,7 +163,7 @@ def _verify_point(
     ys = [v.y for v in d.vertices[1:]]
     if not all(a < b for a, b in zip(xs, xs[1:])) or ys != list(range(k, -1, -1)):
         fail("chain_structure", "x not strictly increasing or y not unit steps")
-    return checks, pick_checks, lifted
+    return checks, picked, general
 
 
 def _golden_quadratic_problems() -> list[str]:

@@ -6,7 +6,9 @@ O(q^(n+k)) and O(k^2) respectively, so tests call them only on small
 inputs, as oracles for the O(k) versions in the package.  The Fraction
 forms of decimal rendering and forward differences are the package's former
 implementations of the integer-arithmetic `format_decimal` and
-`finite_difference`.
+`finite_difference`.  The all-turns convexity test is the former form of the
+package's early-exit one, and the degree-2 closed form is the paper's
+formula, which the package's closed form for every k generalizes.
 """
 
 from __future__ import annotations
@@ -14,8 +16,25 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from polydiagram import AreaSequence, LatticePoint, PolynomialDiagram
+from polydiagram import AreaSequence, LatticePoint, PolynomialDiagram, SpecialPolynomial
 from polydiagram.core import _orientation
+
+
+def area_closed_form_k2(q: int, n: int) -> Fraction:
+    """The paper's closed-form area q^n * (q+3) * (q-1) / 2 for the degree-2 family."""
+    SpecialPolynomial(q, n, 2)  # reuse the parameter validation
+    return Fraction(q**n * (q + 3) * (q - 1), 2)
+
+
+def convex_by_all_turns(vertices: tuple[LatticePoint, ...]) -> bool:
+    """True when every turn of the closed cycle has the same sign, all turns visited."""
+    m = len(vertices)
+    signs = set()
+    for i in range(m):
+        turn = _orientation(vertices[i], vertices[(i + 1) % m], vertices[(i + 2) % m])
+        if turn:
+            signs.add(turn)
+    return len(signs) <= 1
 
 
 def decimal_by_fraction_round(value: Fraction, digits: int) -> str:

@@ -14,7 +14,6 @@ import time
 from fractions import Fraction
 
 from polydiagram import (
-    area_closed_form_k2,
     area_general,
     area_pick,
     area_sequence,
@@ -30,6 +29,7 @@ from polydiagram import (
 )
 from polydiagram.cli import main
 from polydiagram.formats import rational_from_json
+from references import area_closed_form_k2
 
 GRID = list(itertools.product(range(1, 51), range(11), range(1, 13)))
 

@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from polydiagram import (
+    ROUTES,
+    AreaCrossCheck,
     LatticePoint,
     PolynomialDiagram,
-    area_closed_form_k2,
+    area_closed_form,
     area_general,
     area_pick,
     area_shoelace,
@@ -21,26 +23,42 @@ from polydiagram import (
     trapezoid_area,
     triangle_area,
 )
-from references import interior_by_column_scan
+from references import area_closed_form_k2, interior_by_column_scan
 
 
 class TestClosedForm:
     def test_base_two(self):
-        assert area_closed_form_k2(2, 0) == Fraction(5, 2)
+        assert area_closed_form(build_polynomial(2, 0, 2)) == Fraction(5, 2)
 
     def test_base_sixteen(self):
-        assert area_closed_form_k2(16, 0) == Fraction(285, 2)
+        assert area_closed_form(build_polynomial(16, 0, 2)) == Fraction(285, 2)
 
     def test_degenerate_is_zero(self):
-        assert area_closed_form_k2(1, 5) == 0
+        assert area_closed_form(build_polynomial(1, 5, 2)) == 0
 
     def test_shifted_base_two(self):
         # shoelace over (2,0),(2,2),(4,1),(8,0) gives |4-6-8|/2 = 5
-        assert area_closed_form_k2(2, 1) == 5
+        assert area_closed_form(build_polynomial(2, 1, 2)) == 5
 
     def test_rejects_invalid_parameters(self):
+        # the formula is reached only through a validated triple
         with pytest.raises(ValueError):
-            area_closed_form_k2(0, 0)
+            area_closed_form(build_polynomial(0, 0, 2))
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 7, 100])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_reduces_to_the_degree_two_formula(self, q, n):
+        # q^n (q^2 - 3 + 2(q^2 - q)/(q - 1)) / 2 = q^n (q+3)(q-1) / 2
+        assert area_closed_form(build_polynomial(q, n, 2)) == area_closed_form_k2(q, n)
+
+    def test_cubic_base_two(self):
+        # 2^3 - 5 + 2(2^3 - 2) = 15
+        assert area_closed_form(build_polynomial(2, 0, 3)) == Fraction(15, 2)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_huge_degree_matches_slab_sum(self, q):
+        p = build_polynomial(q, 0, 20000)
+        assert area_closed_form(p) == area_general(p)
 
 
 class TestTrapezoid:
@@ -90,7 +108,7 @@ class TestGeneral:
     def test_quadratic_decomposition_matches_closed_form(self, q, n):
         p = build_polynomial(q, n, 2)
         total = trapezoid_area(p, 0) + triangle_area(p)
-        assert total == area_general(p) == area_closed_form_k2(q, n)
+        assert total == area_general(p) == area_closed_form(p)
 
 
 class TestShoelace:
@@ -167,33 +185,34 @@ class TestCrossCheck:
     def test_quadratic_all_routes_agree(self):
         check = cross_check(build_polynomial(4, 0, 2))
         assert check.agree
-        assert (
-            check.closed_form
-            == check.general_formula
-            == check.shoelace
-            == check.pick
-            == Fraction(21, 2)
-        )
+        assert check.areas == dict.fromkeys(ROUTES, Fraction(21, 2))
 
     def test_degenerate_agrees_at_zero(self):
         check = cross_check(build_polynomial(1, 0, 2))
         assert check.agree
-        assert check.closed_form == check.general_formula == check.shoelace == 0
-        assert check.pick is None
+        assert check.areas == {"closed": 0, "general": 0, "shoelace": 0}
 
     def test_large_instance_agrees(self):
         check = cross_check(build_polynomial(7, 2, 5))
         assert check.agree
-        assert check.closed_form is None  # k != 2
+        assert list(check.areas) == ["closed", "general", "shoelace", "pick"]
 
     def test_pick_joins_at_large_extent(self):
         check = cross_check(build_polynomial(10, 0, 8))
-        assert check.pick is not None
-        assert check.pick == check.general_formula == check.shoelace
+        assert "pick" in check.areas
+        assert check.areas["pick"] == check.areas["general"] == check.areas["shoelace"]
         assert check.agree
+
+    def test_disagreement_is_reported(self):
+        check = AreaCrossCheck({"general": Fraction(5, 2), "shoelace": Fraction(3)})
+        assert not check.agree
+
+    def test_reuses_a_built_diagram(self):
+        p = build_polynomial(3, 1, 4)
+        assert cross_check(p, build_diagram(p)) == cross_check(p)
 
     @pytest.mark.parametrize("q,n,k", [(2, 0, 2), (3, 1, 4), (12, 0, 3), (50, 2, 6)])
     def test_denominator_is_one_or_two(self, q, n, k):
         check = cross_check(build_polynomial(q, n, k))
-        assert check.general_formula.denominator in (1, 2)
-        assert check.shoelace.denominator in (1, 2)
+        assert check.areas["general"].denominator in (1, 2)
+        assert check.areas["shoelace"].denominator in (1, 2)

@@ -53,12 +53,12 @@ class TestArea:
         assert code == 0
         assert "shoelace,15/2,7.5" in out
 
-    def test_closed_requires_degree_two(self, capsys):
-        code, _, err = run_cli(
+    def test_closed_applies_at_every_degree(self, capsys):
+        code, out, err = run_cli(
             capsys, "area", "--q", "2", "--k", "3", "--method", "closed"
         )
-        assert code == 2
-        assert "closed" in err
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["closed,15/2,7.5"]
 
     def test_invalid_base_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "area", "--q", "0", "--k", "2")
@@ -195,12 +195,19 @@ class TestVerify:
         assert doc["passed"] is True
         assert doc["points"] == 50 * 11 * 12
         assert doc["pick_checks"] == 49 * 11 * 12 == 6468
-        assert doc["checks"] == 59158
+        assert doc["checks"] == 64608
         assert "pick_budget" not in doc["params"]
 
     def test_invalid_bounds_are_usage_errors(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--q-max", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("digits", ["4", "1001", "-1"])
+    def test_digits_flag_is_usage_error(self, digits):
+        # verify prints no decimals, so it takes no --digits
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--q-max", "2", "--n-max", "1", "--k-max", "2", "--digits", digits])
+        assert exc.value.code == 2
 
 
 @contextmanager
@@ -225,7 +232,7 @@ class TestHugeValues:
         # A = q^n (q^k - (2k-1) + 2(q^k - q)/(q-1)) / 2 at n = 0
         expected = Fraction(q**k - (2 * k - 1) + 2 * (q**k - q) // (q - 1), 2)
         rows = [line.split(",") for line in out.splitlines()[1:]]
-        assert [row[0] for row in rows] == ["general", "shoelace", "pick"]
+        assert [row[0] for row in rows] == ["closed", "general", "shoelace", "pick"]
         with unlimited_int_digits():
             assert len(str(expected.numerator)) > 4300
             for _method, area, decimal in rows:
@@ -259,7 +266,6 @@ DIGIT_COMMANDS = {
     "area": ("area", "--q", "3", "--k", "2"),
     "table": ("table", "--q-to", "4"),
     "diff": ("diff", "--q-to", "6"),
-    "verify": ("verify", "--q-max", "2", "--n-max", "1", "--k-max", "2"),
 }
 
 
@@ -288,7 +294,7 @@ def test_digits_past_the_limit_are_refused_before_any_work(command, digits):
     out, err = io.StringIO(), io.StringIO()
     work = mock.Mock(side_effect=AssertionError("work started"))
     with contextlib.ExitStack() as stack:
-        for name in ("build_polynomial", "area_sequence", "run_grid_verification"):
+        for name in ("build_polynomial", "area_sequence"):
             stack.enter_context(mock.patch.object(cli, name, work))
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))

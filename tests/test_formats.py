@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import polydiagram.areas as areas
 import polydiagram.cli as cli
-import polydiagram.verify as verify
 from polydiagram.formats import (
     csv_document,
     format_decimal,
@@ -103,8 +103,8 @@ class TestDocuments:
     def test_json_document_of_an_injected_verify_failure(self, monkeypatch):
         payloads = []
         monkeypatch.setattr(cli, "json_document", lambda payload: payloads.append(payload) or "")
-        original = verify.area_general
-        monkeypatch.setattr(verify, "area_general", lambda p: original(p) + (p.n == 1))
+        original = areas.area_general
+        monkeypatch.setattr(areas, "area_general", lambda p: original(p) + (p.n == 1))
         assert cli.main(["verify", "--q-max", "2", "--n-max", "1", "--k-max", "2"]) == 1
         (payload,) = payloads
         assert payload["failures"] and isinstance(payload["first_failure"], dict)

@@ -38,6 +38,7 @@ CASES.update(
         "area_degenerate_json": (("area", "--q", "1", "--k", "3", "--format", "json"), 0),
         "area_closed_json": (("area", "--q", "2", "--k", "2", "--method", "closed",
                               "--format", "json"), 0),
+        "area_closed_k3_csv": (("area", "--q", "2", "--k", "3", "--method", "closed"), 0),
         "area_pick_markdown": (("area", "--q", "4", "--n", "2", "--k", "5", "--method", "pick",
                                 "--format", "markdown"), 0),
         "table_default_csv": (("table",), 0),
@@ -62,8 +63,6 @@ CASES.update(
         "error_diff_order_too_high": (("diff", "--order", "5", "--q-from", "2",
                                        "--q-to", "6"), 2),
         "error_diff_order_zero": (("diff", "--order", "0"), 2),
-        "error_area_closed_needs_k2": (("area", "--q", "2", "--k", "3",
-                                        "--method", "closed"), 2),
         "error_area_base_zero": (("area", "--q", "0", "--k", "2", "--format", "json"), 2),
         "error_table_negative_digits": (("table", "--digits", "-1"), 2),
         "error_area_negative_digits_json": (("area", "--q", "2", "--k", "2",

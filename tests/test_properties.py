@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from polydiagram import (
     AreaSequence,
     LatticePoint,
+    area_closed_form,
     area_general,
     area_sequence,
     area_shoelace,
@@ -23,8 +24,9 @@ from polydiagram import (
     rational_from_json,
     rational_to_json,
 )
-from polydiagram.core import _is_simple
+from polydiagram.core import _is_convex, _is_simple
 from references import (
+    convex_by_all_turns,
     decimal_by_fraction_round,
     difference_by_fraction_sums,
     interior_by_column_scan,
@@ -40,6 +42,16 @@ degrees = st.integers(min_value=1, max_value=12)
 def test_general_formula_matches_shoelace(q, n, k):
     p = build_polynomial(q, n, k)
     assert area_general(p) == area_shoelace(build_diagram(p))
+
+
+@given(
+    q=st.integers(min_value=1, max_value=200),
+    n=st.integers(min_value=0, max_value=30),
+    k=st.integers(min_value=1, max_value=300),
+)
+def test_closed_form_matches_slab_sum(q, n, k):
+    p = build_polynomial(q, n, k)
+    assert area_closed_form(p) == area_general(p)
 
 
 @given(q=bases, n=shifts, k=degrees)
@@ -111,6 +123,20 @@ def test_simple_cycles_have_no_contact_between_nonadjacent_edges(cycle):
     # never accept one whose non-adjacent edges touch
     if _is_simple(cycle):
         assert simple_by_pairwise_test(cycle)
+
+
+lattice_cycles = st.lists(
+    st.builds(LatticePoint, st.integers(min_value=-4, max_value=4),
+              st.integers(min_value=-4, max_value=4)),
+    min_size=3,
+    max_size=9,
+).map(tuple)
+
+
+@given(cycle=lattice_cycles)
+@settings(max_examples=500)
+def test_early_exit_convexity_matches_all_turns(cycle):
+    assert _is_convex(cycle) == convex_by_all_turns(cycle)
 
 
 @given(q=st.integers(min_value=2, max_value=50), n=shifts, k=degrees)
