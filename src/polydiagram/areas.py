@@ -37,6 +37,7 @@ __all__ = [
     "boundary_lattice_count",
     "interior_lattice_count",
     "area_pick",
+    "route_refusal",
     "cross_check",
 ]
 
@@ -166,14 +167,24 @@ ROUTES: dict[str, Callable[[PolynomialDiagram], Fraction]] = {
 }
 
 
+def route_refusal(name: str, p: SpecialPolynomial) -> str | None:
+    """Why route `name` does not apply to p, or None when it does.
+
+    Every route applies except Pick, which needs q >= 2: a degenerate
+    diagram has no interior.
+    """
+    if name == "pick" and p.q < 2:
+        return f"route 'pick' needs q >= 2 (a q = 1 diagram has no interior), got q = {p.q}"
+    return None
+
+
 def cross_check(p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> AreaCrossCheck:
     """Compute the area by every route that applies and compare exactly.
 
-    Every route applies except Pick, which needs q >= 2: a degenerate
-    diagram has no interior.  `d` is p's diagram when the caller has already
-    built it.  Disagreement is reported in the record, never raised.
+    `d` is p's diagram when the caller has already built it.  Disagreement
+    is reported in the record, never raised.
     """
     d = build_diagram(p) if d is None else d
     return AreaCrossCheck(
-        {name: route(d) for name, route in ROUTES.items() if name != "pick" or not d.degenerate}
+        {name: route(d) for name, route in ROUTES.items() if route_refusal(name, p) is None}
     )

@@ -11,19 +11,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .areas import ROUTES, cross_check
+from .areas import ROUTES, cross_check, route_refusal
 from .core import build_diagram, build_polynomial
 from .formats import (
     DEFAULT_DIGITS,
     MAX_DIGITS,
-    csv_document,
     json_document,
-    markdown_document,
     records_document,
+    table_document,
 )
 from .render import RenderSpec, diagram_svg
 from .sequences import area_sequence, finite_difference, ratio_sequence
-from .verify import run_grid_verification
+from .verify import CheckFailure, run_grid_verification
 
 __all__ = ["main", "build_parser"]
 
@@ -36,14 +35,6 @@ def _emit(text: str) -> None:
     sys.stdout.write(text)
 
 
-def _tabular(fmt: str, headers: list[str], rows: list[list[str]], payload: dict) -> str:
-    if fmt == "json":
-        return json_document(payload)
-    if fmt == "markdown":
-        return markdown_document(headers, rows)
-    return csv_document(headers, rows)
-
-
 def _check_digits(digits: int) -> None:
     if digits < 0:
         raise ValueError(f"digits must be non-negative, got {digits}")
@@ -53,6 +44,9 @@ def _check_digits(digits: int) -> None:
 
 def cmd_area(args: argparse.Namespace) -> int:
     p = build_polynomial(args.q, args.n, args.k)
+    refusal = route_refusal(args.method, p)
+    if refusal is not None:
+        raise ValueError(refusal)
     if p.degenerate:
         _warn("q = 1 produces a degenerate diagram; every area is 0")
 
@@ -102,8 +96,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    if args.q_from > args.q_to:
-        raise ValueError(f"empty range: q_from={args.q_from} > q_to={args.q_to}")
     seq = area_sequence(args.k, args.n, args.q_from, args.q_to)
     values = finite_difference(seq, args.order)  # rejects ranges too short
 
@@ -128,17 +120,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n_max=args.n_max,
         k_max=args.k_max,
     )
-    failures = [
-        {
-            "q": str(f.q),
-            "n": str(f.n),
-            "k": str(f.k),
-            "check": f.check,
-            "detail": f.detail,
-        }
-        for f in report.failures
-    ]
-    payload = {
+    first = report.first_failure
+    document = {
         "params": {
             "q_max": str(report.q_max),
             "n_max": str(report.n_max),
@@ -147,41 +130,47 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "points": report.points,
         "checks": report.checks,
         "pick_checks": report.pick_checks,
-        "failures": failures,
-        "first_failure": failures[0] if failures else None,
+        "failures": [_failure_record(f) for f in report.failures],
+        "first_failure": None if first is None else _failure_record(first),
         "golden_quadratic": {
             "ok": not report.golden_problems,
             "problems": list(report.golden_problems),
         },
         "passed": report.passed,
     }
-    headers = ["key", "value"]
+    if args.format == "json":
+        _emit(json_document(document))
+    else:
+        _emit(table_document(args.format, ["key", "value"], _verify_rows(document)))
+    if document["first_failure"] is not None:
+        message = "verification failed at (q={q}, n={n}, k={k}): {check}: {detail}"
+        print("error: " + message.format_map(document["first_failure"]), file=sys.stderr)
+    for problem in document["golden_quadratic"]["problems"]:
+        print(f"error: golden row mismatch: {problem}", file=sys.stderr)
+    return 0 if document["passed"] else 1
+
+
+def _failure_record(failure: CheckFailure) -> dict[str, str]:
+    return {name: str(value) for name, value in vars(failure).items()}
+
+
+def _verify_rows(document: dict) -> list[list[str]]:
+    """Key/value rows of a verify document: its totals, then each failure and golden problem."""
+    golden = document["golden_quadratic"]
     rows = [
-        ["points", str(report.points)],
-        ["checks", str(report.checks)],
-        ["pick_checks", str(report.pick_checks)],
-        ["failures", str(len(report.failures))],
-        ["golden_quadratic_ok", str(not report.golden_problems).lower()],
-        ["passed", str(report.passed).lower()],
+        ["points", str(document["points"])],
+        ["checks", str(document["checks"])],
+        ["pick_checks", str(document["pick_checks"])],
+        ["failures", str(len(document["failures"]))],
+        ["golden_quadratic_ok", str(golden["ok"]).lower()],
+        ["passed", str(document["passed"]).lower()],
     ]
     rows.extend(
-        ["failure", f"(q={f.q}, n={f.n}, k={f.k}) {f.check}: {f.detail}"]
-        for f in report.failures
+        ["failure", "(q={q}, n={n}, k={k}) {check}: {detail}".format_map(f)]
+        for f in document["failures"]
     )
-    rows.extend(["golden_problem", problem] for problem in report.golden_problems)
-    _emit(_tabular(args.format, headers, rows, payload))
-    if not report.passed:
-        first = report.first_failure
-        if first is not None:
-            print(
-                f"error: verification failed at (q={first.q}, n={first.n}, "
-                f"k={first.k}): {first.check}: {first.detail}",
-                file=sys.stderr,
-            )
-        for problem in report.golden_problems:
-            print(f"error: golden row mismatch: {problem}", file=sys.stderr)
-        return 1
-    return 0
+    rows.extend(["golden_problem", problem] for problem in golden["problems"])
+    return rows
 
 
 def cmd_render(args: argparse.Namespace) -> int:

@@ -28,6 +28,7 @@ __all__ = [
     "csv_document",
     "markdown_document",
     "json_document",
+    "table_document",
     "records_document",
 ]
 
@@ -94,6 +95,13 @@ def markdown_document(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def table_document(fmt: str, headers: list[str], rows: list[list[str]]) -> str:
+    """A markdown pipe table when fmt is "markdown", else a CSV table."""
+    if fmt == "markdown":
+        return markdown_document(headers, rows)
+    return csv_document(headers, rows)
+
+
 def json_document(payload: dict) -> str:
     """Stable two-space-indented JSON document (insertion key order).
 
@@ -157,7 +165,4 @@ def records_document(
     if as_json:
         return json_document({"params": params, key: rows, **extra})
     headers = list(rows[0]) if rows else []
-    cells = [list(row.values()) for row in rows]
-    if fmt == "markdown":
-        return markdown_document(headers, cells)
-    return csv_document(headers, cells)
+    return table_document(fmt, headers, [list(row.values()) for row in rows])

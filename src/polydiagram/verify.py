@@ -5,18 +5,20 @@ each point checks every area route against the shoelace oracle, the
 n-1 -> n scaling law, the reduced denominators, and (for q >= 2) the
 diagram's structural invariants.  It also replays the frozen golden rows
 for the degree-2, n=0 family.  Points are visited in (q, n, k) order and
-failures recorded in that order, so reports are deterministic.
+failures recorded in that order, so reports are deterministic.  Every check
+that runs is counted by name in the report's tally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .areas import area_general, cross_check
+from .areas import ROUTES, area_general, cross_check
 from .core import SpecialPolynomial, build_diagram, validate_diagram
 
 __all__ = [
+    "CHECKS",
     "GOLDEN_QUADRATIC_ROWS",
     "CheckFailure",
     "VerificationReport",
@@ -48,18 +50,36 @@ class CheckFailure:
     detail: str
 
 
+# Every check a grid point can run, in the order it runs them; each route
+# other than shoelace is checked as "<route>_vs_shoelace".
+_VS_SHOELACE = {name: f"{name}_vs_shoelace" for name in ROUTES if name != "shoelace"}
+CHECKS: tuple[str, ...] = (*_VS_SHOELACE.values(), "reduced_denominator", "scaling_in_n",
+                           "vertex_count", "simple", "chain_slopes", "convexity",
+                           "chain_structure")
+
+
 @dataclass(frozen=True)
 class VerificationReport:
-    """Deterministic summary of a full grid sweep."""
+    """Deterministic summary of a full grid sweep; `tally` counts the runs of each check."""
 
     q_max: int
     n_max: int
     k_max: int
-    points: int
-    checks: int
-    pick_checks: int
+    tally: dict[str, int] = field(hash=False)
     failures: tuple[CheckFailure, ...]
     golden_problems: tuple[str, ...]
+
+    @property
+    def points(self) -> int:
+        return self.q_max * (self.n_max + 1) * self.k_max
+
+    @property
+    def checks(self) -> int:
+        return sum(self.tally.values())
+
+    @property
+    def pick_checks(self) -> int:
+        return self.tally["pick_vs_shoelace"]
 
     @property
     def passed(self) -> bool:
@@ -82,40 +102,33 @@ def run_grid_verification(
         raise ValueError(f"n_max must be a non-negative integer, got {n_max}")
     if k_max < 1:
         raise ValueError(f"k_max must be a positive integer, got {k_max}")
+    tally = dict.fromkeys(CHECKS, 0)
     failures: list[CheckFailure] = []
-    points = 0
-    checks = 0
-    pick_checks = 0
     for q in range(1, q_max + 1):
         # below[k]: the slab-sum area at (q, n - 1, k); None while n = 0.
         below: list[Fraction | None] = [None] * (k_max + 1)
         for n in range(n_max + 1):
             for k in range(1, k_max + 1):
-                points += 1
-                ran, picked, below[k] = _verify_point(q, n, k, below[k], failures)
-                checks += ran
-                pick_checks += picked
+                below[k] = _verify_point(q, n, k, below[k], tally, failures)
     return VerificationReport(
         q_max=q_max,
         n_max=n_max,
         k_max=k_max,
-        points=points,
-        checks=checks,
-        pick_checks=pick_checks,
+        tally=tally,
         failures=tuple(failures),
         golden_problems=tuple(_golden_quadratic_problems()),
     )
 
 
 def _verify_point(
-    q: int, n: int, k: int, below: Fraction | None, failures: list[CheckFailure]
-) -> tuple[int, int, Fraction]:
-    """Run every check at one grid point.
+    q: int, n: int, k: int, below: Fraction | None,
+    tally: dict[str, int], failures: list[CheckFailure],
+) -> Fraction:
+    """Run every check at one grid point, counting each in `tally`.
 
     `below` is the slab-sum area at (q, n - 1, k), or None when n = 0.
-    Returns (checks run, pick checks run, this point's slab-sum area).
+    Returns this point's slab-sum area.
     """
-    checks = 0
 
     def fail(check: str, detail: str) -> None:
         failures.append(CheckFailure(q=q, n=n, k=k, check=check, detail=detail))
@@ -126,44 +139,44 @@ def _verify_point(
     lace = areas["shoelace"]
     for name, area in areas.items():
         if name != "shoelace":
-            checks += 1
+            check = _VS_SHOELACE[name]
+            tally[check] += 1
             if area != lace:
-                fail(f"{name}_vs_shoelace", f"{name}={area} shoelace={lace}")
+                fail(check, f"{name}={area} shoelace={lace}")
 
     general = areas["general"]
-    checks += 1
+    tally["reduced_denominator"] += 1
     if general.denominator not in (1, 2):
         fail("reduced_denominator", f"denominator={general.denominator}")
 
     if below is not None:
-        checks += 1
+        tally["scaling_in_n"] += 1
         if general != q * below:
             fail("scaling_in_n", f"area(n)={general} q*area(n-1)={q * below}")
 
-    picked = int("pick" in areas)
     if d.degenerate:
-        return checks, picked, general
+        return general
 
     diag = validate_diagram(d)
-    checks += 1
+    tally["vertex_count"] += 1
     if diag.vertex_count != k + 2:
         fail("vertex_count", f"count={diag.vertex_count} expected={k + 2}")
-    checks += 1
+    tally["simple"] += 1
     if not diag.simple:
         fail("simple", "non-adjacent edges touch")
-    checks += 1
+    tally["chain_slopes"] += 1
     if not diag.chain_slopes_increasing:
         fail("chain_slopes", "chain slopes not strictly increasing")
-    checks += 1
+    tally["convexity"] += 1
     expected_convex = k == 1
     if diag.convex != expected_convex:
         fail("convexity", f"convex={diag.convex} expected={expected_convex}")
-    checks += 1
+    tally["chain_structure"] += 1
     xs = [v.x for v in d.vertices[1:]]
     ys = [v.y for v in d.vertices[1:]]
     if not all(a < b for a, b in zip(xs, xs[1:])) or ys != list(range(k, -1, -1)):
         fail("chain_structure", "x not strictly increasing or y not unit steps")
-    return checks, picked, general
+    return general
 
 
 def _golden_quadratic_problems() -> list[str]:

@@ -23,6 +23,7 @@ from polydiagram import (
     trapezoid_area,
     triangle_area,
 )
+from polydiagram.areas import route_refusal
 from references import area_closed_form_k2, interior_by_column_scan
 
 
@@ -206,6 +207,15 @@ class TestCrossCheck:
     def test_disagreement_is_reported(self):
         check = AreaCrossCheck({"general": Fraction(5, 2), "shoelace": Fraction(3)})
         assert not check.agree
+
+    @pytest.mark.parametrize("name", ROUTES)
+    def test_only_pick_is_refused_at_q_1(self, name):
+        refusal = route_refusal(name, build_polynomial(1, 0, 2))
+        if name == "pick":
+            assert refusal == "route 'pick' needs q >= 2 (a q = 1 diagram has no interior), got q = 1"
+        else:
+            assert refusal is None
+        assert route_refusal(name, build_polynomial(2, 0, 2)) is None
 
     def test_reuses_a_built_diagram(self):
         p = build_polynomial(3, 1, 4)

@@ -74,6 +74,17 @@ class TestArea:
         assert out.splitlines()[1:] == ["pick,122222205/2,61111102.5"]
         assert err == ""
 
+    def test_pick_at_q_1_is_refused_before_any_work(self, capsys):
+        with (
+            mock.patch.object(cli, "build_diagram", side_effect=AssertionError),
+            mock.patch.object(cli, "cross_check", side_effect=AssertionError),
+        ):
+            code, out, err = run_cli(capsys, "area", "--q", "1", "--k", "3", "--method", "pick")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: route 'pick' needs q >= 2 (a q = 1 diagram has no interior), got q = 1\n"
+        )
+
     @pytest.mark.parametrize(
         "command", [("area", "--q", "2", "--k", "2"), ("verify",)], ids=["area", "verify"]
     )

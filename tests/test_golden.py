@@ -3,7 +3,8 @@
 Each case's stdout is stored in `golden/<name>.out`, and its stderr, when not
 empty, in `golden/<name>.err`.  To refreeze after an intended change of
 output, run `python tests/test_golden.py` from the repository root with the
-trusted sources on the path and review the diff.
+trusted sources on the path and review the diff.  A case listed in FAULTS runs,
+and is frozen, with that fault injected into the package.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ import contextlib
 import io
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import polydiagram.areas as areas
+import polydiagram.verify as verify
 from polydiagram.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -67,22 +71,46 @@ CASES.update(
         "error_table_negative_digits": (("table", "--digits", "-1"), 2),
         "error_area_negative_digits_json": (("area", "--q", "2", "--k", "2",
                                              "--format", "json", "--digits", "-1"), 2),
+        "error_diff_empty_range": (("diff", "--q-from", "5", "--q-to", "4"), 2),
+        "error_area_pick_degenerate": (("area", "--q", "1", "--k", "3", "--method", "pick"), 2),
+    }
+)
+CASES.update(
+    {
+        f"verify_failure_{fmt}": (("verify", "--q-max", "2", "--n-max", "1", "--k-max", "2",
+                                   "--format", fmt), 1)
+        for fmt in ("csv", "json", "markdown")
     }
 )
 
 
-def run(argv: tuple[str, ...]) -> tuple[int, str, str]:
+@contextlib.contextmanager
+def _broken_slab_sum_and_golden_row():
+    """The slab sum off by one at n = 1, and the q = 16 golden row's area off by one."""
+    general = areas.area_general
+    rows = tuple((q, area + (q == 16), ratio) for q, area, ratio in verify.GOLDEN_QUADRATIC_ROWS)
+    with mock.patch.object(areas, "area_general", lambda p: general(p) + (p.n == 1)):
+        with mock.patch.object(verify, "GOLDEN_QUADRATIC_ROWS", rows):
+            yield
+
+
+# name -> fault injected while the case runs
+FAULTS = {f"verify_failure_{fmt}": _broken_slab_sum_and_golden_row
+          for fmt in ("csv", "json", "markdown")}
+
+
+def run(name: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+    with FAULTS.get(name, contextlib.nullcontext)():
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(CASES[name][0]))
     return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_is_byte_identical_to_golden(name):
-    argv, expected_code = CASES[name]
-    code, out, err = run(argv)
-    assert code == expected_code
+    code, out, err = run(name)
+    assert code == CASES[name][1]
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     err_path = GOLDEN / f"{name}.err"
     assert err == (err_path.read_text(encoding="utf-8") if err_path.exists() else "")
@@ -96,8 +124,8 @@ def freeze() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for path in GOLDEN.iterdir():
         path.unlink()
-    for name, (argv, expected_code) in sorted(CASES.items()):
-        code, out, err = run(argv)
+    for name, (_argv, expected_code) in sorted(CASES.items()):
+        code, out, err = run(name)
         if code != expected_code:
             raise SystemExit(f"{name}: exit {code}, expected {expected_code}")
         (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
