@@ -6,8 +6,21 @@ cycle, and lattice-point counting through Pick's relation A = I + B/2 - 1)
 must all produce the same rational.  ROUTES names them, once, in the order
 documents list them.  Every function returns a Fraction in lowest terms; for
 a lattice polygon the reduced denominator is always 1 or 2.  The closed form
-costs O(1) big-integer operations and every other route O(k); none grows
-with the polygon's x-extent q^(n+k).
+costs O(1) big-integer operations and every other route O(k): one or two per
+vertex or slab, each a product by a small factor or an addition.  None grows
+with the polygon's x-extent q^(n+k), and none uses the fact that consecutive
+chain x differ by a factor of q.
+
+Each O(k) route evaluates an exact identity:
+
+- the slab sum factors (q-1) q^n out of every slab and evaluates the
+  remaining weighted sum of q^m by Horner's rule;
+- the shoelace sum takes its vertex form, sum of x_i (y_{i+1} - y_{i-1}),
+  which holds for any lattice cycle;
+- the interior count sums the per-edge counts by parts, which needs every
+  chain edge to descend exactly one unit (it checks each edge);
+- the boundary count passes each edge's small |dy| to gcd first, so a
+  chain edge (|dy| = 1) costs only its x difference.
 
 The slab decomposition cuts the region under the monomial chain into k-1
 rectangular trapezoids plus one right triangle at the far end.  Slab m
@@ -87,68 +100,86 @@ def triangle_area(p: SpecialPolynomial) -> Fraction:
 def area_general(p: SpecialPolynomial) -> Fraction:
     """Total diagram area: sum of the k-1 trapezoid slabs plus the triangle.
 
-    Adds the integer twice-areas (q^(n+m+1) - q^(n+m)) * (2k-2m-1) for
-    m = 0..k-1, stepping the power of q by one multiplication per slab, and
-    halves the total once; m = k-1 is the triangle.  For k = 1 only the
-    triangle remains.  Equals area_closed_form exactly, and 0 when q = 1.
+    Slab m has twice-area (q-1) q^n * q^m (2k-2m-1), so the sum is
+    (q-1) q^n * W with W = sum of (2k-2m-1) q^m over m = 0..k-1; m = k-1 is
+    the triangle, and for k = 1 only the triangle remains.  Horner's rule
+    from m = k-1 down adds each slab's weight in turn, one multiplication by
+    q and one small addition per slab.  Equals area_closed_form exactly, and
+    0 when q = 1.
     """
-    power = p.q**p.n  # q^(n+m)
-    twice = 0
-    for m in range(p.k):
-        step = power * p.q
-        twice += (step - power) * (2 * (p.k - m) - 1)
-        power = step
-    return Fraction(twice, 2)
+    q = p.q
+    weights = 0  # W, accumulated from the triangle (weight 1) leftwards
+    for weight in range(1, 2 * p.k, 2):
+        weights = weights * q + weight
+    return Fraction((q - 1) * q**p.n * weights, 2)
 
 
 def area_shoelace(d: PolynomialDiagram) -> Fraction:
-    """Shoelace oracle: |sum of x_i*y_{i+1} - x_{i+1}*y_i| / 2 over the cycle.
+    """Shoelace oracle: |sum of x_i * (y_{i+1} - y_{i-1})| / 2 over the cycle.
 
-    Exact for every diagram, including degenerate ones (which give 0).
+    The vertex form of the shoelace sum: it holds for every lattice cycle,
+    in either orientation, and needs no property of the diagram.  Each
+    vertex costs one product of its x by its neighbours' y difference (at
+    most k in a diagram) and one addition.  The walk starts at the anchor,
+    so the running total grows with the vertices' x instead of starting at
+    full width.  Exact for every diagram, including degenerate ones (which
+    give 0).
     """
     pts = d.vertices
     if len(pts) < 3:
         raise ValueError(f"need at least 3 vertices, got {len(pts)}")
     total = 0
-    for i in range(len(pts)):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % len(pts)]
-        total += x0 * y1 - x1 * y0
+    before, here = pts[-1], pts[0]
+    for after in (*pts[1:], pts[0]):
+        total += here.x * (after.y - before.y)
+        before, here = here, after
     return Fraction(abs(total), 2)
 
 
 def boundary_lattice_count(d: PolynomialDiagram) -> int:
-    """Lattice points on the boundary: gcd(|dx|, |dy|) summed over the edges."""
+    """Lattice points on the boundary: gcd(|dy|, |dx|) summed over the edges.
+
+    The small |dy| goes first: math.gcd returns at once when its running
+    value is 1, so each chain edge (|dy| = 1) costs only its x difference.
+    The closing edge, whose gcd is the base's full width, is summed last,
+    so the running sum stays machine-sized until then.
+    """
     pts = d.vertices
-    m = len(pts)
     return sum(
-        math.gcd(abs(pts[(i + 1) % m].x - pts[i].x), abs(pts[(i + 1) % m].y - pts[i].y))
-        for i in range(m)
+        math.gcd(abs(b.y - a.y), abs(b.x - a.x)) for a, b in zip(pts, (*pts[1:], pts[0]))
     )
 
 
 def interior_lattice_count(d: PolynomialDiagram) -> int:
-    """Lattice points strictly inside, counted in closed form per chain edge.
+    """Lattice points strictly inside, summed by parts over the chain edges.
 
-    Every chain edge a -> b steps right and descends exactly one unit, so the
-    chain height h(x) lies strictly between b.y and a.y on the columns
-    a.x < x < b.x, each of which holds a.y - 1 interior points (0 < y < h),
-    and the column through b holds b.y - 1.  The column through the final
-    vertex lies on the boundary and is excluded, as is the anchor's column.
-    Raises ValueError for degenerate diagrams and for any chain edge that
-    does not step right and down by one.
+    Needs every chain edge a -> b to step right and descend exactly one unit.
+    Then the chain height lies strictly between b.y and a.y on the columns
+    a.x < x < b.x, each holding a.y - 1 interior points (0 < y < h), and the
+    column through b holds b.y - 1; with a.y = b.y + 1 the edge's points are
+    (b.x - a.x) * b.y - 1.  Summing by parts gives
+
+        sum of x over every chain vertex but the last
+          + last.x * last.y - first.x * first.y - (number of edges),
+
+    less last.y - 1 for the column through the final vertex, which lies on
+    the boundary (the anchor's column is excluded too).  Each edge costs one
+    addition.  Raises ValueError for degenerate diagrams and for any chain
+    edge that does not step right and down by one.
     """
     if d.degenerate:
         raise ValueError("degenerate diagram (q = 1) has no interior")
     chain = d.vertices[1:]
+    first, last = chain[0], chain[-1]
     count = 0
     for a, b in zip(chain, chain[1:]):
         if b.x <= a.x or b.y != a.y - 1:
             raise ValueError(
                 f"chain edge {tuple(a)} -> {tuple(b)} does not step right and down by one"
             )
-        count += (b.x - a.x - 1) * (a.y - 1) + (b.y - 1)
-    return count - (chain[-1].y - 1)  # drop the final vertex column
+        count += a.x
+    edges = len(chain) - 1
+    return count + last.x * last.y - first.x * first.y - edges - (last.y - 1)
 
 
 def area_pick(d: PolynomialDiagram) -> Fraction:

@@ -8,7 +8,10 @@ forms of decimal rendering and forward differences are the package's former
 implementations of the integer-arithmetic `format_decimal` and
 `finite_difference`.  The all-turns convexity test is the former form of the
 package's early-exit one, and the degree-2 closed form is the paper's
-formula, which the package's closed form for every k generalizes.
+formula, which the package's closed form for every k generalizes.  The
+edge-product shoelace, the per-edge interior terms and the running-power
+slab sum are the package's former loop bodies for the vertex-form shoelace,
+the interior count summed by parts and the Horner slab sum.
 """
 
 from __future__ import annotations
@@ -24,6 +27,17 @@ def area_closed_form_k2(q: int, n: int) -> Fraction:
     """The paper's closed-form area q^n * (q+3) * (q-1) / 2 for the degree-2 family."""
     SpecialPolynomial(q, n, 2)  # reuse the parameter validation
     return Fraction(q**n * (q + 3) * (q - 1), 2)
+
+
+def area_by_edge_shoelace(d: PolynomialDiagram) -> Fraction:
+    """Shoelace area |sum of x_i*y_{i+1} - x_{i+1}*y_i| / 2, one term per edge."""
+    pts = d.vertices
+    total = 0
+    for i in range(len(pts)):
+        x0, y0 = pts[i]
+        x1, y1 = pts[(i + 1) % len(pts)]
+        total += x0 * y1 - x1 * y0
+    return Fraction(abs(total), 2)
 
 
 def convex_by_all_turns(vertices: tuple[LatticePoint, ...]) -> bool:
@@ -57,6 +71,23 @@ def difference_by_fraction_sums(s: AreaSequence, order: int) -> list[Fraction]:
     ]
 
 
+def interior_by_edge_terms(d: PolynomialDiagram) -> int:
+    """Interior count as (b.x - a.x - 1)(a.y - 1) + (b.y - 1) per chain edge a -> b.
+
+    The final vertex column is dropped.  Raises ValueError, as the package
+    does, for a chain edge that does not step right and down by one.
+    """
+    chain = d.vertices[1:]
+    count = 0
+    for a, b in zip(chain, chain[1:]):
+        if b.x <= a.x or b.y != a.y - 1:
+            raise ValueError(
+                f"chain edge {tuple(a)} -> {tuple(b)} does not step right and down by one"
+            )
+        count += (b.x - a.x - 1) * (a.y - 1) + (b.y - 1)
+    return count - (chain[-1].y - 1)
+
+
 def interior_by_column_scan(d: PolynomialDiagram) -> int:
     """Lattice points strictly inside, counted one integer column at a time.
 
@@ -81,6 +112,17 @@ def interior_by_column_scan(d: PolynomialDiagram) -> int:
                 count += num // den
             num -= 1
     return count
+
+
+def slab_sum_by_running_power(p: SpecialPolynomial) -> Fraction:
+    """Slab sum adding (q^(n+m+1) - q^(n+m)) * (2k-2m-1) for m = 0..k-1, halved once."""
+    power = p.q**p.n  # q^(n+m)
+    twice = 0
+    for m in range(p.k):
+        step = power * p.q
+        twice += (step - power) * (2 * (p.k - m) - 1)
+        power = step
+    return Fraction(twice, 2)
 
 
 def _on_segment(p: LatticePoint, a: LatticePoint, b: LatticePoint) -> bool:

@@ -166,6 +166,8 @@ class TestPick:
             [(1, 2), (2, 2), (4, 0)],  # flat edge
             [(1, 2), (1, 1), (4, 0)],  # vertical edge
             [(1, 2), (3, 1), (2, 0)],  # steps left
+            # 50 vertices; only the 25th edge, (25, 25) -> (26, 25), is flat
+            [(x, 50 - x) for x in range(1, 26)] + [(x, 51 - x) for x in range(26, 51)],
         ],
     )
     def test_rejects_chain_edges_not_one_unit_down(self, chain):

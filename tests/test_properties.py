@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polydiagram import (
     AreaSequence,
     LatticePoint,
+    PolynomialDiagram,
     area_closed_form,
     area_general,
     area_sequence,
@@ -26,11 +28,14 @@ from polydiagram import (
 )
 from polydiagram.core import _is_convex, _is_simple
 from references import (
+    area_by_edge_shoelace,
     convex_by_all_turns,
     decimal_by_fraction_round,
     difference_by_fraction_sums,
     interior_by_column_scan,
+    interior_by_edge_terms,
     simple_by_pairwise_test,
+    slab_sum_by_running_power,
 )
 
 bases = st.integers(min_value=1, max_value=50)
@@ -52,6 +57,16 @@ def test_general_formula_matches_shoelace(q, n, k):
 def test_closed_form_matches_slab_sum(q, n, k):
     p = build_polynomial(q, n, k)
     assert area_closed_form(p) == area_general(p)
+
+
+@given(
+    q=st.integers(min_value=1, max_value=200),
+    n=st.integers(min_value=0, max_value=30),
+    k=st.integers(min_value=1, max_value=300),
+)
+def test_slab_sum_matches_running_power_sum(q, n, k):
+    p = build_polynomial(q, n, k)
+    assert area_general(p) == slab_sum_by_running_power(p)
 
 
 @given(q=bases, n=shifts, k=degrees)
@@ -81,6 +96,65 @@ def test_interior_count_matches_column_scan(q, n, k):
     extent = d.vertices[-1].x - d.vertices[0].x
     assume(extent <= 10**4)
     assert interior_lattice_count(d) == interior_by_column_scan(d)
+
+
+def as_diagram(vertices):
+    """A diagram record around an arbitrary vertex cycle; nothing reads its source."""
+    return PolynomialDiagram(tuple(vertices), build_polynomial(2, 0, 1), degenerate=False)
+
+
+wide_coordinates = st.one_of(
+    st.integers(min_value=-5, max_value=5), st.integers(min_value=-(2**200), max_value=2**200)
+)
+
+
+@given(
+    cycle=st.lists(st.builds(LatticePoint, wide_coordinates, wide_coordinates),
+                   min_size=3, max_size=40)
+)
+@settings(max_examples=300)
+def test_vertex_form_shoelace_matches_edge_products(cycle):
+    forward, backward = as_diagram(cycle), as_diagram(reversed(cycle))
+    assert area_shoelace(forward) == area_by_edge_shoelace(forward)
+    assert area_shoelace(backward) == area_by_edge_shoelace(backward) == area_shoelace(forward)
+
+
+@st.composite
+def unit_descent_chains(draw):
+    """Anchor, then a chain stepping right by random gaps and down by exactly one.
+
+    The gaps are unrelated to one another, so the chain is not a diagram's
+    geometric one, and the start height may leave later vertices below 0.
+    """
+    x = draw(wide_coordinates)
+    y = draw(st.integers(min_value=-3, max_value=60))
+    gaps = draw(
+        st.lists(st.one_of(st.integers(min_value=1, max_value=9),
+                           st.integers(min_value=1, max_value=2**200)),
+                 min_size=1, max_size=39)
+    )
+    chain = [LatticePoint(x, y)]
+    for gap in gaps:
+        chain.append(LatticePoint(chain[-1].x + gap, chain[-1].y - 1))
+    return [LatticePoint(x, 0), *chain]
+
+
+@given(vertices=unit_descent_chains())
+@settings(max_examples=300)
+def test_interior_sum_by_parts_matches_edge_terms(vertices):
+    d = as_diagram(vertices)
+    assert interior_lattice_count(d) == interior_by_edge_terms(d)
+
+
+@given(vertices=unit_descent_chains(), data=st.data())
+def test_interior_sum_by_parts_checks_every_edge(vertices, data):
+    # Lift one chain vertex by a nonzero amount: an edge at or next to it,
+    # wherever it sits in the chain, no longer descends by exactly one.
+    i = data.draw(st.integers(min_value=1, max_value=len(vertices) - 1))
+    lift = data.draw(st.integers(min_value=-3, max_value=3).filter(bool))
+    vertices[i] = LatticePoint(vertices[i].x, vertices[i].y + lift)
+    with pytest.raises(ValueError, match="down by one"):
+        interior_lattice_count(as_diagram(vertices))
 
 
 @st.composite
