@@ -2,8 +2,10 @@
 
 Data documents go to stdout so they can be piped; warnings and failure
 diagnostics go to stderr.  Exit status is 0 for success, 1 for a
-verification or cross-check failure, and 2 for a usage error.  Identical
-invocations produce byte-identical documents.
+verification or cross-check failure or an SVG that `render --out` cannot
+write, and 2 for a usage error.  Identical invocations produce
+byte-identical documents.  A JSON document's `params` block is built from
+the parsed arguments, so each flag is declared once, in `build_parser`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,19 @@ def _check_digits(digits: int) -> None:
         raise ValueError(f"digits must be at most {MAX_DIGITS}, got {digits}")
 
 
+def _params(args: argparse.Namespace) -> dict[str, str | int]:
+    """Every flag but --format, in declaration order: decimal strings, `digits` an int.
+
+    argparse fills the namespace in that order, between the subcommand name
+    and the `func` default.
+    """
+    return {
+        name: value if name == "digits" else str(value)
+        for name, value in vars(args).items()
+        if name not in ("command", "format", "func")
+    }
+
+
 def cmd_area(args: argparse.Namespace) -> int:
     p = build_polynomial(args.q, args.n, args.k)
     refusal = route_refusal(args.method, p)
@@ -56,15 +71,10 @@ def cmd_area(args: argparse.Namespace) -> int:
     else:
         areas, agree = {args.method: ROUTES[args.method](build_diagram(p))}, True
 
-    params = {
-        "q": str(args.q),
-        "n": str(args.n),
-        "k": str(args.k),
-        "method": args.method,
-        "digits": args.digits,
-    }
     records = [{"method": name, "area": value} for name, value in areas.items()]
-    _emit(records_document(args.format, records, params, args.digits, "results", agree=agree))
+    _emit(
+        records_document(args.format, records, _params(args), args.digits, "results", agree=agree)
+    )
     if not agree:
         print("error: area methods disagree", file=sys.stderr)
         return 1
@@ -79,38 +89,21 @@ def cmd_table(args: argparse.Namespace) -> int:
     # One extra value past q_to so the last row still has its ratio.
     seq = area_sequence(args.k, args.n, args.q_from, args.q_to + 1)
     ratios = ratio_sequence(seq)
-
-    params = {
-        "k": str(args.k),
-        "n": str(args.n),
-        "q_from": str(args.q_from),
-        "q_to": str(args.q_to),
-        "digits": args.digits,
-    }
     records = [
         {"q": str(q), "area": area, "ratio": ratio}
         for q, area, ratio in zip(range(args.q_from, args.q_to + 1), seq.values, ratios)
     ]
-    _emit(records_document(args.format, records, params, args.digits))
+    _emit(records_document(args.format, records, _params(args), args.digits))
     return 0
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
     seq = area_sequence(args.k, args.n, args.q_from, args.q_to)
     values = finite_difference(seq, args.order)  # rejects ranges too short
-
-    params = {
-        "k": str(args.k),
-        "n": str(args.n),
-        "q_from": str(args.q_from),
-        "q_to": str(args.q_to),
-        "order": str(args.order),
-        "digits": args.digits,
-    }
     records = [
         {"q": str(args.q_from + j), "difference": value} for j, value in enumerate(values)
     ]
-    _emit(records_document(args.format, records, params, args.digits))
+    _emit(records_document(args.format, records, _params(args), args.digits))
     return 0
 
 
@@ -122,11 +115,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     first = report.first_failure
     document = {
-        "params": {
-            "q_max": str(report.q_max),
-            "n_max": str(report.n_max),
-            "k_max": str(report.k_max),
-        },
+        "params": _params(args),
         "points": report.points,
         "checks": report.checks,
         "pick_checks": report.pick_checks,
@@ -216,6 +205,21 @@ def _add_format_flags(
         )
 
 
+def _add_point_flags(parser: argparse.ArgumentParser) -> None:
+    """--q, --n, --k of one diagram (area, render)."""
+    parser.add_argument("--q", type=int, required=True, help="coefficient base, q >= 1")
+    parser.add_argument("--n", type=int, default=0, help="power shift, n >= 0 (default: 0)")
+    parser.add_argument("--k", type=int, required=True, help="degree, k >= 1")
+
+
+def _add_range_flags(parser: argparse.ArgumentParser) -> None:
+    """--k, --n, --q-from, --q-to of an area sequence over q (table, diff)."""
+    parser.add_argument("--k", type=int, default=2, help="degree (default: 2)")
+    parser.add_argument("--n", type=int, default=0, help="power shift (default: 0)")
+    parser.add_argument("--q-from", type=int, default=2, help="first q (default: 2)")
+    parser.add_argument("--q-to", type=int, default=16, help="last q (default: 16)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polydiagram",
@@ -224,9 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     area = sub.add_parser("area", help="compute the diagram area for one (q, n, k)")
-    area.add_argument("--q", type=int, required=True, help="coefficient base, q >= 1")
-    area.add_argument("--n", type=int, default=0, help="power shift, n >= 0 (default: 0)")
-    area.add_argument("--k", type=int, required=True, help="degree, k >= 1")
+    _add_point_flags(area)
     area.add_argument(
         "--method",
         choices=(*ROUTES, "all"),
@@ -237,19 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     area.set_defaults(func=cmd_area)
 
     table = sub.add_parser("table", help="areas and consecutive ratios over a q range")
-    table.add_argument("--k", type=int, default=2, help="degree (default: 2)")
-    table.add_argument("--n", type=int, default=0, help="power shift (default: 0)")
-    table.add_argument("--q-from", type=int, default=2, help="first q (default: 2)")
-    table.add_argument("--q-to", type=int, default=16, help="last q (default: 16)")
+    _add_range_flags(table)
     _add_format_flags(table)
     table.set_defaults(func=cmd_table)
 
     diff = sub.add_parser("diff", help="forward differences of the area sequence")
-    diff.add_argument("--k", type=int, default=2, help="degree (default: 2)")
-    diff.add_argument("--n", type=int, default=0, help="power shift (default: 0)")
+    _add_range_flags(diff)
     diff.add_argument("--order", type=int, default=2, help="difference order (default: 2)")
-    diff.add_argument("--q-from", type=int, default=2, help="first q (default: 2)")
-    diff.add_argument("--q-to", type=int, default=16, help="last q (default: 16)")
     _add_format_flags(diff)
     diff.set_defaults(func=cmd_diff)
 
@@ -261,9 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     render = sub.add_parser("render", help="render the diagram polygon as SVG")
-    render.add_argument("--q", type=int, required=True, help="coefficient base, q >= 1")
-    render.add_argument("--n", type=int, default=0, help="power shift (default: 0)")
-    render.add_argument("--k", type=int, required=True, help="degree, k >= 1")
+    _add_point_flags(render)
     render.add_argument("--width", type=int, default=640, help="width in px (default: 640)")
     render.add_argument("--height", type=int, default=480, help="height in px (default: 480)")
     render.add_argument("--margin", type=int, default=48, help="margin in px (default: 48)")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -344,6 +345,56 @@ class TestRender:
         code, _, err = run_cli(capsys, "render", "--q", "1", "--k", "2")
         assert code == 0
         assert "degenerate" in err
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each command's parser, as `build_parser` declares it."""
+    (commands,) = (
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return commands.choices
+
+
+# A non-default value for every flag but --format, given in reverse declaration order.
+NON_DEFAULT_FLAGS = {
+    "area": {"--digits": "5", "--method": "general", "--k": "4", "--n": "1", "--q": "3"},
+    "table": {"--digits": "5", "--q-to": "7", "--q-from": "3", "--n": "1", "--k": "3"},
+    "diff": {
+        "--digits": "5", "--order": "3", "--q-to": "9", "--q-from": "3", "--n": "1", "--k": "3",
+    },
+    "verify": {"--k-max": "2", "--n-max": "1", "--q-max": "3"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_DEFAULT_FLAGS))
+def test_json_params_are_every_flag_but_format_in_declaration_order(capsys, command):
+    options = [a for a in subparsers()[command]._actions if a.dest not in ("help", "format")]
+    flags = NON_DEFAULT_FLAGS[command]
+    argv = [command, "--format", "json", *(token for item in flags.items() for token in item)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    params = json.loads(out)["params"]
+    assert list(params) == [action.dest for action in options]
+    for action in options:
+        (flag,) = action.option_strings
+        assert flags[flag] != str(action.default)
+        expected = int(flags[flag]) if action.dest == "digits" else flags[flag]
+        assert params[action.dest] == expected
+
+
+@pytest.mark.parametrize("command", ["", "area", "table", "diff", "verify", "render"])
+def test_help_exits_0_and_names_every_flag(capsys, command):
+    parser = subparsers()[command] if command else cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for action in parser._actions:
+        for flag in action.option_strings:
+            assert flag in out
+    if not command:
+        assert all(name in out for name in subparsers())
 
 
 def test_unknown_command_exits_2(capsys):
