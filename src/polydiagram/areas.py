@@ -6,21 +6,26 @@ cycle, and lattice-point counting through Pick's relation A = I + B/2 - 1)
 must all produce the same rational.  ROUTES names them, once, in the order
 documents list them.  Every function returns a Fraction in lowest terms; for
 a lattice polygon the reduced denominator is always 1 or 2.  The closed form
-costs O(1) big-integer operations and every other route O(k): one or two per
-vertex or slab, each a product by a small factor or an addition.  None grows
-with the polygon's x-extent q^(n+k), and none uses the fact that consecutive
-chain x differ by a factor of q.
+costs O(1) big-integer operations and every other route O(k): the slab sum
+does two per slab (a product by q and a small addition), and the shoelace
+sum and the lattice counts at most one addition per vertex, plus, in the
+shoelace sum, one product by a small factor wherever its coefficient
+changes (comparisons aside).  None grows with the polygon's x-extent
+q^(n+k), and none uses the fact that consecutive chain x differ by a factor
+of q.
 
 Each O(k) route evaluates an exact identity:
 
 - the slab sum factors (q-1) q^n out of every slab and evaluates the
   remaining weighted sum of q^m by Horner's rule;
 - the shoelace sum takes its vertex form, sum of x_i (y_{i+1} - y_{i-1}),
-  which holds for any lattice cycle;
+  which holds for any lattice cycle, and by distributivity adds the x of
+  each run of equal coefficients before multiplying the run once;
 - the interior count sums the per-edge counts by parts, which needs every
   chain edge to descend exactly one unit (it checks each edge);
-- the boundary count passes each edge's small |dy| to gcd first, so a
-  chain edge (|dy| = 1) costs only its x difference.
+- the boundary count takes gcd(1, |dx|) = 1 for an edge with |dy| = 1, so
+  a chain edge costs no big-integer operation at all; every other edge
+  costs one x difference and one gcd.
 
 The slab decomposition cuts the region under the monomial chain into k-1
 rectangular trapezoids plus one right triangle at the far end.  Slab m
@@ -118,35 +123,46 @@ def area_shoelace(d: PolynomialDiagram) -> Fraction:
     """Shoelace oracle: |sum of x_i * (y_{i+1} - y_{i-1})| / 2 over the cycle.
 
     The vertex form of the shoelace sum: it holds for every lattice cycle,
-    in either orientation, and needs no property of the diagram.  Each
-    vertex costs one product of its x by its neighbours' y difference (at
-    most k in a diagram) and one addition.  The walk starts at the anchor,
-    so the running total grows with the vertices' x instead of starting at
-    full width.  Exact for every diagram, including degenerate ones (which
-    give 0).
+    in either orientation, and needs no property of the diagram.  Vertices
+    whose coefficients y_{i+1} - y_{i-1} repeat in a row form a run: their
+    x are added up and the run is multiplied by its coefficient once, which
+    is exact by distributivity.  So each vertex costs one addition, and
+    each change of coefficient one product by a small factor (at most k in
+    a diagram, whose inner chain vertices all have coefficient -2).  The
+    walk starts at the anchor, so the running sums grow with the vertices'
+    x instead of starting at full width.  Exact for every diagram,
+    including degenerate ones (which give 0).
     """
     pts = d.vertices
     if len(pts) < 3:
         raise ValueError(f"need at least 3 vertices, got {len(pts)}")
-    total = 0
+    total = run = coefficient = 0  # run: sum of x since the coefficient last changed
     before, here = pts[-1], pts[0]
     for after in (*pts[1:], pts[0]):
-        total += here.x * (after.y - before.y)
+        step = after.y - before.y
+        if step == coefficient:
+            run += here.x
+        else:
+            total += run * coefficient
+            run, coefficient = here.x, step
         before, here = here, after
-    return Fraction(abs(total), 2)
+    return Fraction(abs(total + run * coefficient), 2)
 
 
 def boundary_lattice_count(d: PolynomialDiagram) -> int:
     """Lattice points on the boundary: gcd(|dy|, |dx|) summed over the edges.
 
-    The small |dy| goes first: math.gcd returns at once when its running
-    value is 1, so each chain edge (|dy| = 1) costs only its x difference.
-    The closing edge, whose gcd is the base's full width, is summed last,
-    so the running sum stays machine-sized until then.
+    An edge with |dy| = 1 contributes gcd(1, |dx|) = 1 without forming its
+    x difference, so each chain edge of a diagram costs no big-integer
+    operation.  Every other edge costs one x difference and one gcd, with
+    the small |dy| first.  The closing edge, whose gcd is the base's full
+    width, is summed last, so the running sum stays machine-sized until
+    then.
     """
     pts = d.vertices
     return sum(
-        math.gcd(abs(b.y - a.y), abs(b.x - a.x)) for a, b in zip(pts, (*pts[1:], pts[0]))
+        1 if abs(b.y - a.y) == 1 else math.gcd(abs(b.y - a.y), abs(b.x - a.x))
+        for a, b in zip(pts, (*pts[1:], pts[0]))
     )
 
 

@@ -14,7 +14,10 @@ O(k) big-integer operations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 __all__ = [
@@ -114,14 +117,13 @@ def monomial_map(p: SpecialPolynomial) -> list[LatticePoint]:
 
     Returns the k+1 points in increasing i, from (q^n, k) down to
     (q^(n+k), 0); consecutive x-coordinates differ by a factor of exactly q,
-    so each is one multiplication from the last.
+    so each is one multiplication from the last.  The multiplications run
+    in `itertools.accumulate` and each point is made by `tuple.__new__`,
+    which is what the LatticePoint constructor calls, so the loop runs no
+    bytecode per vertex: the cost is the k products, one per vertex.
     """
-    x = p.q**p.n
-    points = [LatticePoint(x, p.k)]
-    for y in range(p.k - 1, -1, -1):
-        x *= p.q
-        points.append(LatticePoint(x, y))
-    return points
+    xs = accumulate(repeat(p.q, p.k), operator.mul, initial=p.q**p.n)
+    return list(map(partial(tuple.__new__, LatticePoint), zip(xs, range(p.k, -1, -1))))
 
 
 def build_diagram(p: SpecialPolynomial) -> PolynomialDiagram:

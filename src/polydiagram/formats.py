@@ -7,6 +7,10 @@ a rounded decimal column.  Decimal rendering rounds half to even at the
 configured number of places, trims trailing zeros, and always uses '.' as
 the decimal point, so identical inputs give byte-identical output.
 `records_document` renders one list of records in any of the three formats.
+It converts each rational's numerator to text once, an integer's decimal
+cell being that same text, and a rational equal to the one rendered just
+before it (the agreeing routes of `area`) reuses that one's cells, so a run
+of equal values is converted once in all.
 """
 
 from __future__ import annotations
@@ -44,11 +48,17 @@ def format_rational(value: Fraction) -> str:
 
 def format_decimal(value: Fraction, digits: int = DEFAULT_DIGITS) -> str:
     """Round to `digits` decimal places (half to even) and trim trailing zeros."""
+    return _decimal_text(value.numerator, value.denominator, digits)
+
+
+def _decimal_text(num: int, den: int, digits: int) -> str:
+    """format_decimal of num/den (den > 0, lowest terms); str(num) when den == 1."""
     if digits < 0:
         raise ValueError(f"digits must be non-negative, got {digits}")
+    if den == 1:
+        return str(num)
     unit = 10**digits
-    den = value.denominator
-    scaled, rest = divmod(value.numerator * unit, den)  # floor; 0 <= rest < den
+    scaled, rest = divmod(num * unit, den)  # floor; 0 <= rest < den
     if 2 * rest > den or (2 * rest == den and scaled & 1):
         scaled += 1
     sign = "-" if scaled < 0 else ""
@@ -146,11 +156,15 @@ def records_document(
     A text field is one column.  A rational field `f` becomes the columns
     `f` ("num/den", or {"num", "den"} in JSON) and `f_decimal`; None, a
     rational that does not exist, fills both with UNDEFINED (null in JSON).
-    The JSON document is {"params": params, key: records, **extra}; CSV
-    and markdown take their header from the first record and omit params.
+    The cells are those of format_rational (rational_to_json in JSON) and
+    format_decimal, but a run of equal rationals is converted once (see the
+    module docstring).  The JSON document is {"params": params, key:
+    records, **extra}; CSV and markdown take their header from the first
+    record and omit params.
     """
     as_json = fmt == "json"
     rows: list[dict] = []
+    last_num = last_den = exact = decimal = None  # the rational rendered last, its cells
     for record in records:
         row: dict = {}
         for name, value in record.items():
@@ -159,8 +173,13 @@ def records_document(
             elif value is None:
                 row[name] = row[name + "_decimal"] = None if as_json else UNDEFINED
             else:
-                row[name] = rational_to_json(value) if as_json else format_rational(value)
-                row[name + "_decimal"] = format_decimal(value, digits)
+                num, den = value.numerator, value.denominator
+                if num != last_num or den != last_den:
+                    decimal = _decimal_text(num, den, digits)
+                    num_text = decimal if den == 1 else str(num)
+                    exact = {"num": num_text, "den": str(den)} if as_json else f"{num_text}/{den}"
+                    last_num, last_den = num, den
+                row[name], row[name + "_decimal"] = exact, decimal
         rows.append(row)
     if as_json:
         return json_document({"params": params, key: rows, **extra})

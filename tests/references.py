@@ -11,7 +11,10 @@ package's early-exit one, and the degree-2 closed form is the paper's
 formula, which the package's closed form for every k generalizes.  The
 edge-product shoelace, the per-edge interior terms and the running-power
 slab sum are the package's former loop bodies for the vertex-form shoelace,
-the interior count summed by parts and the Horner slab sum.
+the interior count summed by parts and the Horner slab sum.  The gcd of
+every edge and the point-by-point monomial loop are the former bodies of the
+boundary count, which now skips the x difference of a unit-height edge, and
+of `monomial_map`, which now iterates in C.
 """
 
 from __future__ import annotations
@@ -38,6 +41,24 @@ def area_by_edge_shoelace(d: PolynomialDiagram) -> Fraction:
         x1, y1 = pts[(i + 1) % len(pts)]
         total += x0 * y1 - x1 * y0
     return Fraction(abs(total), 2)
+
+
+def boundary_by_gcd(d: PolynomialDiagram) -> int:
+    """Boundary lattice points as gcd(|dy|, |dx|) summed over every edge of the cycle."""
+    pts = d.vertices
+    return sum(
+        math.gcd(abs(b.y - a.y), abs(b.x - a.x)) for a, b in zip(pts, (*pts[1:], pts[0]))
+    )
+
+
+def monomial_points_by_loop(p: SpecialPolynomial) -> list[LatticePoint]:
+    """The points (q^(n+i), k-i) for i = 0..k, each x one product by q from the last."""
+    x = p.q**p.n
+    points = [LatticePoint(x, p.k)]
+    for y in range(p.k - 1, -1, -1):
+        x *= p.q
+        points.append(LatticePoint(x, y))
+    return points
 
 
 def convex_by_all_turns(vertices: tuple[LatticePoint, ...]) -> bool:

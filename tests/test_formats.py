@@ -6,12 +6,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import polydiagram.areas as areas
 import polydiagram.cli as cli
 from polydiagram.formats import (
+    UNDEFINED,
     csv_document,
     format_decimal,
     format_rational,
@@ -21,6 +22,7 @@ from polydiagram.formats import (
     rational_to_json,
     records_document,
 )
+from references import decimal_by_fraction_round
 
 
 class TestFormatRational:
@@ -61,6 +63,18 @@ class TestFormatDecimal:
     def test_rejects_negative_digits(self):
         with pytest.raises(ValueError):
             format_decimal(Fraction(1), digits=-1)
+
+
+@given(
+    whole=st.one_of(st.integers(min_value=-99, max_value=99),
+                    st.integers(min_value=-(10**60), max_value=10**60)),
+    digits=st.integers(min_value=0, max_value=8),
+)
+@example(whole=0, digits=0)
+@example(whole=-1, digits=8)
+def test_decimal_of_an_integer_matches_fraction_rounding(whole, digits):
+    value = Fraction(whole)
+    assert format_decimal(value, digits) == decimal_by_fraction_round(value, digits)
 
 
 class TestJsonRational:
@@ -168,3 +182,43 @@ class TestRecordsDocument:
             ],
             "agree": True,
         }
+
+
+wide_rationals = st.one_of(
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=4),
+    st.builds(Fraction, st.integers(min_value=-(10**80), max_value=10**80),
+              st.integers(min_value=1, max_value=2)),
+)
+
+
+def _cells_one_by_one(fmt: str, values: list, digits: int) -> str:
+    """The document records_document must write, each rational rendered on its own."""
+    if fmt == "json":
+        rows = [
+            {"i": str(i), "v": None if v is None else rational_to_json(v),
+             "v_decimal": None if v is None else format_decimal(v, digits)}
+            for i, v in enumerate(values)
+        ]
+        return json_document({"params": {}, "rows": rows})
+    rows = [
+        [str(i), UNDEFINED, UNDEFINED] if v is None
+        else [str(i), format_rational(v), format_decimal(v, digits)]
+        for i, v in enumerate(values)
+    ]
+    document = markdown_document if fmt == "markdown" else csv_document
+    return document(["i", "v", "v_decimal"], rows)
+
+
+@given(a=wide_rationals, b=wide_rationals, digits=st.integers(min_value=0, max_value=8))
+@example(a=Fraction(7), b=Fraction(7, 2), digits=4)  # n/1 next to n/2
+@example(a=Fraction(7, 2), b=Fraction(7), digits=0)
+@example(a=Fraction(5, 2), b=Fraction(-5, 2), digits=1)  # a value next to its negation
+@example(a=Fraction(-3), b=Fraction(3), digits=4)
+@example(a=Fraction(0), b=Fraction(0), digits=4)
+def test_records_document_renders_each_cell_as_alone(a, b, digits):
+    # equal values arrive as distinct Fraction objects
+    values = [Fraction(v.numerator, v.denominator) if v is not None else None
+              for v in (a, a, b, a, None, a)]
+    records = [{"i": str(i), "v": v} for i, v in enumerate(values)]
+    for fmt in ("csv", "markdown", "json"):
+        assert records_document(fmt, records, {}, digits) == _cells_one_by_one(fmt, values, digits)

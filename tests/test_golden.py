@@ -77,6 +77,13 @@ CASES.update(
 )
 CASES.update(
     {
+        f"area_pick_off_by_one_{fmt}": (("area", "--q", "3", "--k", "5", "--method", "all",
+                                         "--format", fmt), 1)
+        for fmt in ("csv", "json")
+    }
+)
+CASES.update(
+    {
         f"verify_failure_{fmt}": (("verify", "--q-max", "2", "--n-max", "1", "--k-max", "2",
                                    "--format", fmt), 1)
         for fmt in ("csv", "json", "markdown")
@@ -94,9 +101,18 @@ def _broken_slab_sum_and_golden_row():
             yield
 
 
+def _pick_off_by_one():
+    """Pick's area one too large, so `area --method all` renders two distinct values."""
+    pick = areas.ROUTES["pick"]
+    return mock.patch.dict(areas.ROUTES, {"pick": lambda d: pick(d) + 1})
+
+
 # name -> fault injected while the case runs
-FAULTS = {f"verify_failure_{fmt}": _broken_slab_sum_and_golden_row
-          for fmt in ("csv", "json", "markdown")}
+FAULTS = {
+    **{f"verify_failure_{fmt}": _broken_slab_sum_and_golden_row
+       for fmt in ("csv", "json", "markdown")},
+    **{f"area_pick_off_by_one_{fmt}": _pick_off_by_one for fmt in ("csv", "json")},
+}
 
 
 def run(name: str) -> tuple[int, str, str]:

@@ -16,6 +16,7 @@ from polydiagram import (
     area_general,
     area_sequence,
     area_shoelace,
+    boundary_lattice_count,
     build_diagram,
     build_polynomial,
     evaluate_polynomial,
@@ -29,11 +30,13 @@ from polydiagram import (
 from polydiagram.core import _is_convex, _is_simple
 from references import (
     area_by_edge_shoelace,
+    boundary_by_gcd,
     convex_by_all_turns,
     decimal_by_fraction_round,
     difference_by_fraction_sums,
     interior_by_column_scan,
     interior_by_edge_terms,
+    monomial_points_by_loop,
     simple_by_pairwise_test,
     slab_sum_by_running_power,
 )
@@ -89,6 +92,19 @@ def test_monomial_points_step_by_factor_q(q, n, k):
 
 
 @given(
+    q=st.integers(min_value=1, max_value=200),
+    n=st.integers(min_value=0, max_value=30),
+    k=st.integers(min_value=1, max_value=300),
+)
+def test_monomial_map_matches_point_by_point_loop(q, n, k):
+    p = build_polynomial(q, n, k)
+    pts = monomial_map(p)
+    assert type(pts) is list
+    assert pts == monomial_points_by_loop(p)
+    assert all(type(pt) is LatticePoint for pt in pts)
+
+
+@given(
     q=st.integers(min_value=2, max_value=10), n=st.integers(min_value=0, max_value=3), k=degrees
 )
 def test_interior_count_matches_column_scan(q, n, k):
@@ -106,17 +122,42 @@ def as_diagram(vertices):
 wide_coordinates = st.one_of(
     st.integers(min_value=-5, max_value=5), st.integers(min_value=-(2**200), max_value=2**200)
 )
+wide_cycles = st.lists(st.builds(LatticePoint, wide_coordinates, wide_coordinates),
+                       min_size=3, max_size=40)
 
 
-@given(
-    cycle=st.lists(st.builds(LatticePoint, wide_coordinates, wide_coordinates),
-                   min_size=3, max_size=40)
-)
+@given(cycle=wide_cycles)
 @settings(max_examples=300)
 def test_vertex_form_shoelace_matches_edge_products(cycle):
     forward, backward = as_diagram(cycle), as_diagram(reversed(cycle))
     assert area_shoelace(forward) == area_by_edge_shoelace(forward)
     assert area_shoelace(backward) == area_by_edge_shoelace(backward) == area_shoelace(forward)
+
+
+@given(cycle=wide_cycles)
+@settings(max_examples=300)
+def test_boundary_count_matches_gcd_of_every_edge(cycle):
+    forward, backward = as_diagram(cycle), as_diagram(reversed(cycle))
+    assert boundary_lattice_count(forward) == boundary_by_gcd(forward)
+    assert boundary_lattice_count(backward) == boundary_by_gcd(backward)
+
+
+@st.composite
+def few_height_cycles(draw):
+    """Cycles whose y come from two or three values, so shoelace coefficients repeat in runs."""
+    heights = draw(st.lists(wide_coordinates, min_size=2, max_size=3, unique=True))
+    size = draw(st.integers(min_value=3, max_value=40))
+    ys = draw(st.lists(st.sampled_from(heights), min_size=size, max_size=size))
+    xs = draw(st.lists(wide_coordinates, min_size=size, max_size=size))
+    return [LatticePoint(x, y) for x, y in zip(xs, ys)]
+
+
+@given(cycle=few_height_cycles())
+@settings(max_examples=300)
+def test_run_grouped_shoelace_matches_edge_products_on_repeated_heights(cycle):
+    forward, backward = as_diagram(cycle), as_diagram(reversed(cycle))
+    assert area_shoelace(forward) == area_by_edge_shoelace(forward)
+    assert area_shoelace(backward) == area_by_edge_shoelace(backward)
 
 
 @st.composite
@@ -137,6 +178,15 @@ def unit_descent_chains(draw):
     for gap in gaps:
         chain.append(LatticePoint(chain[-1].x + gap, chain[-1].y - 1))
     return [LatticePoint(x, 0), *chain]
+
+
+@given(vertices=unit_descent_chains())
+@settings(max_examples=300)
+def test_unit_edges_skip_nothing_in_boundary_or_shoelace(vertices):
+    # forwards every chain edge has dy = -1, backwards dy = +1
+    for d in (as_diagram(vertices), as_diagram(reversed(vertices))):
+        assert boundary_lattice_count(d) == boundary_by_gcd(d)
+        assert area_shoelace(d) == area_by_edge_shoelace(d)
 
 
 @given(vertices=unit_descent_chains())
