@@ -4,8 +4,9 @@ Two formula routes (the per-slab trapezoid sum, and the closed form it
 telescopes to) and two geometric oracles (the shoelace sum over the vertex
 cycle, and lattice-point counting through Pick's relation A = I + B/2 - 1)
 must all produce the same rational.  ROUTES names them, once, in the order
-documents list them.  Every function returns a Fraction in lowest terms; for
-a lattice polygon the reduced denominator is always 1 or 2.  The closed form
+documents list them, and states whether each reads the diagram or only its
+polynomial.  Every function returns a Fraction in lowest terms; for a
+lattice polygon the reduced denominator is always 1 or 2.  The closed form
 costs O(1) big-integer operations and every other route O(k): the slab sum
 does two per slab (a product by q and a small addition), and the shoelace
 sum and the lattice counts at most one addition per vertex, plus, in the
@@ -40,12 +41,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import PolynomialDiagram, SpecialPolynomial, build_diagram
 
 __all__ = [
     "ROUTES",
+    "Route",
     "AreaCrossCheck",
     "area_closed_form",
     "trapezoid_area",
@@ -205,12 +207,26 @@ def area_pick(d: PolynomialDiagram) -> Fraction:
     return Fraction(2 * interior + boundary - 2, 2)
 
 
-# Every route maps a diagram to its area; documents list them in this order.
-ROUTES: dict[str, Callable[[PolynomialDiagram], Fraction]] = {
-    "closed": lambda d: area_closed_form(d.source),
-    "general": lambda d: area_general(d.source),
-    "shoelace": area_shoelace,
-    "pick": area_pick,
+class Route(NamedTuple):
+    """An area route: whether it reads the diagram, and its area function.
+
+    `area` takes the PolynomialDiagram when `reads_diagram`, else only the
+    SpecialPolynomial, so a caller builds a diagram only for a route that
+    reads one.
+    """
+
+    reads_diagram: bool
+    area: Callable[..., Fraction]
+
+
+# Every route, in the order documents list them.  Each function is looked up
+# by name when the route runs, so a rebound module attribute (a test's
+# patch, a tracer's wrapper) is what runs.
+ROUTES: dict[str, Route] = {
+    "closed": Route(False, lambda p: area_closed_form(p)),
+    "general": Route(False, lambda p: area_general(p)),
+    "shoelace": Route(True, lambda d: area_shoelace(d)),
+    "pick": Route(True, lambda d: area_pick(d)),
 }
 
 
@@ -233,5 +249,9 @@ def cross_check(p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> Are
     """
     d = build_diagram(p) if d is None else d
     return AreaCrossCheck(
-        {name: route(d) for name, route in ROUTES.items() if route_refusal(name, p) is None}
+        {
+            name: route.area(d if route.reads_diagram else p)
+            for name, route in ROUTES.items()
+            if route_refusal(name, p) is None
+        }
     )

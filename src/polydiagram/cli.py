@@ -69,7 +69,9 @@ def cmd_area(args: argparse.Namespace) -> int:
         check = cross_check(p)
         areas, agree = check.areas, check.agree
     else:
-        areas, agree = {args.method: ROUTES[args.method](build_diagram(p))}, True
+        route = ROUTES[args.method]
+        area = route.area(build_diagram(p) if route.reads_diagram else p)
+        areas, agree = {args.method: area}, True
 
     records = [{"method": name, "area": value} for name, value in areas.items()]
     _emit(

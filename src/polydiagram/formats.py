@@ -10,7 +10,11 @@ the decimal point, so identical inputs give byte-identical output.
 It converts each rational's numerator to text once, an integer's decimal
 cell being that same text, and a rational equal to the one rendered just
 before it (the agreeing routes of `area`) reuses that one's cells, so a run
-of equal values is converted once in all.
+of equal values is converted once in all.  Each row is built once, as its
+cells in column order: CSV and markdown write those cells as they are, and
+in JSON they are already JSON text, joined into the row's object text.
+`json_document` still writes the document around those pre-encoded rows
+(`params`, the records key, any extra keys), copying each row verbatim.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -112,6 +117,12 @@ def table_document(fmt: str, headers: list[str], rows: list[list[str]]) -> str:
     return csv_document(headers, rows)
 
 
+class _Encoded(str):
+    """JSON text that `_json_value` writes verbatim: a pre-encoded records row."""
+
+    __slots__ = ()
+
+
 def json_document(payload: dict) -> str:
     """Stable two-space-indented JSON document (insertion key order).
 
@@ -119,12 +130,15 @@ def json_document(payload: dict) -> str:
     a final newline, but written in one pass: given an indent, `json.dumps`
     falls back to its pure-Python generator encoder.  Dict keys are always
     `str` in this package and are not converted; tuples are arrays, as in
-    `json.dumps`.
+    `json.dumps`.  An `_Encoded` value is JSON text already laid out for its
+    place in the document (records_document's rows) and is copied verbatim.
     """
     return _json_value(payload, "") + "\n"
 
 
 def _json_value(value: object, pad: str) -> str:
+    if type(value) is _Encoded:
+        return value
     if isinstance(value, str):
         return _quote(value)
     inner = pad + "  "
@@ -143,6 +157,12 @@ def _json_value(value: object, pad: str) -> str:
     return json.dumps(value)  # int, bool, None
 
 
+# A records row is an item of the list under a top-level key, so it opens at
+# this depth and its fields sit one level deeper.
+_ROW_PAD = "    "
+_FIELD_PAD = _ROW_PAD + "  "
+
+
 def records_document(
     fmt: str,
     records: list[dict[str, str | Fraction | None]],
@@ -156,32 +176,56 @@ def records_document(
     A text field is one column.  A rational field `f` becomes the columns
     `f` ("num/den", or {"num", "den"} in JSON) and `f_decimal`; None, a
     rational that does not exist, fills both with UNDEFINED (null in JSON).
-    The cells are those of format_rational (rational_to_json in JSON) and
+    Every record has the first record's fields, in its order; the columns
+    and the CSV and markdown header come from it.
+
+    Each row is built once, as its list of cells in column order.  The cells
+    are those of format_rational (rational_to_json in JSON) and
     format_decimal, but a run of equal rationals is converted once (see the
-    module docstring).  The JSON document is {"params": params, key:
-    records, **extra}; CSV and markdown take their header from the first
-    record and omit params.
+    module docstring).  CSV and markdown rows go to the table writers as
+    they are.  In JSON the cells are already JSON text, and each row is
+    joined into its object's text, every cell after its field's `"name": `
+    prefix.  The document is json_document({"params": params, key: rows,
+    **extra}), which writes the pre-encoded rows verbatim, so it still lays
+    out everything around them; CSV and markdown omit params.
     """
     as_json = fmt == "json"
-    rows: list[dict] = []
-    last_num = last_den = exact = decimal = None  # the rational rendered last, its cells
+    headers = [
+        column
+        for name, value in (records[0].items() if records else ())
+        for column in ((name,) if isinstance(value, str) else (name, name + "_decimal"))
+    ]
+    missing = ("null", "null") if as_json else (UNDEFINED, UNDEFINED)
+    rows: list[list[str]] = []
+    last_num = last_den = None  # the rational rendered last; `pair` holds its two cells
     for record in records:
-        row: dict = {}
-        for name, value in record.items():
+        row: list[str] = []
+        for value in record.values():
             if isinstance(value, str):
-                row[name] = value
+                row.append(_quote(value) if as_json else value)
             elif value is None:
-                row[name] = row[name + "_decimal"] = None if as_json else UNDEFINED
+                row += missing
             else:
                 num, den = value.numerator, value.denominator
                 if num != last_num or den != last_den:
                     decimal = _decimal_text(num, den, digits)
                     num_text = decimal if den == 1 else str(num)
-                    exact = {"num": num_text, "den": str(den)} if as_json else f"{num_text}/{den}"
+                    if as_json:
+                        pair = (
+                            f'{{\n{_FIELD_PAD}  "num": "{num_text}",\n'
+                            f'{_FIELD_PAD}  "den": "{den}"\n{_FIELD_PAD}}}',
+                            f'"{decimal}"',
+                        )
+                    else:
+                        pair = (f"{num_text}/{den}", decimal)
                     last_num, last_den = num, den
-                row[name], row[name + "_decimal"] = exact, decimal
+                row += pair
         rows.append(row)
-    if as_json:
-        return json_document({"params": params, key: rows, **extra})
-    headers = list(rows[0]) if rows else []
-    return table_document(fmt, headers, [list(row.values()) for row in rows])
+    if not as_json:
+        return table_document(fmt, headers, rows)
+    prefixes = [f"{_FIELD_PAD}{_quote(name)}: " for name in headers]
+    close = "\n" + _ROW_PAD + "}"
+    encoded = [
+        _Encoded("{\n" + ",\n".join(map(operator.add, prefixes, row)) + close) for row in rows
+    ]
+    return json_document({"params": params, key: encoded, **extra})

@@ -72,8 +72,16 @@ def area_sequence(k: int, n: int, q_from: int, q_to: int) -> AreaSequence:
 
 
 def ratio_sequence(s: AreaSequence) -> list[Fraction | None]:
-    """Consecutive ratios values[j+1] / values[j]; None marks a zero predecessor."""
-    return [b / a if a != 0 else None for a, b in zip(s.values, s.values[1:])]
+    """Consecutive ratios values[j+1] / values[j]; None marks a zero predecessor.
+
+    Each ratio is Fraction(b.num * a.den, b.den * a.num), cross-multiplied:
+    the constructor's one gcd reduces it and moves a negative sign to the
+    numerator, where `b / a` would dispatch the operator and take two.
+    """
+    return [
+        Fraction(b.numerator * a.denominator, b.denominator * a.numerator) if a else None
+        for a, b in zip(s.values, s.values[1:])
+    ]
 
 
 def finite_difference(s: AreaSequence, order: int) -> list[Fraction]:

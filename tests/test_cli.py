@@ -19,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import polydiagram
+import polydiagram.areas as areas
 import polydiagram.cli as cli
 from polydiagram.cli import main
 from polydiagram.formats import rational_from_json
@@ -85,6 +86,17 @@ class TestArea:
         assert err == (
             "error: route 'pick' needs q >= 2 (a q = 1 diagram has no interior), got q = 1\n"
         )
+
+    @pytest.mark.parametrize("method", ["closed", "general"])
+    def test_polynomial_routes_build_no_diagram(self, capsys, method):
+        argv = ("area", "--q", "2", "--k", "5", "--method", method)
+        expected = run_cli(capsys, *argv)
+        with (
+            mock.patch.object(cli, "build_diagram", side_effect=AssertionError),
+            mock.patch.object(areas, "build_diagram", side_effect=AssertionError),
+        ):
+            assert run_cli(capsys, *argv) == expected
+        assert expected[:2] == (0, f"method,area,area_decimal\n{method},83/2,41.5\n")
 
     @pytest.mark.parametrize(
         "command", [("area", "--q", "2", "--k", "2"), ("verify",)], ids=["area", "verify"]

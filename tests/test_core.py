@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import enum
+
 import pytest
 
 from polydiagram import (
@@ -38,8 +40,27 @@ class TestBuildPolynomial:
             build_polynomial(2, -1, 2)
 
     def test_rejects_non_integer(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="q must be an int, got float"):
             build_polynomial(2.0, 0, 2)
+
+    def test_rejects_bool(self):
+        with pytest.raises(TypeError, match="q must be an int, got bool"):
+            build_polynomial(True, 0, 2)
+
+    def test_accepts_int_subclass(self):
+        class Degree(enum.IntEnum):
+            TWO = 2
+
+        p = build_polynomial(3, 0, Degree.TWO)
+        assert p.k is Degree.TWO
+        assert build_diagram(p) == build_diagram(build_polynomial(3, 0, 2))
+
+    def test_int_subclass_out_of_range_is_still_refused(self):
+        class Base(enum.IntEnum):
+            ZERO = 0
+
+        with pytest.raises(ValueError, match="q must be a positive integer, got 0"):
+            build_polynomial(Base.ZERO, 0, 2)
 
 
 class TestEvaluate:

@@ -191,22 +191,41 @@ wide_rationals = st.one_of(
 )
 
 
-def _cells_one_by_one(fmt: str, values: list, digits: int) -> str:
+def _cells_one_by_one(
+    fmt: str, records: list[dict], digits: int, key: str = "rows", **extra: object
+) -> str:
     """The document records_document must write, each rational rendered on its own."""
     if fmt == "json":
-        rows = [
-            {"i": str(i), "v": None if v is None else rational_to_json(v),
-             "v_decimal": None if v is None else format_decimal(v, digits)}
-            for i, v in enumerate(values)
-        ]
-        return json_document({"params": {}, "rows": rows})
+        rows = []
+        for record in records:
+            row: dict = {}
+            for name, v in record.items():
+                if isinstance(v, str):
+                    row[name] = v
+                else:
+                    row[name] = None if v is None else rational_to_json(v)
+                    row[name + "_decimal"] = None if v is None else format_decimal(v, digits)
+            rows.append(row)
+        return json_document({"params": {}, key: rows, **extra})
     rows = [
-        [str(i), UNDEFINED, UNDEFINED] if v is None
-        else [str(i), format_rational(v), format_decimal(v, digits)]
-        for i, v in enumerate(values)
+        [
+            cell
+            for v in record.values()
+            for cell in (
+                (v,) if isinstance(v, str)
+                else (UNDEFINED, UNDEFINED) if v is None
+                else (format_rational(v), format_decimal(v, digits))
+            )
+        ]
+        for record in records
+    ]
+    headers = [
+        column
+        for name, v in records[0].items()
+        for column in ((name,) if isinstance(v, str) else (name, name + "_decimal"))
     ]
     document = markdown_document if fmt == "markdown" else csv_document
-    return document(["i", "v", "v_decimal"], rows)
+    return document(headers, rows)
 
 
 @given(a=wide_rationals, b=wide_rationals, digits=st.integers(min_value=0, max_value=8))
@@ -220,5 +239,11 @@ def test_records_document_renders_each_cell_as_alone(a, b, digits):
     values = [Fraction(v.numerator, v.denominator) if v is not None else None
               for v in (a, a, b, a, None, a)]
     records = [{"i": str(i), "v": v} for i, v in enumerate(values)]
+    # two rational fields, None first, under a non-default key with an extra key
+    shifted = values[4:] + values[:4]
+    pairs = [{"i": str(i), "u": u, "v": v} for i, (u, v) in enumerate(zip(shifted, values))]
     for fmt in ("csv", "markdown", "json"):
-        assert records_document(fmt, records, {}, digits) == _cells_one_by_one(fmt, values, digits)
+        assert records_document(fmt, records, {}, digits) == _cells_one_by_one(fmt, records, digits)
+        assert records_document(fmt, pairs, {}, digits, "results", agree=False) == (
+            _cells_one_by_one(fmt, pairs, digits, "results", agree=False)
+        )

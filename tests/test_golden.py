@@ -103,8 +103,8 @@ def _broken_slab_sum_and_golden_row():
 
 def _pick_off_by_one():
     """Pick's area one too large, so `area --method all` renders two distinct values."""
-    pick = areas.ROUTES["pick"]
-    return mock.patch.dict(areas.ROUTES, {"pick": lambda d: pick(d) + 1})
+    pick = areas.area_pick
+    return mock.patch.object(areas, "area_pick", lambda d: pick(d) + 1)
 
 
 # name -> fault injected while the case runs

@@ -26,6 +26,7 @@ from polydiagram import (
     monomial_map,
     rational_from_json,
     rational_to_json,
+    ratio_sequence,
 )
 from polydiagram.core import _is_convex, _is_simple
 from references import (
@@ -335,3 +336,21 @@ def test_finite_difference_matches_fraction_sums(values, data):
     order = data.draw(st.integers(min_value=1, max_value=len(values) - 1))
     s = AreaSequence(k=1, n=0, q_start=1, values=tuple(values))
     assert finite_difference(s, order) == difference_by_fraction_sums(s, order)
+
+
+@given(
+    values=st.lists(
+        st.one_of(
+            st.just(Fraction(0)),
+            st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**6),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_ratio_sequence_is_fraction_division(values):
+    # any sign and zero, so the cross-multiplied form must move a negative sign
+    s = AreaSequence(k=1, n=0, q_start=1, values=tuple(values))
+    ratios = ratio_sequence(s)
+    assert ratios == [b / a if a else None for a, b in zip(values, values[1:])]
+    assert all(r is None or r.denominator > 0 for r in ratios)

@@ -44,8 +44,8 @@ def test_default_grid_computes_each_slab_sum_once(monkeypatch):
 
 def test_a_broken_route_fails_only_its_own_check(monkeypatch):
     clean = run_grid_verification(q_max=4, n_max=1, k_max=3)
-    original = areas.ROUTES["pick"]
-    monkeypatch.setitem(areas.ROUTES, "pick", lambda d: original(d) + 1)
+    original = areas.area_pick
+    monkeypatch.setattr(areas, "area_pick", lambda d: original(d) + 1)
     report = run_grid_verification(q_max=4, n_max=1, k_max=3)
     assert {f.check for f in report.failures} == {"pick_vs_shoelace"}
     assert len(report.failures) == report.pick_checks == 3 * 2 * 3
