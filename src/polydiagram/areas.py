@@ -58,6 +58,7 @@ __all__ = [
     "interior_lattice_count",
     "area_pick",
     "route_refusal",
+    "route_area",
     "cross_check",
 ]
 
@@ -211,8 +212,7 @@ class Route(NamedTuple):
     """An area route: whether it reads the diagram, and its area function.
 
     `area` takes the PolynomialDiagram when `reads_diagram`, else only the
-    SpecialPolynomial, so a caller builds a diagram only for a route that
-    reads one.
+    SpecialPolynomial; route_area passes it the one it reads.
     """
 
     reads_diagram: bool
@@ -241,6 +241,18 @@ def route_refusal(name: str, p: SpecialPolynomial) -> str | None:
     return None
 
 
+def route_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> Fraction:
+    """Area of p by route `name`.
+
+    `d` is p's diagram when the caller has already built it; otherwise it
+    is built only for a route that reads one.
+    """
+    route = ROUTES[name]
+    if not route.reads_diagram:
+        return route.area(p)
+    return route.area(build_diagram(p) if d is None else d)
+
+
 def cross_check(p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> AreaCrossCheck:
     """Compute the area by every route that applies and compare exactly.
 
@@ -249,9 +261,5 @@ def cross_check(p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> Are
     """
     d = build_diagram(p) if d is None else d
     return AreaCrossCheck(
-        {
-            name: route.area(d if route.reads_diagram else p)
-            for name, route in ROUTES.items()
-            if route_refusal(name, p) is None
-        }
+        {name: route_area(name, p, d) for name in ROUTES if route_refusal(name, p) is None}
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .areas import ROUTES, cross_check, route_refusal
+from .areas import ROUTES, cross_check, route_area, route_refusal
 from .core import build_diagram, build_polynomial
 from .formats import (
     DEFAULT_DIGITS,
@@ -69,9 +69,7 @@ def cmd_area(args: argparse.Namespace) -> int:
         check = cross_check(p)
         areas, agree = check.areas, check.agree
     else:
-        route = ROUTES[args.method]
-        area = route.area(build_diagram(p) if route.reads_diagram else p)
-        areas, agree = {args.method: area}, True
+        areas, agree = {args.method: route_area(args.method, p)}, True
 
     records = [{"method": name, "area": value} for name, value in areas.items()]
     _emit(

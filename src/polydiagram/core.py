@@ -54,13 +54,11 @@ class SpecialPolynomial:
     k: int
 
     def __post_init__(self) -> None:
-        q, n, k = self.q, self.n, self.k
-        if type(q) is type(n) is type(k) is int and q >= 1 and n >= 0 and k >= 1:
-            return  # the usual call; any other input gets the checks and messages below
-        for name in ("q", "n", "k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        if not (type(self.q) is type(self.n) is type(self.k) is int):
+            for name in ("q", "n", "k"):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if self.q < 1:
             raise ValueError(f"q must be a positive integer, got {self.q}")
         if self.n < 0:
