@@ -28,7 +28,6 @@ from .core import (
     build_diagram,
     build_polynomial,
     evaluate_polynomial,
-    monomial_map,
     validate_diagram,
 )
 from .formats import (
@@ -81,7 +80,6 @@ __all__ = [
     "format_decimal",
     "format_rational",
     "interior_lattice_count",
-    "monomial_map",
     "ratio_sequence",
     "rational_from_json",
     "rational_to_json",

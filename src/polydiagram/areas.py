@@ -13,7 +13,10 @@ sum and the lattice counts at most one addition per vertex, plus, in the
 shoelace sum, one product by a small factor wherever its coefficient
 changes (comparisons aside).  None grows with the polygon's x-extent
 q^(n+k), and none uses the fact that consecutive chain x differ by a factor
-of q.
+of q.  The diagram routes read the vertex cycle as a stream: each walks it
+once, forward, holding O(1) vertices, and takes the closing edge from the
+first vertices it kept, so their memory stays flat in k when the cycle is
+regenerated (as build_diagram's is) rather than stored.
 
 Each O(k) route evaluates an exact identity:
 
@@ -41,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice, pairwise
 from typing import Callable, NamedTuple
 
 from .core import PolynomialDiagram, SpecialPolynomial, build_diagram
@@ -115,11 +119,15 @@ def area_general(p: SpecialPolynomial) -> Fraction:
     q and one small addition per slab.  Equals area_closed_form exactly, and
     0 when q = 1.
     """
-    q = p.q
+    return _slab_sum(p.q, p.n, p.k)
+
+
+def _slab_sum(q: int, n: int, k: int) -> Fraction:
+    """area_general's slab sum on plain ints, which the caller has validated."""
     weights = 0  # W, accumulated from the triangle (weight 1) leftwards
-    for weight in range(1, 2 * p.k, 2):
+    for weight in range(1, 2 * k, 2):
         weights = weights * q + weight
-    return Fraction((q - 1) * q**p.n * weights, 2)
+    return Fraction((q - 1) * q**n * weights, 2)
 
 
 def area_shoelace(d: PolynomialDiagram) -> Fraction:
@@ -131,24 +139,28 @@ def area_shoelace(d: PolynomialDiagram) -> Fraction:
     x are added up and the run is multiplied by its coefficient once, which
     is exact by distributivity.  So each vertex costs one addition, and
     each change of coefficient one product by a small factor (at most k in
-    a diagram, whose inner chain vertices all have coefficient -2).  The
-    walk starts at the anchor, so the running sums grow with the vertices'
+    a diagram, whose inner chain vertices all have coefficient -2).  One
+    walk of the cycle visits the vertices from the second to the last, each
+    between its neighbours, then the first, whose neighbours are the last
+    and the second: the walk keeps the first two vertices for that.  It
+    starts next to the anchor, so the running sums grow with the vertices'
     x instead of starting at full width.  Exact for every diagram,
     including degenerate ones (which give 0).
     """
-    pts = d.vertices
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 vertices, got {len(pts)}")
+    walk = iter(d.vertices)
+    head = list(islice(walk, 3))
+    if len(head) < 3:
+        raise ValueError(f"need at least 3 vertices, got {len(head)}")
     total = run = coefficient = 0  # run: sum of x since the coefficient last changed
-    before, here = pts[-1], pts[0]
-    for after in (*pts[1:], pts[0]):
-        step = after.y - before.y
+    (_, before_y), (here_x, here_y) = head[:2]
+    for after_x, after_y in chain(head[2:], walk, head[:2]):
+        step = after_y - before_y
         if step == coefficient:
-            run += here.x
+            run += here_x
         else:
             total += run * coefficient
-            run, coefficient = here.x, step
-        before, here = here, after
+            run, coefficient = here_x, step
+        before_y, here_x, here_y = here_y, after_x, after_y
     return Fraction(abs(total + run * coefficient), 2)
 
 
@@ -159,13 +171,14 @@ def boundary_lattice_count(d: PolynomialDiagram) -> int:
     x difference, so each chain edge of a diagram costs no big-integer
     operation.  Every other edge costs one x difference and one gcd, with
     the small |dy| first.  The closing edge, whose gcd is the base's full
-    width, is summed last, so the running sum stays machine-sized until
-    then.
+    width, is summed last, from the first vertex, which the walk keeps, so
+    the running sum stays machine-sized until then.
     """
-    pts = d.vertices
+    walk = iter(d.vertices)
+    first = list(islice(walk, 1))
     return sum(
-        1 if abs(b.y - a.y) == 1 else math.gcd(abs(b.y - a.y), abs(b.x - a.x))
-        for a, b in zip(pts, (*pts[1:], pts[0]))
+        1 if abs(by - ay) == 1 else math.gcd(abs(by - ay), abs(bx - ax))
+        for (ax, ay), (bx, by) in pairwise(chain(first, walk, first))
     )
 
 
@@ -183,22 +196,28 @@ def interior_lattice_count(d: PolynomialDiagram) -> int:
 
     less last.y - 1 for the column through the final vertex, which lies on
     the boundary (the anchor's column is excluded too).  Each edge costs one
-    addition.  Raises ValueError for degenerate diagrams and for any chain
-    edge that does not step right and down by one.
+    addition, and as each descends one unit there are first.y - last.y of
+    them.  One walk of the chain, which skips the anchor.  Raises ValueError
+    for degenerate diagrams and for any chain edge that does not step right
+    and down by one.
     """
     if d.degenerate:
         raise ValueError("degenerate diagram (q = 1) has no interior")
-    chain = d.vertices[1:]
-    first, last = chain[0], chain[-1]
+    walk = islice(d.vertices, 1, None)
+    first = next(walk, None)
+    if first is None:
+        raise ValueError("need a chain vertex after the anchor")
+    first_x, first_y = last_x, last_y = first
     count = 0
-    for a, b in zip(chain, chain[1:]):
-        if b.x <= a.x or b.y != a.y - 1:
+    for x, y in walk:
+        if x <= last_x or y != last_y - 1:
             raise ValueError(
-                f"chain edge {tuple(a)} -> {tuple(b)} does not step right and down by one"
+                f"chain edge {(last_x, last_y)} -> {(x, y)} does not step right and down by one"
             )
-        count += a.x
-    edges = len(chain) - 1
-    return count + last.x * last.y - first.x * first.y - edges - (last.y - 1)
+        count += last_x
+        last_x, last_y = x, y
+    edges = first_y - last_y
+    return count + last_x * last_y - first_x * first_y - edges - (last_y - 1)
 
 
 def area_pick(d: PolynomialDiagram) -> Fraction:

@@ -6,28 +6,34 @@ point (coefficient, exponent) gives a descending chain from (q^n, k) to
 (q^(n+k), 0); prepending the anchor (q^n, 0) and closing the cycle along the
 x-axis yields the polynomial diagram, a simple polygon whenever q >= 2.
 
+A diagram stores its vertex cycle as q, k and the anchor's x, q^n, and
+regenerates the vertices on every pass, one product by q per vertex, so its
+memory stays flat in k although the x reach q^(n+k).  Every reader of the
+cycle (the structural checks here, the area routes, the renderer) walks it
+once, forward, holding O(1) vertices, and takes the closing edge from the
+first vertices it kept.
+
 Everything here is exact integer arithmetic: slope and turn tests use
 cross-multiplied comparisons, never division, so no rounding can occur even
-when coordinates reach q^(n+k).  Building and validating a diagram costs
-O(k) big-integer operations.
+when coordinates reach q^(n+k).  Building a diagram costs one power, and
+validating it O(k) big-integer operations.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate, repeat
-from typing import NamedTuple
+from itertools import accumulate, chain, islice, repeat
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "LatticePoint",
     "SpecialPolynomial",
+    "VertexCycle",
     "PolynomialDiagram",
     "DiagramDiagnostics",
     "build_polynomial",
     "evaluate_polynomial",
-    "monomial_map",
     "build_diagram",
     "validate_diagram",
 ]
@@ -72,17 +78,41 @@ class SpecialPolynomial:
         return self.q == 1
 
 
+@dataclass(frozen=True, slots=True)
+class VertexCycle:
+    """A diagram's k+2 vertices, regenerated as (x, y) pairs on every iteration.
+
+    Each pass yields the anchor (x0, 0), then the monomial points
+    (x0 q^i, k - i) for i = 0..k, each x one product by q from the last.
+    The products run in `itertools.accumulate` and the pairs are made by
+    `zip`, so a pass runs no bytecode per vertex.  Only q, k and x0 = q^n
+    are stored, and cycles are equal when those are.
+    """
+
+    q: int
+    k: int
+    x0: int
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        x0 = self.x0
+        xs = accumulate(repeat(self.q, self.k), mul, initial=x0)
+        return chain(((x0, 0),), zip(xs, range(self.k, -1, -1)))
+
+
 @dataclass(frozen=True)
 class PolynomialDiagram:
     """Closed vertex cycle of the diagram polygon, anchor first.
 
-    vertices[0] is the anchor (q^n, 0); vertices[1:] are the monomial points
-    in decreasing-exponent order, ending at (q^(n+k), 0).  The closing edge
-    back to the anchor runs along the x-axis.  The vertex order is clockwise,
-    so area routines take absolute values.
+    `vertices` is re-iterable, and each pass yields (x, y) pairs: the anchor
+    (q^n, 0) first, then the monomial points in decreasing-exponent order,
+    ending at (q^(n+k), 0).  The closing edge back to the anchor runs along
+    the x-axis.  The vertex order is clockwise, so area routines take
+    absolute values.  build_diagram stores a VertexCycle; any other
+    re-iterable of lattice pairs, such as a tuple of LatticePoints, is read
+    the same way.
     """
 
-    vertices: tuple[LatticePoint, ...]
+    vertices: Iterable[tuple[int, int]]
     source: SpecialPolynomial
     degenerate: bool
 
@@ -113,25 +143,15 @@ def evaluate_polynomial(p: SpecialPolynomial, x: int) -> int:
     return sum(p.q ** (p.n + i) * x ** (p.k - i) for i in range(p.k + 1))
 
 
-def monomial_map(p: SpecialPolynomial) -> list[LatticePoint]:
-    """Map each monomial q^(n+i) * x^(k-i) to the point (q^(n+i), k-i).
-
-    Returns the k+1 points in increasing i, from (q^n, k) down to
-    (q^(n+k), 0); consecutive x-coordinates differ by a factor of exactly q,
-    so each is one multiplication from the last.  The multiplications run
-    in `itertools.accumulate` and each point is made by `tuple.__new__`,
-    which is what the LatticePoint constructor calls, so the loop runs no
-    bytecode per vertex: the cost is the k products, one per vertex.
-    """
-    xs = accumulate(repeat(p.q, p.k), operator.mul, initial=p.q**p.n)
-    return list(map(partial(tuple.__new__, LatticePoint), zip(xs, range(p.k, -1, -1))))
-
-
 def build_diagram(p: SpecialPolynomial) -> PolynomialDiagram:
-    """Prepend the anchor (q^n, 0) to the monomial points, giving k+2 vertices."""
-    anchor = LatticePoint(p.q**p.n, 0)
+    """The diagram of p: the anchor (q^n, 0), then the monomial points, k+2 vertices.
+
+    Each monomial q^(n+i) * x^(k-i) maps to the point (q^(n+i), k-i).  Only
+    q^n is computed here; the vertices are regenerated from it by each pass
+    over the VertexCycle.
+    """
     return PolynomialDiagram(
-        vertices=(anchor, *monomial_map(p)),
+        vertices=VertexCycle(p.q, p.k, p.q**p.n),
         source=p,
         degenerate=p.degenerate,
     )
@@ -141,83 +161,92 @@ def validate_diagram(d: PolynomialDiagram) -> DiagramDiagnostics:
     """Run the exact structural checks and report the findings.
 
     For q >= 2 the diagram is expected to be simple with strictly increasing
-    chain slopes, and convex exactly when k == 1.  Simplicity is judged by
-    the diagram's shape (see _is_simple), so every check is O(k).
-    Degenerate (q == 1) diagrams collapse onto one vertical segment with
-    overlapping edges, so they report simple=False and convex=False.
+    chain slopes, and convex exactly when k == 1.  One walk of the cycle
+    counts its vertices and judges simplicity by the diagram's shape and the
+    chain slopes (see _walk_shape); convexity is a second walk that stops at
+    the first turn against an earlier one.  Both are O(k) and hold O(1)
+    vertices.  Degenerate (q == 1) diagrams collapse onto one vertical
+    segment with overlapping edges, so they report simple=False and
+    convex=False.
     """
+    vertex_count, simple, slopes_increasing = _walk_shape(d.vertices)
     if d.degenerate:
         return DiagramDiagnostics(
-            vertex_count=len(d.vertices),
+            vertex_count=vertex_count,
             degenerate=True,
             simple=False,
             chain_slopes_increasing=False,
             convex=False,
         )
     return DiagramDiagnostics(
-        vertex_count=len(d.vertices),
+        vertex_count=vertex_count,
         degenerate=False,
-        simple=_is_simple(d.vertices),
-        chain_slopes_increasing=_chain_slopes_increasing(d.vertices),
+        simple=simple,
+        chain_slopes_increasing=slopes_increasing,
         convex=_is_convex(d.vertices),
     )
 
 
-def _orientation(a: LatticePoint, b: LatticePoint, c: LatticePoint) -> int:
+def _orientation(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
     """Sign of the cross product (b-a) x (c-a): +1 left turn, -1 right, 0 collinear."""
-    cross = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return (cross > 0) - (cross < 0)
 
 
-def _is_simple(vertices: tuple[LatticePoint, ...]) -> bool:
-    """True for a diagram-shaped cycle, which is simple; False for any other.
+def _walk_shape(vertices: Iterable[tuple[int, int]]) -> tuple[int, bool, bool]:
+    """One walk of a cycle, anchor first: (vertex count, simple, chain slopes increasing).
 
-    The cycle is anchor first, then the chain.  It has the diagram's shape
-    when the first chain vertex lies directly above the anchor, chain x
-    strictly increases, every chain vertex but the last lies strictly above
-    the anchor's row, and the last lies on that row.  Such a cycle is
-    simple: the chain is an x-monotone path whose non-adjacent edges span
-    disjoint x-ranges, and only its end edges reach the anchor's column and
-    row.  Every other cycle is reported not simple, even one that is simple
-    in another shape.  O(k) comparisons.
+    Simple: the cycle has the diagram's shape, which is simple, when the
+    first chain vertex lies directly above the anchor, chain x strictly
+    increases, every chain vertex but the last lies strictly above the
+    anchor's row, and the last lies on that row.  The chain is then an
+    x-monotone path whose non-adjacent edges span disjoint x-ranges, and
+    only its end edges reach the anchor's column and row.  Every other
+    cycle is reported not simple, even one that is simple in another shape.
+    A vertex is known not to be the last when the next one arrives.
+
+    Chain slopes increasing: for consecutive chain edges (dx1, dy1) and
+    (dx2, dy2), dy1/dx1 < dy2/dx2 cross-multiplied as dy1*dx2 < dy2*dx1,
+    which is equivalent when both dx > 0 (every chain edge for q >= 2).
+    Each edge's differences are formed once; a check once failed is not
+    computed again.
     """
-    if len(vertices) < 3:
-        return False
-    anchor, chain = vertices[0], vertices[1:]
-    return (
-        chain[0].x == anchor.x
-        and all(a.x < b.x for a, b in zip(chain, chain[1:]))
-        and all(v.y > anchor.y for v in chain[:-1])
-        and chain[-1].y == anchor.y
-    )
+    walk = iter(vertices)
+    head = list(islice(walk, 2))
+    if len(head) < 2:
+        return len(head), False, True
+    (ax, ay), (x, y) = head  # the anchor, then (x, y): the last vertex walked
+    count = 2
+    simple, increasing = x == ax, True
+    dx, dy = x - ax, y - ay  # the edge into (x, y), a chain edge from the third vertex on
+    for next_x, next_y in walk:
+        ex, ey = next_x - x, next_y - y
+        simple = simple and ex > 0 and y > ay
+        increasing = increasing and (count < 3 or dy * ex < ey * dx)
+        x, y, dx, dy = next_x, next_y, ex, ey
+        count += 1
+    return count, simple and count > 2 and y == ay, increasing
 
 
-def _chain_slopes_increasing(vertices: tuple[LatticePoint, ...]) -> bool:
-    """Strict slope increase along the monomial chain, by cross-multiplication.
-
-    Chain edges all have dx > 0 for q >= 2, so dy1/dx1 < dy2/dx2 is
-    equivalent to dy1*dx2 < dy2*dx1.
-    """
-    chain = vertices[1:]
-    for a, b, c in zip(chain, chain[1:], chain[2:]):
-        dx1, dy1 = b.x - a.x, b.y - a.y
-        dx2, dy2 = c.x - b.x, c.y - b.y
-        if dy1 * dx2 >= dy2 * dx1:
-            return False
-    return True
-
-
-def _is_convex(vertices: tuple[LatticePoint, ...]) -> bool:
+def _is_convex(vertices: Iterable[tuple[int, int]]) -> bool:
     """True when every non-zero turn of the closed cycle has the same sign.
 
     Returns False at the first turn whose sign differs from an earlier
-    non-zero turn; for a diagram with k >= 2 that is the second turn.
+    non-zero turn; for a diagram with k >= 2 that is the second turn.  The
+    two turns that wrap around the cycle come last, from the first two
+    vertices, which the walk keeps.
     """
-    m = len(vertices)
+    walk = iter(vertices)
+    head = list(islice(walk, 2))
+    if len(head) < 2:
+        return True  # no turn, or a lone vertex's turn onto itself
+    a, b = head
     sign = 0
-    for i in range(m):
-        turn = _orientation(vertices[i], vertices[(i + 1) % m], vertices[(i + 2) % m])
+    for c in chain(walk, head):
+        turn = _orientation(a, b, c)
         if turn and sign and turn != sign:
             return False
         sign = sign or turn
+        a, b = b, c
     return True

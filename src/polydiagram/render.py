@@ -35,7 +35,9 @@ class RenderSpec:
             raise ValueError("margins leave no drawing area")
 
 
-def _horizontal_positions(d: PolynomialDiagram, spec: RenderSpec) -> list[int]:
+def _horizontal_positions(
+    d: PolynomialDiagram, spec: RenderSpec, vertices: list[tuple[int, int]]
+) -> list[int]:
     """Plot abscissa per vertex: true x, or the base-q exponent under log_x.
 
     The anchor and the chain vertex i sit at exponents n and n+i.  A
@@ -45,14 +47,19 @@ def _horizontal_positions(d: PolynomialDiagram, spec: RenderSpec) -> list[int]:
     p = d.source
     if spec.log_x and p.q >= 2:
         return [p.n] + [p.n + i for i in range(p.k + 1)]
-    return [v.x for v in d.vertices]
+    return [x for x, _ in vertices]
 
 
 def diagram_svg(d: PolynomialDiagram, spec: RenderSpec | None = None) -> str:
-    """Render the diagram as a standalone SVG 1.1 document."""
+    """Render the diagram as a standalone SVG 1.1 document.
+
+    The vertex cycle is walked once, into a list: the document holds a
+    label for every vertex anyway, so the list is smaller than the output.
+    """
     spec = spec or RenderSpec()
-    xs = _horizontal_positions(d, spec)
-    ys = [v.y for v in d.vertices]
+    vertices = list(d.vertices)
+    xs = _horizontal_positions(d, spec, vertices)
+    ys = [y for _, y in vertices]
     x_lo, x_hi = min(xs), max(xs)
     y_hi = max(ys)  # the top vertex sits at y = k >= 1
 
@@ -86,12 +93,12 @@ def diagram_svg(d: PolynomialDiagram, spec: RenderSpec | None = None) -> str:
         f'  <path d="{path}" fill="#c6dbef" fill-opacity="0.6" '
         f'stroke="#1f77b4" stroke-width="2"/>',
     ]
-    for x, vertex in zip(xs, d.vertices):
-        cx, cy = px(x), py(vertex.y)
+    for position, (x, y) in zip(xs, vertices):
+        cx, cy = px(position), py(y)
         parts.append(f'  <circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="3.5" fill="#1f77b4"/>')
         parts.append(
             f'  <text x="{fmt(cx + 6)}" y="{fmt(cy - 6)}" font-family="monospace" '
-            f'font-size="12" fill="#333333">({vertex.x}, {vertex.y})</text>'
+            f'font-size="12" fill="#333333">({x}, {y})</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

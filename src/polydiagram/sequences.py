@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .areas import area_general
+from .areas import _slab_sum
 from .core import build_polynomial
 
 __all__ = [
@@ -62,12 +62,15 @@ class SequenceReport:
 
 
 def area_sequence(k: int, n: int, q_from: int, q_to: int) -> AreaSequence:
-    """Materialize the areas for q = q_from..q_to at fixed (k, n)."""
+    """Materialize the areas for q = q_from..q_to at fixed (k, n), by the slab sum.
+
+    The parameters are validated once, at q_from: a range whose first q is
+    valid holds only valid q.
+    """
     if q_from > q_to:
         raise ValueError(f"empty range: q_from={q_from} > q_to={q_to}")
-    values = tuple(
-        area_general(build_polynomial(q, n, k)) for q in range(q_from, q_to + 1)
-    )
+    build_polynomial(q_from, n, k)
+    values = tuple(_slab_sum(q, n, k) for q in range(q_from, q_to + 1))
     return AreaSequence(k=k, n=n, q_start=q_from, values=values)
 
 

@@ -11,19 +11,48 @@ package's early-exit one, and the degree-2 closed form is the paper's
 formula, which the package's closed form for every k generalizes.  The
 edge-product shoelace, the per-edge interior terms and the running-power
 slab sum are the package's former loop bodies for the vertex-form shoelace,
-the interior count summed by parts and the Horner slab sum.  The gcd of
+the interior count summed by parts and the Horner slab sum.  The per-triple
+slope test is the former body of the slope check, which now shares one walk
+with the vertex count and the simplicity test.  The gcd of
 every edge and the point-by-point monomial loop are the former bodies of the
 boundary count, which now skips the x difference of a unit-height edge, and
-of `monomial_map`, which now iterates in C.
+of the monomial map.  `monomial_map` and `materialized_diagram` are the
+package's former diagram, which stored every vertex as a LatticePoint before
+the diagram became a cycle regenerated on each pass.  Every oracle that
+reads a diagram first materializes its vertices, so it indexes them freely.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate, repeat
+from typing import Iterable
 
 from polydiagram import AreaSequence, LatticePoint, PolynomialDiagram, SpecialPolynomial
 from polydiagram.core import _orientation
+
+
+def points(vertices: Iterable[tuple[int, int]]) -> tuple[LatticePoint, ...]:
+    """One pass over a vertex cycle, kept as LatticePoints."""
+    return tuple(LatticePoint(x, y) for x, y in vertices)
+
+
+def monomial_map(p: SpecialPolynomial) -> list[LatticePoint]:
+    """The k+1 points (q^(n+i), k-i) for i = 0..k, each x one product by q from the last."""
+    xs = accumulate(repeat(p.q, p.k), operator.mul, initial=p.q**p.n)
+    return list(map(partial(tuple.__new__, LatticePoint), zip(xs, range(p.k, -1, -1))))
+
+
+def materialized_diagram(p: SpecialPolynomial) -> PolynomialDiagram:
+    """p's diagram with every vertex stored: the anchor (q^n, 0), then the monomial points."""
+    return PolynomialDiagram(
+        vertices=(LatticePoint(p.q**p.n, 0), *monomial_map(p)),
+        source=p,
+        degenerate=p.degenerate,
+    )
 
 
 def area_closed_form_k2(q: int, n: int) -> Fraction:
@@ -34,7 +63,7 @@ def area_closed_form_k2(q: int, n: int) -> Fraction:
 
 def area_by_edge_shoelace(d: PolynomialDiagram) -> Fraction:
     """Shoelace area |sum of x_i*y_{i+1} - x_{i+1}*y_i| / 2, one term per edge."""
-    pts = d.vertices
+    pts = points(d.vertices)
     total = 0
     for i in range(len(pts)):
         x0, y0 = pts[i]
@@ -45,7 +74,7 @@ def area_by_edge_shoelace(d: PolynomialDiagram) -> Fraction:
 
 def boundary_by_gcd(d: PolynomialDiagram) -> int:
     """Boundary lattice points as gcd(|dy|, |dx|) summed over every edge of the cycle."""
-    pts = d.vertices
+    pts = points(d.vertices)
     return sum(
         math.gcd(abs(b.y - a.y), abs(b.x - a.x)) for a, b in zip(pts, (*pts[1:], pts[0]))
     )
@@ -61,8 +90,20 @@ def monomial_points_by_loop(p: SpecialPolynomial) -> list[LatticePoint]:
     return points
 
 
-def convex_by_all_turns(vertices: tuple[LatticePoint, ...]) -> bool:
+def slopes_increasing_by_triples(vertices: Iterable[tuple[int, int]]) -> bool:
+    """Strict slope increase along the chain, each triple's edges differenced afresh."""
+    chain = points(vertices)[1:]
+    for a, b, c in zip(chain, chain[1:], chain[2:]):
+        dx1, dy1 = b.x - a.x, b.y - a.y
+        dx2, dy2 = c.x - b.x, c.y - b.y
+        if dy1 * dx2 >= dy2 * dx1:
+            return False
+    return True
+
+
+def convex_by_all_turns(vertices: Iterable[tuple[int, int]]) -> bool:
     """True when every turn of the closed cycle has the same sign, all turns visited."""
+    vertices = points(vertices)
     m = len(vertices)
     signs = set()
     for i in range(m):
@@ -98,7 +139,7 @@ def interior_by_edge_terms(d: PolynomialDiagram) -> int:
     The final vertex column is dropped.  Raises ValueError, as the package
     does, for a chain edge that does not step right and down by one.
     """
-    chain = d.vertices[1:]
+    chain = points(d.vertices)[1:]
     count = 0
     for a, b in zip(chain, chain[1:]):
         if b.x <= a.x or b.y != a.y - 1:
@@ -117,7 +158,7 @@ def interior_by_column_scan(d: PolynomialDiagram) -> int:
     height of the monomial chain at x; that count is (num-1) // den for
     h = num/den.  Assumes every chain edge descends exactly one unit.
     """
-    chain = d.vertices[1:]
+    chain = points(d.vertices)[1:]
     count = 0
     last = len(chain) - 1
     for i in range(last):
@@ -172,12 +213,13 @@ def _segments_touch(
     return False
 
 
-def simple_by_pairwise_test(vertices: tuple[LatticePoint, ...]) -> bool:
+def simple_by_pairwise_test(vertices: Iterable[tuple[int, int]]) -> bool:
     """True when no two non-adjacent edges of the closed cycle touch.
 
     Adjacent edges are never compared, so a cycle that folds back on
     itself along one line can pass; see the collapsed-cycle regression test.
     """
+    vertices = points(vertices)
     m = len(vertices)
     edges = [(vertices[i], vertices[(i + 1) % m]) for i in range(m)]
     for i in range(m):

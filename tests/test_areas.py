@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,9 +23,10 @@ from polydiagram import (
     interior_lattice_count,
     trapezoid_area,
     triangle_area,
+    validate_diagram,
 )
 from polydiagram.areas import route_refusal
-from references import area_closed_form_k2, interior_by_column_scan
+from references import area_closed_form_k2, interior_by_column_scan, materialized_diagram
 
 
 class TestClosedForm:
@@ -222,6 +224,41 @@ class TestCrossCheck:
     def test_reuses_a_built_diagram(self):
         p = build_polynomial(3, 1, 4)
         assert cross_check(p, build_diagram(p)) == cross_check(p)
+
+    def test_memory_stays_flat_in_k(self):
+        # Every route and the validation walk a regenerated vertex cycle, so
+        # no pass holds the k + 2 vertices: storing them at this size takes
+        # about 2.4 MiB, the walks a few KiB.
+        p = build_polynomial(2, 0, 5000)
+        tracemalloc.start()
+        try:
+            d = build_diagram(p)
+            check = cross_check(p, d)
+            diagnostics = validate_diagram(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert check.agree and list(check.areas) == list(ROUTES)
+        assert diagnostics.vertex_count == 5002 and diagnostics.simple
+
+    @pytest.mark.parametrize("q,n,k", [(2, 0, 1), (3, 1, 5), (1, 0, 3), (2, 0, 300)])
+    def test_each_diagram_route_walks_the_cycle_once(self, q, n, k):
+        # a diagram whose vertices can be walked only once reads the same
+        p = build_polynomial(q, n, k)
+        d = build_diagram(p)
+
+        def once():
+            return PolynomialDiagram(iter(d.vertices), p, p.degenerate)
+
+        assert area_shoelace(once()) == area_shoelace(d)
+        assert boundary_lattice_count(once()) == boundary_lattice_count(d)
+        if q >= 2:
+            assert interior_lattice_count(once()) == interior_lattice_count(d)
+
+    def test_stored_vertices_agree_at_huge_degree(self):
+        p = build_polynomial(3, 2, 3000)
+        assert cross_check(p, materialized_diagram(p)) == cross_check(p)
 
     @pytest.mark.parametrize("q,n,k", [(2, 0, 2), (3, 1, 4), (12, 0, 3), (50, 2, 6)])
     def test_denominator_is_one_or_two(self, q, n, k):

@@ -8,14 +8,24 @@ import pytest
 
 from polydiagram import (
     LatticePoint,
+    PolynomialDiagram,
     build_diagram,
     build_polynomial,
     evaluate_polynomial,
-    monomial_map,
     validate_diagram,
 )
-from polydiagram.core import _is_simple
+from polydiagram.core import _is_convex, _walk_shape
 from references import simple_by_pairwise_test
+
+
+def _is_simple(cycle):
+    """validate_diagram's simplicity verdict on any vertex cycle, read as a q >= 2 diagram."""
+    return validate_diagram(PolynomialDiagram(cycle, build_polynomial(2, 0, 1), False)).simple
+
+
+def monomial_points(p):
+    """The diagram's chain: every vertex of one pass over its cycle after the anchor."""
+    return list(build_diagram(p).vertices)[1:]
 
 
 class TestBuildPolynomial:
@@ -54,6 +64,7 @@ class TestBuildPolynomial:
         p = build_polynomial(3, 0, Degree.TWO)
         assert p.k is Degree.TWO
         assert build_diagram(p) == build_diagram(build_polynomial(3, 0, 2))
+        assert tuple(build_diagram(p).vertices) == ((1, 0), (1, 2), (3, 1), (9, 0))
 
     def test_int_subclass_out_of_range_is_still_refused(self):
         class Base(enum.IntEnum):
@@ -84,37 +95,37 @@ class TestEvaluate:
 
 class TestMonomialMap:
     def test_quadratic_points(self):
-        assert monomial_map(build_polynomial(2, 0, 2)) == [(1, 2), (2, 1), (4, 0)]
+        assert monomial_points(build_polynomial(2, 0, 2)) == [(1, 2), (2, 1), (4, 0)]
 
     def test_degenerate_points_share_x(self):
-        assert monomial_map(build_polynomial(1, 0, 2)) == [(1, 2), (1, 1), (1, 0)]
+        assert monomial_points(build_polynomial(1, 0, 2)) == [(1, 2), (1, 1), (1, 0)]
 
     def test_shifted_linear_points(self):
-        assert monomial_map(build_polynomial(3, 2, 1)) == [(9, 1), (27, 0)]
+        assert monomial_points(build_polynomial(3, 2, 1)) == [(9, 1), (27, 0)]
 
     def test_consecutive_x_ratio_is_q(self):
-        pts = monomial_map(build_polynomial(7, 3, 6))
-        assert all(a.x * 7 == b.x for a, b in zip(pts, pts[1:]))
+        pts = monomial_points(build_polynomial(7, 3, 6))
+        assert all(ax * 7 == bx for (ax, _), (bx, _) in zip(pts, pts[1:]))
 
 
 class TestBuildDiagram:
     def test_quadratic_vertices(self):
         d = build_diagram(build_polynomial(2, 0, 2))
-        assert d.vertices == ((1, 0), (1, 2), (2, 1), (4, 0))
+        assert tuple(d.vertices) == ((1, 0), (1, 2), (2, 1), (4, 0))
         assert not d.degenerate
 
     def test_degenerate_vertices(self):
         d = build_diagram(build_polynomial(1, 0, 2))
-        assert d.vertices == ((1, 0), (1, 2), (1, 1), (1, 0))
+        assert tuple(d.vertices) == ((1, 0), (1, 2), (1, 1), (1, 0))
         assert d.degenerate
 
     def test_cubic_vertices(self):
         d = build_diagram(build_polynomial(2, 0, 3))
-        assert d.vertices == ((1, 0), (1, 3), (2, 2), (4, 1), (8, 0))
+        assert tuple(d.vertices) == ((1, 0), (1, 3), (2, 2), (4, 1), (8, 0))
 
     @pytest.mark.parametrize("q,n,k", [(2, 0, 1), (3, 4, 7), (50, 10, 12)])
     def test_vertex_count_is_k_plus_2(self, q, n, k):
-        assert len(build_diagram(build_polynomial(q, n, k)).vertices) == k + 2
+        assert len(tuple(build_diagram(build_polynomial(q, n, k)).vertices)) == k + 2
 
 
 class TestValidateDiagram:
@@ -142,6 +153,19 @@ class TestValidateDiagram:
         assert diag.simple
         assert diag.chain_slopes_increasing
         assert not diag.convex
+
+
+class TestWalks:
+    @pytest.mark.parametrize("q,n,k", [(2, 0, 1), (3, 1, 5), (1, 0, 3)])
+    def test_each_structural_check_walks_the_cycle_once(self, q, n, k):
+        # a one-shot iterator gives the same findings, so each check is one pass
+        vertices = build_diagram(build_polynomial(q, n, k)).vertices
+        assert _walk_shape(iter(vertices)) == _walk_shape(vertices)
+        assert _is_convex(iter(vertices)) == _is_convex(vertices)
+
+    def test_every_pass_regenerates_the_same_cycle(self):
+        vertices = build_diagram(build_polynomial(3, 1, 2)).vertices
+        assert list(vertices) == list(vertices) == [(3, 0), (3, 2), (9, 1), (27, 0)]
 
 
 class TestIsSimple:

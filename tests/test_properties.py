@@ -9,26 +9,32 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polydiagram import (
+    ROUTES,
     AreaSequence,
     LatticePoint,
     PolynomialDiagram,
     area_closed_form,
     area_general,
+    area_pick,
     area_sequence,
     area_shoelace,
     boundary_lattice_count,
     build_diagram,
     build_polynomial,
+    cross_check,
+    diagram_svg,
     evaluate_polynomial,
     finite_difference,
     format_decimal,
     interior_lattice_count,
-    monomial_map,
     rational_from_json,
     rational_to_json,
     ratio_sequence,
+    validate_diagram,
 )
-from polydiagram.core import _is_convex, _is_simple
+from polydiagram.areas import route_area, route_refusal
+from polydiagram.core import _is_convex
+from polydiagram.render import RenderSpec
 from references import (
     area_by_edge_shoelace,
     boundary_by_gcd,
@@ -37,9 +43,11 @@ from references import (
     difference_by_fraction_sums,
     interior_by_column_scan,
     interior_by_edge_terms,
+    materialized_diagram,
     monomial_points_by_loop,
     simple_by_pairwise_test,
     slab_sum_by_running_power,
+    slopes_increasing_by_triples,
 )
 
 bases = st.integers(min_value=1, max_value=50)
@@ -86,10 +94,10 @@ def test_shifting_n_scales_area_by_q(q, n, k):
 
 @given(q=bases, n=shifts, k=degrees)
 def test_monomial_points_step_by_factor_q(q, n, k):
-    pts = monomial_map(build_polynomial(q, n, k))
+    pts = list(build_diagram(build_polynomial(q, n, k)).vertices)[1:]
     assert len(pts) == k + 1
-    assert all(a.x * q == b.x for a, b in zip(pts, pts[1:]))
-    assert [pt.y for pt in pts] == list(range(k, -1, -1))
+    assert all(ax * q == bx for (ax, _), (bx, _) in zip(pts, pts[1:]))
+    assert [y for _, y in pts] == list(range(k, -1, -1))
 
 
 @given(
@@ -98,11 +106,13 @@ def test_monomial_points_step_by_factor_q(q, n, k):
     k=st.integers(min_value=1, max_value=300),
 )
 def test_monomial_map_matches_point_by_point_loop(q, n, k):
+    # the diagram's cycle regenerates the anchor and then the monomial map
     p = build_polynomial(q, n, k)
-    pts = monomial_map(p)
-    assert type(pts) is list
-    assert pts == monomial_points_by_loop(p)
-    assert all(type(pt) is LatticePoint for pt in pts)
+    cycle = build_diagram(p).vertices
+    for _ in range(2):  # every pass yields the same vertices
+        pts = list(cycle)
+        assert pts == [(q**n, 0), *monomial_points_by_loop(p)]
+        assert all(type(pt) is tuple and len(pt) == 2 for pt in pts)
 
 
 @given(
@@ -110,9 +120,31 @@ def test_monomial_map_matches_point_by_point_loop(q, n, k):
 )
 def test_interior_count_matches_column_scan(q, n, k):
     d = build_diagram(build_polynomial(q, n, k))
-    extent = d.vertices[-1].x - d.vertices[0].x
+    extent = q ** (n + k) - q**n  # the last vertex's x less the anchor's
     assume(extent <= 10**4)
     assert interior_lattice_count(d) == interior_by_column_scan(d)
+
+
+@given(q=bases, n=shifts, k=degrees)
+def test_streamed_diagram_reads_like_the_materialized_tuple(q, n, k):
+    # every reader of the regenerated cycle gives what it gives on the
+    # stored vertex tuple the diagram used to be
+    p = build_polynomial(q, n, k)
+    streamed, stored = build_diagram(p), materialized_diagram(p)
+    assert tuple(streamed.vertices) == stored.vertices
+    for name in ROUTES:
+        if route_refusal(name, p) is None:
+            assert route_area(name, p, streamed) == route_area(name, p, stored)
+    assert cross_check(p, streamed) == cross_check(p, stored)
+    assert validate_diagram(streamed) == validate_diagram(stored)
+    assert area_shoelace(streamed) == area_shoelace(stored)
+    assert boundary_lattice_count(streamed) == boundary_lattice_count(stored)
+    if q >= 2:
+        assert interior_lattice_count(streamed) == interior_lattice_count(stored)
+        assert area_pick(streamed) == area_pick(stored)
+    for log_x in (False, True):
+        spec = RenderSpec(log_x=log_x)
+        assert diagram_svg(streamed, spec) == diagram_svg(stored, spec)
 
 
 def as_diagram(vertices):
@@ -235,10 +267,26 @@ def cycles_near_diagram_shape(draw, shaped=False):
     return (LatticePoint(x0, 0), *(LatticePoint(x, y) for x, y in zip(xs, ys)))
 
 
+def _is_simple(cycle):
+    return validate_diagram(as_diagram(cycle)).simple
+
+
 @given(cycle=cycles_near_diagram_shape(shaped=True))
 @settings(max_examples=300)
 def test_simplicity_matches_pairwise_test_on_diagram_shapes(cycle):
     assert _is_simple(cycle) == simple_by_pairwise_test(cycle)
+
+
+@given(cycle=st.one_of(cycles_near_diagram_shape(), st.lists(
+    st.builds(LatticePoint, st.integers(min_value=-4, max_value=4),
+              st.integers(min_value=-4, max_value=4)), max_size=9)))
+@settings(max_examples=500)
+def test_shape_walk_counts_and_checks_slopes_like_the_former_passes(cycle):
+    # one walk counts the vertices and tests the slopes; the former code
+    # took len() and compared every triple of the chain
+    diagnostics = validate_diagram(as_diagram(cycle))
+    assert diagnostics.vertex_count == len(cycle)
+    assert diagnostics.chain_slopes_increasing == slopes_increasing_by_triples(cycle)
 
 
 @given(cycle=cycles_near_diagram_shape())

@@ -88,14 +88,15 @@ def test_positions_beyond_the_float_range_are_correctly_rounded(q, k):
     # x reaches q^(1100 + k) > 2^1100, where float(x) alone would overflow;
     # the plotted positions must equal the exact ratio rounded once.
     d = build_diagram(build_polynomial(q, 1100, k))
-    xs = [v.x for v in d.vertices]
-    x_lo, x_hi, y_hi = min(xs), max(xs), max(v.y for v in d.vertices)
+    vertices = list(d.vertices)
+    xs = [x for x, _ in vertices]
+    x_lo, x_hi, y_hi = min(xs), max(xs), max(y for _, y in vertices)
     assert x_hi - x_lo > 2**1100
     expected = [
         (
-            f"{48 + float(Fraction(v.x - x_lo, x_hi - x_lo)) * 544:.2f}",
-            f"{432 - float(Fraction(v.y, y_hi)) * 384:.2f}",
+            f"{48 + float(Fraction(x - x_lo, x_hi - x_lo)) * 544:.2f}",
+            f"{432 - float(Fraction(y, y_hi)) * 384:.2f}",
         )
-        for v in d.vertices
+        for x, y in vertices
     ]
     assert re.findall(r'<circle cx="([0-9.]+)" cy="([0-9.]+)"', diagram_svg(d)) == expected

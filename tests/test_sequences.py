@@ -40,6 +40,24 @@ def test_rejects_empty_range():
         area_sequence(2, 0, 5, 4)
 
 
+@pytest.mark.parametrize(
+    "k, n, q_from, message",
+    [
+        (0, 0, 2, "k must be a positive integer"),
+        (2, -1, 2, "n must be a non-negative integer"),
+        (2, 0, 0, "q must be a positive integer, got 0"),
+    ],
+)
+def test_rejects_parameters_out_of_range_before_any_work(k, n, q_from, message):
+    with pytest.raises(ValueError, match=message):
+        area_sequence(k, n, q_from, 5)
+
+
+def test_rejects_non_integer_parameters():
+    with pytest.raises(TypeError, match="k must be an int, got float"):
+        area_sequence(2.0, 0, 2, 5)
+
+
 def test_q_at_maps_indices_back():
     seq = area_sequence(2, 0, 3, 7)
     assert [seq.q_at(j) for j in range(len(seq.values))] == [3, 4, 5, 6, 7]
