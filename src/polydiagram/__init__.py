@@ -17,26 +17,16 @@ from .areas import (
     boundary_lattice_count,
     cross_check,
     interior_lattice_count,
-    trapezoid_area,
-    triangle_area,
 )
 from .core import (
     DiagramDiagnostics,
-    LatticePoint,
     PolynomialDiagram,
     SpecialPolynomial,
     build_diagram,
     build_polynomial,
-    evaluate_polynomial,
     validate_diagram,
 )
-from .formats import (
-    DEFAULT_DIGITS,
-    format_decimal,
-    format_rational,
-    rational_from_json,
-    rational_to_json,
-)
+from .formats import DEFAULT_DIGITS, format_decimal, rational_from_json
 from .render import RenderSpec, diagram_svg
 from .sequences import (
     AreaSequence,
@@ -58,7 +48,6 @@ __all__ = [
     "AreaSequence",
     "CheckFailure",
     "DiagramDiagnostics",
-    "LatticePoint",
     "PolynomialDiagram",
     "RenderSpec",
     "SequenceReport",
@@ -75,16 +64,11 @@ __all__ = [
     "convergence_report",
     "cross_check",
     "diagram_svg",
-    "evaluate_polynomial",
     "finite_difference",
     "format_decimal",
-    "format_rational",
     "interior_lattice_count",
     "ratio_sequence",
     "rational_from_json",
-    "rational_to_json",
     "run_grid_verification",
-    "trapezoid_area",
-    "triangle_area",
     "validate_diagram",
 ]

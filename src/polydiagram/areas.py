@@ -54,8 +54,6 @@ __all__ = [
     "Route",
     "AreaCrossCheck",
     "area_closed_form",
-    "trapezoid_area",
-    "triangle_area",
     "area_general",
     "area_shoelace",
     "boundary_lattice_count",
@@ -90,23 +88,6 @@ def area_closed_form(p: SpecialPolynomial) -> Fraction:
     q, k = p.q, p.k
     qk = q**k
     return Fraction(q**p.n * (qk - (2 * k - 1) + 2 * ((qk - q) // (q - 1))), 2)
-
-
-def trapezoid_area(p: SpecialPolynomial, m: int) -> Fraction:
-    """Area of slab m of the decomposition, (q^(n+m+1) - q^(n+m)) * (2k-2m-1) / 2.
-
-    Valid for 0 <= m <= k-2; the final slab (m = k-1) is the right triangle,
-    not a trapezoid.
-    """
-    if not 0 <= m <= p.k - 2:
-        raise ValueError(f"m must be in 0..k-2 = 0..{p.k - 2}, got {m}")
-    width = p.q ** (p.n + m + 1) - p.q ** (p.n + m)
-    return Fraction(width * (2 * p.k - 2 * m - 1), 2)
-
-
-def triangle_area(p: SpecialPolynomial) -> Fraction:
-    """Area of the rightmost right triangle, (q^(n+k) - q^(n+k-1)) / 2."""
-    return Fraction(p.q ** (p.n + p.k) - p.q ** (p.n + p.k - 1), 2)
 
 
 def area_general(p: SpecialPolynomial) -> Fraction:

@@ -24,26 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 __all__ = [
-    "LatticePoint",
     "SpecialPolynomial",
     "VertexCycle",
     "PolynomialDiagram",
     "DiagramDiagnostics",
     "build_polynomial",
-    "evaluate_polynomial",
     "build_diagram",
     "validate_diagram",
 ]
-
-
-class LatticePoint(NamedTuple):
-    """Integer lattice point; compares equal to a plain (x, y) tuple."""
-
-    x: int
-    y: int
 
 
 @dataclass(frozen=True)
@@ -108,13 +99,16 @@ class PolynomialDiagram:
     ending at (q^(n+k), 0).  The closing edge back to the anchor runs along
     the x-axis.  The vertex order is clockwise, so area routines take
     absolute values.  build_diagram stores a VertexCycle; any other
-    re-iterable of lattice pairs, such as a tuple of LatticePoints, is read
-    the same way.
+    re-iterable of lattice pairs, such as a tuple of (x, y) tuples, is read
+    the same way.  `degenerate` is the source's: q == 1.
     """
 
     vertices: Iterable[tuple[int, int]]
     source: SpecialPolynomial
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return self.source.degenerate
 
 
 @dataclass(frozen=True)
@@ -125,6 +119,7 @@ class DiagramDiagnostics:
     degenerate: bool
     simple: bool
     chain_slopes_increasing: bool
+    chain_unit_steps: bool
     convex: bool
 
 
@@ -138,11 +133,6 @@ def build_polynomial(q: int, n: int, k: int) -> SpecialPolynomial:
     return SpecialPolynomial(q, n, k)
 
 
-def evaluate_polynomial(p: SpecialPolynomial, x: int) -> int:
-    """Evaluate the polynomial at an integer x, exactly."""
-    return sum(p.q ** (p.n + i) * x ** (p.k - i) for i in range(p.k + 1))
-
-
 def build_diagram(p: SpecialPolynomial) -> PolynomialDiagram:
     """The diagram of p: the anchor (q^n, 0), then the monomial points, k+2 vertices.
 
@@ -150,40 +140,31 @@ def build_diagram(p: SpecialPolynomial) -> PolynomialDiagram:
     q^n is computed here; the vertices are regenerated from it by each pass
     over the VertexCycle.
     """
-    return PolynomialDiagram(
-        vertices=VertexCycle(p.q, p.k, p.q**p.n),
-        source=p,
-        degenerate=p.degenerate,
-    )
+    return PolynomialDiagram(VertexCycle(p.q, p.k, p.q**p.n), p)
 
 
 def validate_diagram(d: PolynomialDiagram) -> DiagramDiagnostics:
     """Run the exact structural checks and report the findings.
 
     For q >= 2 the diagram is expected to be simple with strictly increasing
-    chain slopes, and convex exactly when k == 1.  One walk of the cycle
-    counts its vertices and judges simplicity by the diagram's shape and the
-    chain slopes (see _walk_shape); convexity is a second walk that stops at
-    the first turn against an earlier one.  Both are O(k) and hold O(1)
-    vertices.  Degenerate (q == 1) diagrams collapse onto one vertical
-    segment with overlapping edges, so they report simple=False and
-    convex=False.
+    chain slopes and unit chain steps, and convex exactly when k == 1.  One
+    walk of the cycle counts its vertices and judges simplicity by the
+    diagram's shape, the chain slopes and the chain steps (see _walk_shape);
+    convexity is a second walk that stops at the first turn against an
+    earlier one.  Both are O(k) and hold O(1) vertices.  Degenerate (q == 1)
+    diagrams collapse onto one vertical segment with overlapping edges, so
+    they report simple=False, chain_slopes_increasing=False and
+    convex=False (and, as their x never increase, no unit steps).
     """
-    vertex_count, simple, slopes_increasing = _walk_shape(d.vertices)
-    if d.degenerate:
-        return DiagramDiagnostics(
-            vertex_count=vertex_count,
-            degenerate=True,
-            simple=False,
-            chain_slopes_increasing=False,
-            convex=False,
-        )
+    vertex_count, simple, slopes_increasing, unit_steps = _walk_shape(d.vertices)
+    flat = d.degenerate
     return DiagramDiagnostics(
         vertex_count=vertex_count,
-        degenerate=False,
-        simple=simple,
-        chain_slopes_increasing=slopes_increasing,
-        convex=_is_convex(d.vertices),
+        degenerate=flat,
+        simple=simple and not flat,
+        chain_slopes_increasing=slopes_increasing and not flat,
+        chain_unit_steps=unit_steps,
+        convex=not flat and _is_convex(d.vertices),
     )
 
 
@@ -194,8 +175,8 @@ def _orientation(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> 
     return (cross > 0) - (cross < 0)
 
 
-def _walk_shape(vertices: Iterable[tuple[int, int]]) -> tuple[int, bool, bool]:
-    """One walk of a cycle, anchor first: (vertex count, simple, chain slopes increasing).
+def _walk_shape(vertices: Iterable[tuple[int, int]]) -> tuple[int, bool, bool, bool]:
+    """One walk of a cycle, anchor first: (vertex count, simple, slopes increasing, unit steps).
 
     Simple: the cycle has the diagram's shape, which is simple, when the
     first chain vertex lies directly above the anchor, chain x strictly
@@ -209,24 +190,30 @@ def _walk_shape(vertices: Iterable[tuple[int, int]]) -> tuple[int, bool, bool]:
     Chain slopes increasing: for consecutive chain edges (dx1, dy1) and
     (dx2, dy2), dy1/dx1 < dy2/dx2 cross-multiplied as dy1*dx2 < dy2*dx1,
     which is equivalent when both dx > 0 (every chain edge for q >= 2).
+
+    Unit steps: after the anchor, x strictly increases and y falls by
+    exactly one per vertex, ending at y = 0.  With k + 2 vertices the chain
+    then runs k, k-1, ..., 0, which is what interior_lattice_count needs.
+
     Each edge's differences are formed once; a check once failed is not
     computed again.
     """
     walk = iter(vertices)
     head = list(islice(walk, 2))
     if len(head) < 2:
-        return len(head), False, True
+        return len(head), False, True, False
     (ax, ay), (x, y) = head  # the anchor, then (x, y): the last vertex walked
     count = 2
-    simple, increasing = x == ax, True
+    simple, increasing, steps = x == ax, True, True
     dx, dy = x - ax, y - ay  # the edge into (x, y), a chain edge from the third vertex on
     for next_x, next_y in walk:
         ex, ey = next_x - x, next_y - y
         simple = simple and ex > 0 and y > ay
         increasing = increasing and (count < 3 or dy * ex < ey * dx)
+        steps = steps and ey == -1 and ex > 0
         x, y, dx, dy = next_x, next_y, ex, ey
         count += 1
-    return count, simple and count > 2 and y == ay, increasing
+    return count, simple and count > 2 and y == ay, increasing, steps and y == 0
 
 
 def _is_convex(vertices: Iterable[tuple[int, int]]) -> bool:

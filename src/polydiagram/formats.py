@@ -30,9 +30,7 @@ __all__ = [
     "DEFAULT_DIGITS",
     "MAX_DIGITS",
     "UNDEFINED",
-    "format_rational",
     "format_decimal",
-    "rational_to_json",
     "rational_from_json",
     "csv_document",
     "markdown_document",
@@ -44,11 +42,6 @@ __all__ = [
 DEFAULT_DIGITS = 4
 MAX_DIGITS = 1000  # the CLI's --digits limit; the work grows with 10**digits
 UNDEFINED = "undefined"  # CSV/markdown text of a missing rational; JSON uses null
-
-
-def format_rational(value: Fraction) -> str:
-    """Render as num/den with the denominator always explicit, e.g. '6/1'."""
-    return f"{value.numerator}/{value.denominator}"
 
 
 def format_decimal(value: Fraction, digits: int = DEFAULT_DIGITS) -> str:
@@ -72,11 +65,6 @@ def _decimal_text(num: int, den: int, digits: int) -> str:
         return f"{sign}{whole}"
     text = f"{whole}.{frac:0{digits}d}".rstrip("0").rstrip(".")
     return sign + text
-
-
-def rational_to_json(value: Fraction) -> dict[str, str]:
-    """Encode a rational as {"num": ..., "den": ...} decimal strings."""
-    return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
 def rational_from_json(obj: object) -> Fraction:
@@ -179,13 +167,12 @@ def records_document(
     Every record has the first record's fields, in its order; the columns
     and the CSV and markdown header come from it.
 
-    Each row is built once, as its list of cells in column order.  The cells
-    are those of format_rational (rational_to_json in JSON) and
-    format_decimal, but a run of equal rationals is converted once (see the
-    module docstring).  CSV and markdown rows go to the table writers as
-    they are.  In JSON the cells are already JSON text, and each row is
-    joined into its object's text, every cell after its field's `"name": `
-    prefix.  The document is json_document({"params": params, key: rows,
+    Each row is built once, as its list of cells in column order, and a run
+    of equal rationals is converted once (see the module docstring).  The
+    num/den text keeps a denominator of 1 ("6/1").  CSV and markdown rows go
+    to the table writers as they are.  In JSON the cells are already JSON
+    text, and each row is joined into its object's text, every cell after
+    its field's `"name": ` prefix.  The document is json_document({"params": params, key: rows,
     **extra}), which writes the pre-encoded rows verbatim, so it still lays
     out everything around them; CSV and markdown omit params.
     """

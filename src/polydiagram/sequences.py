@@ -39,10 +39,6 @@ class AreaSequence:
     q_start: int
     values: tuple[Fraction, ...]
 
-    def q_at(self, index: int) -> int:
-        """Base value q behind values[index]."""
-        return self.q_start + index
-
 
 @dataclass(frozen=True)
 class SequenceReport:

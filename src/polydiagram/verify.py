@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable
 
 from .areas import ROUTES, area_general, cross_check
 from .core import SpecialPolynomial, build_diagram, validate_diagram
@@ -174,27 +172,10 @@ def _verify_point(
     if diag.convex != expected_convex:
         fail("convexity", f"convex={diag.convex} expected={expected_convex}")
     tally["chain_structure"] += 1
-    if not _chain_steps_down_from(k, d.vertices):
+    # unit steps ending at 0 over k + 1 chain vertices: the chain runs k, k-1, ..., 0
+    if not (diag.chain_unit_steps and diag.vertex_count == k + 2):
         fail("chain_structure", "x not strictly increasing or y not unit steps")
     return general
-
-
-def _chain_steps_down_from(k: int, vertices: Iterable[tuple[int, int]]) -> bool:
-    """True when the chain after the anchor has strictly increasing x and y = k, k-1, ..., 0.
-
-    One walk of the cycle: the chain must start at height k, step down by
-    exactly one per vertex, and end at height 0.
-    """
-    walk = islice(vertices, 1, None)
-    first = next(walk, None)
-    if first is None or first[1] != k:
-        return False
-    last_x, last_y = first
-    for x, y in walk:
-        if x <= last_x or y != last_y - 1:
-            return False
-        last_x, last_y = x, y
-    return last_y == 0
 
 
 def _golden_quadratic_problems() -> list[str]:

@@ -18,8 +18,15 @@ every edge and the point-by-point monomial loop are the former bodies of the
 boundary count, which now skips the x difference of a unit-height edge, and
 of the monomial map.  `monomial_map` and `materialized_diagram` are the
 package's former diagram, which stored every vertex as a LatticePoint before
-the diagram became a cycle regenerated on each pass.  Every oracle that
-reads a diagram first materializes its vertices, so it indexes them freely.
+the diagram became a cycle regenerated on each pass; LatticePoint, the
+named (x, y) pair, lives here with them.  `chain_steps_down_from` is the
+former chain check of the grid sweep, which now reads the unit chain steps
+off the shape walk.  The paper's per-slab formulas, `trapezoid_area` and
+`triangle_area`, are the former public pieces of the slab sum, and
+`format_rational` and `rational_to_json` the former per-cell encoders of
+the documents, which now render each row's cells in one pass.  Every
+oracle that reads a diagram first materializes its vertices, so it indexes
+them freely.
 """
 
 from __future__ import annotations
@@ -28,11 +35,18 @@ import math
 import operator
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, repeat
-from typing import Iterable
+from itertools import accumulate, islice, repeat
+from typing import Iterable, NamedTuple
 
-from polydiagram import AreaSequence, LatticePoint, PolynomialDiagram, SpecialPolynomial
+from polydiagram import AreaSequence, PolynomialDiagram, SpecialPolynomial
 from polydiagram.core import _orientation
+
+
+class LatticePoint(NamedTuple):
+    """Integer lattice point; compares equal to a plain (x, y) tuple."""
+
+    x: int
+    y: int
 
 
 def points(vertices: Iterable[tuple[int, int]]) -> tuple[LatticePoint, ...]:
@@ -48,17 +62,58 @@ def monomial_map(p: SpecialPolynomial) -> list[LatticePoint]:
 
 def materialized_diagram(p: SpecialPolynomial) -> PolynomialDiagram:
     """p's diagram with every vertex stored: the anchor (q^n, 0), then the monomial points."""
-    return PolynomialDiagram(
-        vertices=(LatticePoint(p.q**p.n, 0), *monomial_map(p)),
-        source=p,
-        degenerate=p.degenerate,
-    )
+    return PolynomialDiagram((LatticePoint(p.q**p.n, 0), *monomial_map(p)), p)
 
 
 def area_closed_form_k2(q: int, n: int) -> Fraction:
     """The paper's closed-form area q^n * (q+3) * (q-1) / 2 for the degree-2 family."""
     SpecialPolynomial(q, n, 2)  # reuse the parameter validation
     return Fraction(q**n * (q + 3) * (q - 1), 2)
+
+
+def trapezoid_area(p: SpecialPolynomial, m: int) -> Fraction:
+    """Area of slab m of the decomposition, (q^(n+m+1) - q^(n+m)) * (2k-2m-1) / 2.
+
+    Valid for 0 <= m <= k-2; the final slab (m = k-1) is the right triangle,
+    not a trapezoid.
+    """
+    if not 0 <= m <= p.k - 2:
+        raise ValueError(f"m must be in 0..k-2 = 0..{p.k - 2}, got {m}")
+    width = p.q ** (p.n + m + 1) - p.q ** (p.n + m)
+    return Fraction(width * (2 * p.k - 2 * m - 1), 2)
+
+
+def triangle_area(p: SpecialPolynomial) -> Fraction:
+    """Area of the rightmost right triangle, (q^(n+k) - q^(n+k-1)) / 2."""
+    return Fraction(p.q ** (p.n + p.k) - p.q ** (p.n + p.k - 1), 2)
+
+
+def format_rational(value: Fraction) -> str:
+    """Render as num/den with the denominator always explicit, e.g. '6/1'."""
+    return f"{value.numerator}/{value.denominator}"
+
+
+def rational_to_json(value: Fraction) -> dict[str, str]:
+    """Encode a rational as {"num": ..., "den": ...} decimal strings."""
+    return {"num": str(value.numerator), "den": str(value.denominator)}
+
+
+def chain_steps_down_from(k: int, vertices: Iterable[tuple[int, int]]) -> bool:
+    """True when the chain after the anchor has strictly increasing x and y = k, k-1, ..., 0.
+
+    One walk of the cycle: the chain must start at height k, step down by
+    exactly one per vertex, and end at height 0.
+    """
+    walk = islice(vertices, 1, None)
+    first = next(walk, None)
+    if first is None or first[1] != k:
+        return False
+    last_x, last_y = first
+    for x, y in walk:
+        if x <= last_x or y != last_y - 1:
+            return False
+        last_x, last_y = x, y
+    return last_y == 0
 
 
 def area_by_edge_shoelace(d: PolynomialDiagram) -> Fraction:

@@ -23,13 +23,11 @@ from polydiagram import (
     build_polynomial,
     finite_difference,
     interior_lattice_count,
-    trapezoid_area,
-    triangle_area,
     validate_diagram,
 )
 from polydiagram.cli import main
 from polydiagram.formats import rational_from_json
-from references import area_closed_form_k2
+from references import area_closed_form_k2, trapezoid_area, triangle_area
 
 GRID = list(itertools.product(range(1, 51), range(11), range(1, 13)))
 

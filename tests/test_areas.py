@@ -10,7 +10,6 @@ import pytest
 from polydiagram import (
     ROUTES,
     AreaCrossCheck,
-    LatticePoint,
     PolynomialDiagram,
     area_closed_form,
     area_general,
@@ -21,12 +20,17 @@ from polydiagram import (
     build_polynomial,
     cross_check,
     interior_lattice_count,
-    trapezoid_area,
-    triangle_area,
     validate_diagram,
 )
 from polydiagram.areas import route_refusal
-from references import area_closed_form_k2, interior_by_column_scan, materialized_diagram
+from references import (
+    LatticePoint,
+    area_closed_form_k2,
+    interior_by_column_scan,
+    materialized_diagram,
+    trapezoid_area,
+    triangle_area,
+)
 
 
 class TestClosedForm:
@@ -174,7 +178,7 @@ class TestPick:
     )
     def test_rejects_chain_edges_not_one_unit_down(self, chain):
         vertices = tuple(LatticePoint(*v) for v in [(1, 0), *chain])
-        d = PolynomialDiagram(vertices, build_polynomial(2, 0, 2), degenerate=False)
+        d = PolynomialDiagram(vertices, build_polynomial(2, 0, 2))
         with pytest.raises(ValueError, match="down by one"):
             interior_lattice_count(d)
 
@@ -249,7 +253,7 @@ class TestCrossCheck:
         d = build_diagram(p)
 
         def once():
-            return PolynomialDiagram(iter(d.vertices), p, p.degenerate)
+            return PolynomialDiagram(iter(d.vertices), p)
 
         assert area_shoelace(once()) == area_shoelace(d)
         assert boundary_lattice_count(once()) == boundary_lattice_count(d)

@@ -1,4 +1,4 @@
-"""Construction, evaluation, monomial mapping, and diagram diagnostics."""
+"""Construction, monomial mapping, evaluation through the diagram, and diagnostics."""
 
 from __future__ import annotations
 
@@ -6,26 +6,24 @@ import enum
 
 import pytest
 
-from polydiagram import (
-    LatticePoint,
-    PolynomialDiagram,
-    build_diagram,
-    build_polynomial,
-    evaluate_polynomial,
-    validate_diagram,
-)
+from polydiagram import PolynomialDiagram, build_diagram, build_polynomial, validate_diagram
 from polydiagram.core import _is_convex, _walk_shape
-from references import simple_by_pairwise_test
+from references import LatticePoint, simple_by_pairwise_test
 
 
 def _is_simple(cycle):
     """validate_diagram's simplicity verdict on any vertex cycle, read as a q >= 2 diagram."""
-    return validate_diagram(PolynomialDiagram(cycle, build_polynomial(2, 0, 1), False)).simple
+    return validate_diagram(PolynomialDiagram(cycle, build_polynomial(2, 0, 1))).simple
 
 
 def monomial_points(p):
     """The diagram's chain: every vertex of one pass over its cycle after the anchor."""
     return list(build_diagram(p).vertices)[1:]
+
+
+def value_from_diagram(p, x):
+    """The polynomial at x read off its diagram: each chain vertex is (coefficient, exponent)."""
+    return sum(c * x**e for c, e in monomial_points(p))
 
 
 class TestBuildPolynomial:
@@ -75,22 +73,24 @@ class TestBuildPolynomial:
 
 
 class TestEvaluate:
+    """The diagram encodes its polynomial: known values come back from its chain."""
+
     def test_quadratic_at_one(self):
         # 1 + 2 + 4, the geometric sum of coefficients
-        assert evaluate_polynomial(build_polynomial(2, 0, 2), 1) == 7
+        assert value_from_diagram(build_polynomial(2, 0, 2), 1) == 7
 
     def test_constant_term_only_at_zero(self):
-        assert evaluate_polynomial(build_polynomial(3, 1, 1), 0) == 9
+        assert value_from_diagram(build_polynomial(3, 1, 1), 0) == 9
 
     def test_cubic_at_two(self):
         # every term of the (q=2, n=0, k=3) polynomial at x=2 equals 8
         p = build_polynomial(2, 0, 3)
-        assert evaluate_polynomial(p, 2) == 8 + 8 + 8 + 8 == 32
+        assert value_from_diagram(p, 2) == 8 + 8 + 8 + 8 == 32
 
     @pytest.mark.parametrize("q,n,k", [(2, 0, 5), (3, 2, 4), (10, 1, 3)])
     def test_geometric_sum_identity_at_one(self, q, n, k):
         p = build_polynomial(q, n, k)
-        assert evaluate_polynomial(p, 1) == q**n * (q ** (k + 1) - 1) // (q - 1)
+        assert value_from_diagram(p, 1) == q**n * (q ** (k + 1) - 1) // (q - 1)
 
 
 class TestMonomialMap:
@@ -122,6 +122,14 @@ class TestBuildDiagram:
     def test_cubic_vertices(self):
         d = build_diagram(build_polynomial(2, 0, 3))
         assert tuple(d.vertices) == ((1, 0), (1, 3), (2, 2), (4, 1), (8, 0))
+
+    def test_degenerate_follows_the_source(self):
+        # read from the polynomial, so a diagram cannot disagree with its own q
+        vertices = build_diagram(build_polynomial(2, 0, 2)).vertices
+        assert not PolynomialDiagram(vertices, build_polynomial(2, 0, 2)).degenerate
+        assert PolynomialDiagram(vertices, build_polynomial(1, 0, 2)).degenerate
+        with pytest.raises(TypeError):
+            PolynomialDiagram(vertices, build_polynomial(2, 0, 2), degenerate=True)
 
     @pytest.mark.parametrize("q,n,k", [(2, 0, 1), (3, 4, 7), (50, 10, 12)])
     def test_vertex_count_is_k_plus_2(self, q, n, k):

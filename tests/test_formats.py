@@ -15,14 +15,12 @@ from polydiagram.formats import (
     UNDEFINED,
     csv_document,
     format_decimal,
-    format_rational,
     json_document,
     markdown_document,
     rational_from_json,
-    rational_to_json,
     records_document,
 )
-from references import decimal_by_fraction_round
+from references import decimal_by_fraction_round, format_rational, rational_to_json
 
 
 class TestFormatRational:

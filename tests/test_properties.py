@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from polydiagram import (
     ROUTES,
     AreaSequence,
-    LatticePoint,
     PolynomialDiagram,
     area_closed_form,
     area_general,
@@ -23,12 +22,10 @@ from polydiagram import (
     build_polynomial,
     cross_check,
     diagram_svg,
-    evaluate_polynomial,
     finite_difference,
     format_decimal,
     interior_lattice_count,
     rational_from_json,
-    rational_to_json,
     ratio_sequence,
     validate_diagram,
 )
@@ -36,8 +33,10 @@ from polydiagram.areas import route_area, route_refusal
 from polydiagram.core import _is_convex
 from polydiagram.render import RenderSpec
 from references import (
+    LatticePoint,
     area_by_edge_shoelace,
     boundary_by_gcd,
+    chain_steps_down_from,
     convex_by_all_turns,
     decimal_by_fraction_round,
     difference_by_fraction_sums,
@@ -45,6 +44,7 @@ from references import (
     interior_by_edge_terms,
     materialized_diagram,
     monomial_points_by_loop,
+    rational_to_json,
     simple_by_pairwise_test,
     slab_sum_by_running_power,
     slopes_increasing_by_triples,
@@ -148,8 +148,8 @@ def test_streamed_diagram_reads_like_the_materialized_tuple(q, n, k):
 
 
 def as_diagram(vertices):
-    """A diagram record around an arbitrary vertex cycle; nothing reads its source."""
-    return PolynomialDiagram(tuple(vertices), build_polynomial(2, 0, 1), degenerate=False)
+    """A diagram record around an arbitrary cycle, non-degenerate by its q = 2 source."""
+    return PolynomialDiagram(tuple(vertices), build_polynomial(2, 0, 1))
 
 
 wide_coordinates = st.one_of(
@@ -312,10 +312,21 @@ def test_early_exit_convexity_matches_all_turns(cycle):
     assert _is_convex(cycle) == convex_by_all_turns(cycle)
 
 
+@given(cycle=st.one_of(lattice_cycles, cycles_near_diagram_shape(shaped=True),
+                       unit_descent_chains().map(tuple)),
+       k=st.integers(min_value=0, max_value=8))
+@settings(max_examples=500)
+def test_chain_structure_from_the_shape_walk_matches_the_former_check(cycle, k):
+    # the sweep's chain_structure verdict, read off validate_diagram's one walk
+    diagnostics = validate_diagram(as_diagram(cycle))
+    verdict = diagnostics.chain_unit_steps and diagnostics.vertex_count == k + 2
+    assert verdict == chain_steps_down_from(k, cycle)
+
+
 @given(q=st.integers(min_value=2, max_value=50), n=shifts, k=degrees)
 def test_value_at_one_is_the_geometric_sum(q, n, k):
-    p = build_polynomial(q, n, k)
-    total = evaluate_polynomial(p, 1)
+    # the polynomial at x = 1 is the sum of its coefficients, the chain's x
+    total = sum(x for x, _ in list(build_diagram(build_polynomial(q, n, k)).vertices)[1:])
     assert total * (q - 1) == q**n * (q ** (k + 1) - 1)
 
 

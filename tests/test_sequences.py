@@ -58,11 +58,6 @@ def test_rejects_non_integer_parameters():
         area_sequence(2.0, 0, 2, 5)
 
 
-def test_q_at_maps_indices_back():
-    seq = area_sequence(2, 0, 3, 7)
-    assert [seq.q_at(j) for j in range(len(seq.values))] == [3, 4, 5, 6, 7]
-
-
 class TestRatios:
     def test_quadratic_family(self):
         ratios = ratio_sequence(area_sequence(2, 0, 2, 6))

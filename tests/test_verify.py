@@ -7,7 +7,13 @@ import pytest
 
 import polydiagram.areas as areas
 import polydiagram.verify as verify
-from polydiagram import run_grid_verification
+from polydiagram import (
+    PolynomialDiagram,
+    build_polynomial,
+    run_grid_verification,
+    validate_diagram,
+)
+from polydiagram.core import _walk_shape
 
 
 def test_default_grid_computes_each_slab_sum_once(monkeypatch):
@@ -56,9 +62,12 @@ def test_default_grid_computes_each_slab_sum_once(monkeypatch):
     ],
 )
 def test_chain_structure_check_walks_the_cycle_once(cycle, k, holds):
-    # a one-shot iterator gives the same verdict, so the check is one pass
-    assert verify._chain_steps_down_from(k, cycle) is holds
-    assert verify._chain_steps_down_from(k, iter(cycle)) is holds
+    # the sweep's verdict comes from validate_diagram's shape walk; a one-shot
+    # iterator gives the same verdict, so the walk is one pass
+    diag = validate_diagram(PolynomialDiagram(cycle, build_polynomial(2, 0, 1)))
+    assert (diag.chain_unit_steps and diag.vertex_count == k + 2) is holds
+    count, _, _, unit_steps = _walk_shape(iter(cycle))
+    assert (unit_steps and count == k + 2) is holds
 
 
 def test_a_broken_route_fails_only_its_own_check(monkeypatch):
