@@ -11,11 +11,12 @@ regenerates the vertices on every pass, one product by q per vertex, so its
 memory stays flat in k although the x reach q^(n+k).  Every reader of the
 cycle (the structural checks here, the area routes, the renderer) walks it
 once, forward, holding O(1) vertices, and takes the closing edge from the
-first vertices it kept.
+first vertices it kept.  The structural checks share that one walk: the
+slope and convexity checks both read the one turn it forms per vertex.
 
 Everything here is exact integer arithmetic: slope and turn tests use
-cross-multiplied comparisons, never division, so no rounding can occur even
-when coordinates reach q^(n+k).  Building a diagram costs one power, and
+cross products, never division, so no rounding can occur even when
+coordinates reach q^(n+k).  Building a diagram costs one power, and
 validating it O(k) big-integer operations.
 """
 
@@ -148,15 +149,14 @@ def validate_diagram(d: PolynomialDiagram) -> DiagramDiagnostics:
 
     For q >= 2 the diagram is expected to be simple with strictly increasing
     chain slopes and unit chain steps, and convex exactly when k == 1.  One
-    walk of the cycle counts its vertices and judges simplicity by the
-    diagram's shape, the chain slopes and the chain steps (see _walk_shape);
-    convexity is a second walk that stops at the first turn against an
-    earlier one.  Both are O(k) and hold O(1) vertices.  Degenerate (q == 1)
+    walk of the cycle (see _walk_shape) counts its vertices and judges
+    simplicity by the diagram's shape, the chain slopes, the chain steps and
+    convexity; it is O(k) and holds O(1) vertices.  Degenerate (q == 1)
     diagrams collapse onto one vertical segment with overlapping edges, so
     they report simple=False, chain_slopes_increasing=False and
     convex=False (and, as their x never increase, no unit steps).
     """
-    vertex_count, simple, slopes_increasing, unit_steps = _walk_shape(d.vertices)
+    vertex_count, simple, slopes_increasing, unit_steps, convex = _walk_shape(d.vertices)
     flat = d.degenerate
     return DiagramDiagnostics(
         vertex_count=vertex_count,
@@ -164,19 +164,12 @@ def validate_diagram(d: PolynomialDiagram) -> DiagramDiagnostics:
         simple=simple and not flat,
         chain_slopes_increasing=slopes_increasing and not flat,
         chain_unit_steps=unit_steps,
-        convex=not flat and _is_convex(d.vertices),
+        convex=convex and not flat,
     )
 
 
-def _orientation(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
-    """Sign of the cross product (b-a) x (c-a): +1 left turn, -1 right, 0 collinear."""
-    (ax, ay), (bx, by), (cx, cy) = a, b, c
-    cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return (cross > 0) - (cross < 0)
-
-
-def _walk_shape(vertices: Iterable[tuple[int, int]]) -> tuple[int, bool, bool, bool]:
-    """One walk of a cycle, anchor first: (vertex count, simple, slopes increasing, unit steps).
+def _walk_shape(vertices: Iterable[tuple[int, int]]) -> tuple[int, bool, bool, bool, bool]:
+    """One walk of a cycle, anchor first: (count, simple, slopes increasing, unit steps, convex).
 
     Simple: the cycle has the diagram's shape, which is simple, when the
     first chain vertex lies directly above the anchor, chain x strictly
@@ -187,53 +180,48 @@ def _walk_shape(vertices: Iterable[tuple[int, int]]) -> tuple[int, bool, bool, b
     cycle is reported not simple, even one that is simple in another shape.
     A vertex is known not to be the last when the next one arrives.
 
-    Chain slopes increasing: for consecutive chain edges (dx1, dy1) and
-    (dx2, dy2), dy1/dx1 < dy2/dx2 cross-multiplied as dy1*dx2 < dy2*dx1,
-    which is equivalent when both dx > 0 (every chain edge for q >= 2).
+    The turn at a vertex is the cross product dx*ey - dy*ex of the edge
+    (dx, dy) into it and the edge (ex, ey) out of it, one per vertex.
+
+    Chain slopes increasing: every chain turn, between consecutive chain
+    edges, is positive.  That is dy/dx < ey/ex cross-multiplied, which is
+    equivalent when both dx > 0 (every chain edge for q >= 2).
 
     Unit steps: after the anchor, x strictly increases and y falls by
     exactly one per vertex, ending at y = 0.  With k + 2 vertices the chain
     then runs k, k-1, ..., 0, which is what interior_lattice_count needs.
 
-    Each edge's differences are formed once; a check once failed is not
-    computed again.
+    Convex: every non-zero turn of the closed cycle has one sign.  The two
+    turns that wrap around the cycle come last, at the last vertex into the
+    closing edge and at the anchor onto the first edge, which the walk
+    keeps; for a diagram with k >= 2 the second turn already decides it.
+
+    Each edge's differences and each turn are formed once; a check once
+    decided is not computed again.
     """
     walk = iter(vertices)
     head = list(islice(walk, 2))
     if len(head) < 2:
-        return len(head), False, True, False
+        return len(head), False, True, False, True
     (ax, ay), (x, y) = head  # the anchor, then (x, y): the last vertex walked
     count = 2
-    simple, increasing, steps = x == ax, True, True
-    dx, dy = x - ax, y - ay  # the edge into (x, y), a chain edge from the third vertex on
+    simple, increasing, steps, convex = x == ax, True, True, True
+    dx, dy = fx, fy = x - ax, y - ay  # the edge into (x, y); (fx, fy) the first edge
+    signs: set[bool] = set()  # the signs of the non-zero turns so far, True when positive
     for next_x, next_y in walk:
         ex, ey = next_x - x, next_y - y
         simple = simple and ex > 0 and y > ay
-        increasing = increasing and (count < 3 or dy * ex < ey * dx)
         steps = steps and ey == -1 and ex > 0
+        if increasing or convex:
+            turn = dx * ey - dy * ex
+            increasing = increasing and (count < 3 or turn > 0)  # from the 2nd chain vertex on
+            if convex and turn:
+                signs.add(turn > 0)
+                convex = len(signs) < 2
         x, y, dx, dy = next_x, next_y, ex, ey
         count += 1
-    return count, simple and count > 2 and y == ay, increasing, steps and y == 0
-
-
-def _is_convex(vertices: Iterable[tuple[int, int]]) -> bool:
-    """True when every non-zero turn of the closed cycle has the same sign.
-
-    Returns False at the first turn whose sign differs from an earlier
-    non-zero turn; for a diagram with k >= 2 that is the second turn.  The
-    two turns that wrap around the cycle come last, from the first two
-    vertices, which the walk keeps.
-    """
-    walk = iter(vertices)
-    head = list(islice(walk, 2))
-    if len(head) < 2:
-        return True  # no turn, or a lone vertex's turn onto itself
-    a, b = head
-    sign = 0
-    for c in chain(walk, head):
-        turn = _orientation(a, b, c)
-        if turn and sign and turn != sign:
-            return False
-        sign = sign or turn
-        a, b = b, c
-    return True
+    if convex:
+        ex, ey = ax - x, ay - y  # the closing edge, back to the anchor
+        signs.update(turn > 0 for turn in (dx * ey - dy * ex, ex * fy - ey * fx) if turn)
+        convex = len(signs) < 2
+    return count, simple and count > 2 and y == ay, increasing, steps and y == 0, convex

@@ -11,10 +11,11 @@ It converts each rational's numerator to text once, an integer's decimal
 cell being that same text, and a rational equal to the one rendered just
 before it (the agreeing routes of `area`) reuses that one's cells, so a run
 of equal values is converted once in all.  Each row is built once, as its
-cells in column order: CSV and markdown write those cells as they are, and
-in JSON they are already JSON text, joined into the row's object text.
-`json_document` still writes the document around those pre-encoded rows
-(`params`, the records key, any extra keys), copying each row verbatim.
+cells in column order: `table_document` writes those cells as they are for
+CSV and markdown, and in JSON they are already JSON text, joined into the
+row's object text.  The JSON frame around the rows is a few lines, written
+by `records_document` itself; `json_document`, verify's writer, is
+json.dumps with a two-space indent.
 """
 
 from __future__ import annotations
@@ -29,11 +30,8 @@ from json.encoder import encode_basestring_ascii as _quote
 __all__ = [
     "DEFAULT_DIGITS",
     "MAX_DIGITS",
-    "UNDEFINED",
     "format_decimal",
     "rational_from_json",
-    "csv_document",
-    "markdown_document",
     "json_document",
     "table_document",
     "records_document",
@@ -41,7 +39,7 @@ __all__ = [
 
 DEFAULT_DIGITS = 4
 MAX_DIGITS = 1000  # the CLI's --digits limit; the work grows with 10**digits
-UNDEFINED = "undefined"  # CSV/markdown text of a missing rational; JSON uses null
+_UNDEFINED = "undefined"  # CSV/markdown text of a missing rational; JSON uses null
 
 
 def format_decimal(value: Fraction, digits: int = DEFAULT_DIGITS) -> str:
@@ -79,8 +77,11 @@ def rational_from_json(obj: object) -> Fraction:
     return Fraction(num, den)
 
 
-def csv_document(headers: list[str], rows: list[list[str]]) -> str:
-    """One CSV table with a header row and '\\n' line endings."""
+def table_document(fmt: str, headers: list[str], rows: list[list[str]]) -> str:
+    """A markdown pipe table when fmt is "markdown", else a CSV table with '\\n' line endings."""
+    if fmt == "markdown":
+        rule = ["---"] * len(headers)
+        return "".join(f"| {' | '.join(row)} |\n" for row in (headers, rule, *rows))
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(headers)
@@ -88,61 +89,14 @@ def csv_document(headers: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
-def markdown_document(headers: list[str], rows: list[list[str]]) -> str:
-    """One markdown pipe table."""
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
-    lines.extend("| " + " | ".join(row) + " |" for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def table_document(fmt: str, headers: list[str], rows: list[list[str]]) -> str:
-    """A markdown pipe table when fmt is "markdown", else a CSV table."""
-    if fmt == "markdown":
-        return markdown_document(headers, rows)
-    return csv_document(headers, rows)
-
-
-class _Encoded(str):
-    """JSON text that `_json_value` writes verbatim: a pre-encoded records row."""
-
-    __slots__ = ()
-
-
 def json_document(payload: dict) -> str:
-    """Stable two-space-indented JSON document (insertion key order).
-
-    Byte-identical to what `json.dumps` writes with a two-space indent, plus
-    a final newline, but written in one pass: given an indent, `json.dumps`
-    falls back to its pure-Python generator encoder.  Dict keys are always
-    `str` in this package and are not converted; tuples are arrays, as in
-    `json.dumps`.  An `_Encoded` value is JSON text already laid out for its
-    place in the document (records_document's rows) and is copied verbatim.
-    """
-    return _json_value(payload, "") + "\n"
+    """Stable two-space-indented JSON document (insertion key order), newline-terminated."""
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _json_value(value: object, pad: str) -> str:
-    if type(value) is _Encoded:
-        return value
-    if isinstance(value, str):
-        return _quote(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{_quote(key)}: {_json_value(item, inner)}" for key, item in value.items()
-        )
-        return f"{{\n{items}\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(f"{inner}{_json_value(item, inner)}" for item in value)
-        return f"[\n{items}\n{pad}]"
-    return json.dumps(value)  # int, bool, None
+def _indented_json(value: object) -> str:
+    """json.dumps(value, indent=2) laid out as a member of a top-level object."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
 # A records row is an item of the list under a top-level key, so it opens at
@@ -163,18 +117,20 @@ def records_document(
 
     A text field is one column.  A rational field `f` becomes the columns
     `f` ("num/den", or {"num", "den"} in JSON) and `f_decimal`; None, a
-    rational that does not exist, fills both with UNDEFINED (null in JSON).
+    rational that does not exist, fills both with "undefined" (null in JSON).
     Every record has the first record's fields, in its order; the columns
     and the CSV and markdown header come from it.
 
     Each row is built once, as its list of cells in column order, and a run
     of equal rationals is converted once (see the module docstring).  The
     num/den text keeps a denominator of 1 ("6/1").  CSV and markdown rows go
-    to the table writers as they are.  In JSON the cells are already JSON
-    text, and each row is joined into its object's text, every cell after
-    its field's `"name": ` prefix.  The document is json_document({"params": params, key: rows,
-    **extra}), which writes the pre-encoded rows verbatim, so it still lays
-    out everything around them; CSV and markdown omit params.
+    to table_document as they are, and omit params.  In JSON the cells are
+    already JSON text, and each row is joined into its object's text, every
+    cell after its field's `"name": ` prefix.  The document around the rows
+    is written here too: params, the rows under `key`, then each extra key,
+    every value but the rows through json.dumps with a two-space indent, so
+    the whole is what json_document({"params": params, key: rows, **extra})
+    would write.
     """
     as_json = fmt == "json"
     headers = [
@@ -182,7 +138,7 @@ def records_document(
         for name, value in (records[0].items() if records else ())
         for column in ((name,) if isinstance(value, str) else (name, name + "_decimal"))
     ]
-    missing = ("null", "null") if as_json else (UNDEFINED, UNDEFINED)
+    missing = ("null", "null") if as_json else (_UNDEFINED, _UNDEFINED)
     rows: list[list[str]] = []
     last_num = last_den = None  # the rational rendered last; `pair` holds its two cells
     for record in records:
@@ -212,7 +168,14 @@ def records_document(
         return table_document(fmt, headers, rows)
     prefixes = [f"{_FIELD_PAD}{_quote(name)}: " for name in headers]
     close = "\n" + _ROW_PAD + "}"
-    encoded = [
-        _Encoded("{\n" + ",\n".join(map(operator.add, prefixes, row)) + close) for row in rows
-    ]
-    return json_document({"params": params, key: encoded, **extra})
+    rows_text = ",\n".join(
+        f"{_ROW_PAD}{{\n" + ",\n".join(map(operator.add, prefixes, row)) + close for row in rows
+    )
+    rows_open, rows_close = ("[\n", "\n  ]") if rows else ("[", "]")
+    extra_text = "".join(
+        f",\n  {_quote(name)}: {_indented_json(value)}" for name, value in extra.items()
+    )
+    return (
+        f'{{\n  "params": {_indented_json(params)},\n  {_quote(key)}: '
+        f"{rows_open}{rows_text}{rows_close}{extra_text}\n}}\n"
+    )

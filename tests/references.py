@@ -7,13 +7,16 @@ inputs, as oracles for the O(k) versions in the package.  The Fraction
 forms of decimal rendering and forward differences are the package's former
 implementations of the integer-arithmetic `format_decimal` and
 `finite_difference`.  The all-turns convexity test is the former form of the
-package's early-exit one, and the degree-2 closed form is the paper's
-formula, which the package's closed form for every k generalizes.  The
-edge-product shoelace, the per-edge interior terms and the running-power
-slab sum are the package's former loop bodies for the vertex-form shoelace,
-the interior count summed by parts and the Horner slab sum.  The per-triple
-slope test is the former body of the slope check, which now shares one walk
-with the vertex count and the simplicity test.  The gcd of
+package's early-exit one, which now reads the turns of the shape walk, and
+`_orientation`, the three-point turn sign that it and the pairwise segment
+test use, is the package's former turn test.  The degree-2 closed form is
+the paper's formula, which the package's closed form for every k
+generalizes.  The edge-product shoelace, the per-edge interior terms and
+the running-power slab sum are the package's former loop bodies for the
+vertex-form shoelace, the interior count summed by parts and the Horner
+slab sum.  The per-triple slope test is the former body of the slope check,
+which now shares one walk with the vertex count, the simplicity test and
+the convexity test.  The gcd of
 every edge and the point-by-point monomial loop are the former bodies of the
 boundary count, which now skips the x difference of a unit-height edge, and
 of the monomial map.  `monomial_map` and `materialized_diagram` are the
@@ -39,7 +42,6 @@ from itertools import accumulate, islice, repeat
 from typing import Iterable, NamedTuple
 
 from polydiagram import AreaSequence, PolynomialDiagram, SpecialPolynomial
-from polydiagram.core import _orientation
 
 
 class LatticePoint(NamedTuple):
@@ -154,6 +156,13 @@ def slopes_increasing_by_triples(vertices: Iterable[tuple[int, int]]) -> bool:
         if dy1 * dx2 >= dy2 * dx1:
             return False
     return True
+
+
+def _orientation(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
+    """Sign of the cross product (b-a) x (c-a): +1 left turn, -1 right, 0 collinear."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (cross > 0) - (cross < 0)
 
 
 def convex_by_all_turns(vertices: Iterable[tuple[int, int]]) -> bool:

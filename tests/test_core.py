@@ -7,7 +7,7 @@ import enum
 import pytest
 
 from polydiagram import PolynomialDiagram, build_diagram, build_polynomial, validate_diagram
-from polydiagram.core import _is_convex, _walk_shape
+from polydiagram.core import _walk_shape
 from references import LatticePoint, simple_by_pairwise_test
 
 
@@ -166,10 +166,12 @@ class TestValidateDiagram:
 class TestWalks:
     @pytest.mark.parametrize("q,n,k", [(2, 0, 1), (3, 1, 5), (1, 0, 3)])
     def test_each_structural_check_walks_the_cycle_once(self, q, n, k):
-        # a one-shot iterator gives the same findings, so each check is one pass
-        vertices = build_diagram(build_polynomial(q, n, k)).vertices
-        assert _walk_shape(iter(vertices)) == _walk_shape(vertices)
-        assert _is_convex(iter(vertices)) == _is_convex(vertices)
+        # vertices that can be read only once give the same findings, so
+        # validate_diagram walks the cycle once, convexity included
+        p = build_polynomial(q, n, k)
+        d = build_diagram(p)
+        assert _walk_shape(iter(d.vertices)) == _walk_shape(d.vertices)
+        assert validate_diagram(PolynomialDiagram(iter(d.vertices), p)) == validate_diagram(d)
 
     def test_every_pass_regenerates_the_same_cycle(self):
         vertices = build_diagram(build_polynomial(3, 1, 2)).vertices

@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 import polydiagram.areas as areas
 import polydiagram.cli as cli
 from polydiagram.formats import (
-    UNDEFINED,
-    csv_document,
     format_decimal,
     json_document,
-    markdown_document,
     rational_from_json,
     records_document,
+    table_document,
 )
 from references import decimal_by_fraction_round, format_rational, rational_to_json
 
@@ -100,11 +98,11 @@ class TestJsonRational:
 
 class TestDocuments:
     def test_csv_layout(self):
-        doc = csv_document(["a", "b"], [["1", "2"], ["3", "4"]])
+        doc = table_document("csv", ["a", "b"], [["1", "2"], ["3", "4"]])
         assert doc == "a,b\n1,2\n3,4\n"
 
     def test_markdown_layout(self):
-        doc = markdown_document(["a", "b"], [["1", "2"]])
+        doc = table_document("markdown", ["a", "b"], [["1", "2"]])
         assert doc == "| a | b |\n| --- | --- |\n| 1 | 2 |\n"
 
     def test_json_document_parses_and_ends_with_newline(self):
@@ -150,11 +148,6 @@ json_values = st.recursive(
 )
 
 
-@given(value=json_values)
-def test_json_document_is_json_dumps_with_indent_2(value):
-    assert json_document(value) == json.dumps(value, indent=2) + "\n"
-
-
 class TestRecordsDocument:
     RECORDS = [
         {"q": "1", "ratio": None},
@@ -189,29 +182,35 @@ wide_rationals = st.one_of(
 )
 
 
+def _json_rows(records: list[dict], digits: int) -> list[dict]:
+    """The records as the JSON rows records_document must write, each rational on its own."""
+    rows = []
+    for record in records:
+        row: dict = {}
+        for name, v in record.items():
+            if isinstance(v, str):
+                row[name] = v
+            else:
+                row[name] = None if v is None else rational_to_json(v)
+                row[name + "_decimal"] = None if v is None else format_decimal(v, digits)
+        rows.append(row)
+    return rows
+
+
 def _cells_one_by_one(
     fmt: str, records: list[dict], digits: int, key: str = "rows", **extra: object
 ) -> str:
     """The document records_document must write, each rational rendered on its own."""
     if fmt == "json":
-        rows = []
-        for record in records:
-            row: dict = {}
-            for name, v in record.items():
-                if isinstance(v, str):
-                    row[name] = v
-                else:
-                    row[name] = None if v is None else rational_to_json(v)
-                    row[name + "_decimal"] = None if v is None else format_decimal(v, digits)
-            rows.append(row)
-        return json_document({"params": {}, key: rows, **extra})
+        document = {"params": {}, key: _json_rows(records, digits), **extra}
+        return json.dumps(document, indent=2) + "\n"
     rows = [
         [
             cell
             for v in record.values()
             for cell in (
                 (v,) if isinstance(v, str)
-                else (UNDEFINED, UNDEFINED) if v is None
+                else ("undefined", "undefined") if v is None
                 else (format_rational(v), format_decimal(v, digits))
             )
         ]
@@ -222,8 +221,7 @@ def _cells_one_by_one(
         for name, v in records[0].items()
         for column in ((name,) if isinstance(v, str) else (name, name + "_decimal"))
     ]
-    document = markdown_document if fmt == "markdown" else csv_document
-    return document(headers, rows)
+    return table_document(fmt, headers, rows)
 
 
 @given(a=wide_rationals, b=wide_rationals, digits=st.integers(min_value=0, max_value=8))
@@ -245,3 +243,31 @@ def test_records_document_renders_each_cell_as_alone(a, b, digits):
         assert records_document(fmt, pairs, {}, digits, "results", agree=False) == (
             _cells_one_by_one(fmt, pairs, digits, "results", agree=False)
         )
+
+
+# Names records_document binds itself, or that its document already holds.
+_TAKEN = {"fmt", "records", "params", "digits", "key", "results"}
+
+
+@given(
+    params=st.dictionaries(json_texts, st.one_of(json_texts, st.integers()), min_size=1,
+                           max_size=4),
+    field=json_texts.filter(lambda name: name not in ("v", "v_decimal")),
+    cells=st.lists(st.tuples(json_texts, st.one_of(st.none(), wide_rationals)), max_size=3),
+    extra=st.dictionaries(json_texts.filter(lambda name: name not in _TAKEN), json_values,
+                          max_size=3),
+    digits=st.integers(min_value=0, max_value=8),
+)
+@example(params={"q": "2"}, field="t", cells=[], extra={}, digits=4)  # no rows
+@example(params={"a\n\"b": -(10**30)}, field="\ud800", cells=[("\\", Fraction(7, 2))],
+         extra={"agree": True, "nested": {"x": [1, {"y": ()}]}}, digits=1)
+def test_records_document_json_is_json_dumps_of_the_same_document(
+    params, field, cells, extra, digits
+):
+    # the frame around the pre-encoded rows (params, the rows key, each extra
+    # key) is written by records_document itself
+    records = [{field: text, "v": v} for text, v in cells]
+    document = {"params": params, "results": _json_rows(records, digits), **extra}
+    assert records_document("json", records, params, digits, "results", **extra) == (
+        json.dumps(document, indent=2) + "\n"
+    )

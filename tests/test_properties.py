@@ -30,7 +30,7 @@ from polydiagram import (
     validate_diagram,
 )
 from polydiagram.areas import route_area, route_refusal
-from polydiagram.core import _is_convex
+from polydiagram.core import _walk_shape
 from polydiagram.render import RenderSpec
 from references import (
     LatticePoint,
@@ -309,7 +309,8 @@ lattice_cycles = st.lists(
 @given(cycle=lattice_cycles)
 @settings(max_examples=500)
 def test_early_exit_convexity_matches_all_turns(cycle):
-    assert _is_convex(cycle) == convex_by_all_turns(cycle)
+    # the shape walk's verdict, from its one turn per vertex and the two wrap turns
+    assert _walk_shape(cycle)[4] == convex_by_all_turns(cycle)
 
 
 @given(cycle=st.one_of(lattice_cycles, cycles_near_diagram_shape(shaped=True),

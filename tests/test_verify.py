@@ -66,7 +66,7 @@ def test_chain_structure_check_walks_the_cycle_once(cycle, k, holds):
     # iterator gives the same verdict, so the walk is one pass
     diag = validate_diagram(PolynomialDiagram(cycle, build_polynomial(2, 0, 1)))
     assert (diag.chain_unit_steps and diag.vertex_count == k + 2) is holds
-    count, _, _, unit_steps = _walk_shape(iter(cycle))
+    count, _, _, unit_steps, _ = _walk_shape(iter(cycle))
     assert (unit_steps and count == k + 2) is holds
 
 
