@@ -14,9 +14,8 @@ from .areas import (
     area_general,
     area_pick,
     area_shoelace,
-    boundary_lattice_count,
     cross_check,
-    interior_lattice_count,
+    lattice_counts,
 )
 from .core import (
     DiagramDiagnostics,
@@ -58,7 +57,6 @@ __all__ = [
     "area_pick",
     "area_sequence",
     "area_shoelace",
-    "boundary_lattice_count",
     "build_diagram",
     "build_polynomial",
     "convergence_report",
@@ -66,7 +64,7 @@ __all__ = [
     "diagram_svg",
     "finite_difference",
     "format_decimal",
-    "interior_lattice_count",
+    "lattice_counts",
     "ratio_sequence",
     "rational_from_json",
     "run_grid_verification",

@@ -11,12 +11,13 @@ costs O(1) big-integer operations and every other route O(k): the slab sum
 does two per slab (a product by q and a small addition), and the shoelace
 sum and the lattice counts at most one addition per vertex, plus, in the
 shoelace sum, one product by a small factor wherever its coefficient
-changes (comparisons aside).  None grows with the polygon's x-extent
-q^(n+k), and none uses the fact that consecutive chain x differ by a factor
-of q.  The diagram routes read the vertex cycle as a stream: each walks it
-once, forward, holding O(1) vertices, and takes the closing edge from the
-first vertices it kept, so their memory stays flat in k when the cycle is
-regenerated (as build_diagram's is) rather than stored.
+changes, and in the lattice counts two gcds (comparisons aside).  None
+grows with the polygon's x-extent q^(n+k), and none uses the fact that
+consecutive chain x differ by a factor of q.  The diagram routes read the
+vertex cycle as a stream: each walks it once, forward, holding O(1)
+vertices, and takes the closing edge from the first vertices it kept, so
+their memory stays flat in k when the cycle is regenerated (as
+build_diagram's is) rather than stored.
 
 Each O(k) route evaluates an exact identity:
 
@@ -27,9 +28,9 @@ Each O(k) route evaluates an exact identity:
   each run of equal coefficients before multiplying the run once;
 - the interior count sums the per-edge counts by parts, which needs every
   chain edge to descend exactly one unit (it checks each edge);
-- the boundary count takes gcd(1, |dx|) = 1 for an edge with |dy| = 1, so
-  a chain edge costs no big-integer operation at all; every other edge
-  costs one x difference and one gcd.
+- the boundary count, in the same walk, takes gcd(1, |dx|) = 1 for each
+  checked chain edge, so the chain costs no big-integer operation at all;
+  only the anchor edge and the closing edge cost an x difference and a gcd.
 
 The slab decomposition cuts the region under the monomial chain into k-1
 rectangular trapezoids plus one right triangle at the far end.  Slab m
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, pairwise
+from itertools import chain, islice
 from typing import Callable, NamedTuple
 
 from .core import PolynomialDiagram, SpecialPolynomial, build_diagram
@@ -56,8 +57,7 @@ __all__ = [
     "area_closed_form",
     "area_general",
     "area_shoelace",
-    "boundary_lattice_count",
-    "interior_lattice_count",
+    "lattice_counts",
     "area_pick",
     "route_refusal",
     "route_area",
@@ -145,26 +145,8 @@ def area_shoelace(d: PolynomialDiagram) -> Fraction:
     return Fraction(abs(total + run * coefficient), 2)
 
 
-def boundary_lattice_count(d: PolynomialDiagram) -> int:
-    """Lattice points on the boundary: gcd(|dy|, |dx|) summed over the edges.
-
-    An edge with |dy| = 1 contributes gcd(1, |dx|) = 1 without forming its
-    x difference, so each chain edge of a diagram costs no big-integer
-    operation.  Every other edge costs one x difference and one gcd, with
-    the small |dy| first.  The closing edge, whose gcd is the base's full
-    width, is summed last, from the first vertex, which the walk keeps, so
-    the running sum stays machine-sized until then.
-    """
-    walk = iter(d.vertices)
-    first = list(islice(walk, 1))
-    return sum(
-        1 if abs(by - ay) == 1 else math.gcd(abs(by - ay), abs(bx - ax))
-        for (ax, ay), (bx, by) in pairwise(chain(first, walk, first))
-    )
-
-
-def interior_lattice_count(d: PolynomialDiagram) -> int:
-    """Lattice points strictly inside, summed by parts over the chain edges.
+def lattice_counts(d: PolynomialDiagram) -> tuple[int, int]:
+    """Lattice points (strictly inside, on the boundary), in one walk of the cycle.
 
     Needs every chain edge a -> b to step right and descend exactly one unit.
     Then the chain height lies strictly between b.y and a.y on the columns
@@ -178,17 +160,20 @@ def interior_lattice_count(d: PolynomialDiagram) -> int:
     less last.y - 1 for the column through the final vertex, which lies on
     the boundary (the anchor's column is excluded too).  Each edge costs one
     addition, and as each descends one unit there are first.y - last.y of
-    them.  One walk of the chain, which skips the anchor.  Raises ValueError
-    for degenerate diagrams and for any chain edge that does not step right
-    and down by one.
+    them.  On the boundary each such edge holds gcd(1, |dx|) = 1 point
+    besides its start, so only the anchor edge and the closing edge, taken
+    from the anchor and the first chain vertex the walk keeps, cost a gcd.
+    Raises ValueError for degenerate diagrams and for any chain edge that
+    does not step right and down by one.
     """
     if d.degenerate:
         raise ValueError("degenerate diagram (q = 1) has no interior")
-    walk = islice(d.vertices, 1, None)
-    first = next(walk, None)
-    if first is None:
+    walk = iter(d.vertices)
+    head = list(islice(walk, 2))
+    if len(head) < 2:
         raise ValueError("need a chain vertex after the anchor")
-    first_x, first_y = last_x, last_y = first
+    (anchor_x, anchor_y), (first_x, first_y) = head
+    last_x, last_y = first_x, first_y
     count = 0
     for x, y in walk:
         if x <= last_x or y != last_y - 1:
@@ -198,13 +183,15 @@ def interior_lattice_count(d: PolynomialDiagram) -> int:
         count += last_x
         last_x, last_y = x, y
     edges = first_y - last_y
-    return count + last_x * last_y - first_x * first_y - edges - (last_y - 1)
+    interior = count + last_x * last_y - first_x * first_y - edges - (last_y - 1)
+    boundary = (edges + math.gcd(first_y - anchor_y, first_x - anchor_x)
+                + math.gcd(anchor_y - last_y, anchor_x - last_x))
+    return interior, boundary
 
 
 def area_pick(d: PolynomialDiagram) -> Fraction:
     """Lattice-point oracle: area = interior + boundary/2 - 1."""
-    interior = interior_lattice_count(d)
-    boundary = boundary_lattice_count(d)
+    interior, boundary = lattice_counts(d)
     return Fraction(2 * interior + boundary - 2, 2)
 
 

@@ -189,7 +189,7 @@ def _walk_shape(vertices: Iterable[tuple[int, int]]) -> tuple[int, bool, bool, b
 
     Unit steps: after the anchor, x strictly increases and y falls by
     exactly one per vertex, ending at y = 0.  With k + 2 vertices the chain
-    then runs k, k-1, ..., 0, which is what interior_lattice_count needs.
+    then runs k, k-1, ..., 0, which is what lattice_counts needs.
 
     Convex: every non-zero turn of the closed cycle has one sign.  The two
     turns that wrap around the cycle come last, at the last vertex into the

@@ -66,10 +66,16 @@ def _decimal_text(num: int, den: int, digits: int) -> str:
 
 
 def rational_from_json(obj: object) -> Fraction:
-    """Decode a {"num": ..., "den": ...} object back into a reduced Fraction."""
+    """Decode a {"num": ..., "den": ...} object back into a reduced Fraction.
+
+    Each field is an integer string or an int; any other value, a float or a
+    bool included, is refused rather than truncated.
+    """
     try:
-        num = int(obj["num"])  # type: ignore[index]
-        den = int(obj["den"])  # type: ignore[index]
+        fields = obj["num"], obj["den"]  # type: ignore[index]
+        if any(isinstance(f, bool) or not isinstance(f, (int, str)) for f in fields):
+            raise TypeError
+        num, den = map(int, fields)
     except (TypeError, KeyError, ValueError) as exc:
         raise ValueError(f"not a rational object: {obj!r}") from exc
     if den <= 0:

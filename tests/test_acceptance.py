@@ -18,11 +18,10 @@ from polydiagram import (
     area_pick,
     area_sequence,
     area_shoelace,
-    boundary_lattice_count,
     build_diagram,
     build_polynomial,
     finite_difference,
-    interior_lattice_count,
+    lattice_counts,
     validate_diagram,
 )
 from polydiagram.cli import main
@@ -109,8 +108,7 @@ def test_criterion_6_pick_oracle():
                 assert area_pick(d) == area_shoelace(d), (q, n, k)
                 points += 1
     d = build_diagram(build_polynomial(2, 0, 2))
-    assert interior_lattice_count(d) == 0
-    assert boundary_lattice_count(d) == 7
+    assert lattice_counts(d) == (0, 7)
     assert area_pick(d) == Fraction(5, 2)
     _report(6, f"pick == shoelace on {points} points; (2,0,2) has I=0, B=7, area 5/2")
 

@@ -15,17 +15,17 @@ from polydiagram import (
     area_general,
     area_pick,
     area_shoelace,
-    boundary_lattice_count,
     build_diagram,
     build_polynomial,
     cross_check,
-    interior_lattice_count,
+    lattice_counts,
     validate_diagram,
 )
 from polydiagram.areas import route_refusal
 from references import (
     LatticePoint,
     area_closed_form_k2,
+    boundary_by_gcd,
     interior_by_column_scan,
     materialized_diagram,
     trapezoid_area,
@@ -133,14 +133,12 @@ class TestShoelace:
 class TestPick:
     def test_quadratic_decomposition(self):
         d = build_diagram(build_polynomial(2, 0, 2))
-        assert interior_lattice_count(d) == 0
-        assert boundary_lattice_count(d) == 7
+        assert lattice_counts(d) == (0, 7)
         assert area_pick(d) == Fraction(5, 2)
 
     def test_unit_right_triangle(self):
         d = build_diagram(build_polynomial(2, 0, 1))
-        assert interior_lattice_count(d) == 0
-        assert boundary_lattice_count(d) == 3
+        assert lattice_counts(d) == (0, 3)
         assert area_pick(d) == Fraction(1, 2)
 
     def test_base_three_quadratic(self):
@@ -149,6 +147,12 @@ class TestPick:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError, match="degenerate"):
             area_pick(build_diagram(build_polynomial(1, 0, 2)))
+
+    @pytest.mark.parametrize("vertices", [(), (LatticePoint(1, 0),)])
+    def test_rejects_a_cycle_without_a_chain_vertex(self, vertices):
+        d = PolynomialDiagram(vertices, build_polynomial(2, 0, 2))
+        with pytest.raises(ValueError, match="need a chain vertex after the anchor"):
+            lattice_counts(d)
 
     def test_large_extent_is_exact(self):
         # x-extent 10^8 - 1: far past what a column scan can visit
@@ -163,7 +167,9 @@ class TestPick:
     @pytest.mark.parametrize("q,n,k", [(2, 0, 1), (2, 3, 6), (3, 1, 5), (7, 0, 4), (50, 0, 2)])
     def test_interior_matches_column_scan(self, q, n, k):
         d = build_diagram(build_polynomial(q, n, k))
-        assert interior_lattice_count(d) == interior_by_column_scan(d)
+        interior, boundary = lattice_counts(d)
+        assert interior == interior_by_column_scan(d)
+        assert boundary == boundary_by_gcd(d)
 
     @pytest.mark.parametrize(
         "chain",
@@ -180,7 +186,7 @@ class TestPick:
         vertices = tuple(LatticePoint(*v) for v in [(1, 0), *chain])
         d = PolynomialDiagram(vertices, build_polynomial(2, 0, 2))
         with pytest.raises(ValueError, match="down by one"):
-            interior_lattice_count(d)
+            lattice_counts(d)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     @pytest.mark.parametrize("n", [0, 1, 2])
@@ -256,9 +262,9 @@ class TestCrossCheck:
             return PolynomialDiagram(iter(d.vertices), p)
 
         assert area_shoelace(once()) == area_shoelace(d)
-        assert boundary_lattice_count(once()) == boundary_lattice_count(d)
         if q >= 2:
-            assert interior_lattice_count(once()) == interior_lattice_count(d)
+            assert lattice_counts(once()) == lattice_counts(d)
+            assert area_pick(once()) == area_shoelace(d)
 
     def test_stored_vertices_agree_at_huge_degree(self):
         p = build_polynomial(3, 2, 3000)

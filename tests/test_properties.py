@@ -17,14 +17,13 @@ from polydiagram import (
     area_pick,
     area_sequence,
     area_shoelace,
-    boundary_lattice_count,
     build_diagram,
     build_polynomial,
     cross_check,
     diagram_svg,
     finite_difference,
     format_decimal,
-    interior_lattice_count,
+    lattice_counts,
     rational_from_json,
     ratio_sequence,
     validate_diagram,
@@ -122,7 +121,9 @@ def test_interior_count_matches_column_scan(q, n, k):
     d = build_diagram(build_polynomial(q, n, k))
     extent = q ** (n + k) - q**n  # the last vertex's x less the anchor's
     assume(extent <= 10**4)
-    assert interior_lattice_count(d) == interior_by_column_scan(d)
+    interior, boundary = lattice_counts(d)
+    assert interior == interior_by_column_scan(d)
+    assert boundary == boundary_by_gcd(d)
 
 
 @given(q=bases, n=shifts, k=degrees)
@@ -138,9 +139,11 @@ def test_streamed_diagram_reads_like_the_materialized_tuple(q, n, k):
     assert cross_check(p, streamed) == cross_check(p, stored)
     assert validate_diagram(streamed) == validate_diagram(stored)
     assert area_shoelace(streamed) == area_shoelace(stored)
-    assert boundary_lattice_count(streamed) == boundary_lattice_count(stored)
     if q >= 2:
-        assert interior_lattice_count(streamed) == interior_lattice_count(stored)
+        interior, boundary = lattice_counts(streamed)
+        assert lattice_counts(stored) == (interior, boundary)
+        assert interior == interior_by_edge_terms(stored)
+        assert boundary == boundary_by_gcd(stored)
         assert area_pick(streamed) == area_pick(stored)
     for log_x in (False, True):
         spec = RenderSpec(log_x=log_x)
@@ -165,14 +168,6 @@ def test_vertex_form_shoelace_matches_edge_products(cycle):
     forward, backward = as_diagram(cycle), as_diagram(reversed(cycle))
     assert area_shoelace(forward) == area_by_edge_shoelace(forward)
     assert area_shoelace(backward) == area_by_edge_shoelace(backward) == area_shoelace(forward)
-
-
-@given(cycle=wide_cycles)
-@settings(max_examples=300)
-def test_boundary_count_matches_gcd_of_every_edge(cycle):
-    forward, backward = as_diagram(cycle), as_diagram(reversed(cycle))
-    assert boundary_lattice_count(forward) == boundary_by_gcd(forward)
-    assert boundary_lattice_count(backward) == boundary_by_gcd(backward)
 
 
 @st.composite
@@ -213,12 +208,17 @@ def unit_descent_chains(draw):
     return [LatticePoint(x, 0), *chain]
 
 
-@given(vertices=unit_descent_chains())
+@given(vertices=unit_descent_chains(), anchor=st.builds(LatticePoint, wide_coordinates,
+                                                       wide_coordinates))
 @settings(max_examples=300)
-def test_unit_edges_skip_nothing_in_boundary_or_shoelace(vertices):
-    # forwards every chain edge has dy = -1, backwards dy = +1
-    for d in (as_diagram(vertices), as_diagram(reversed(vertices))):
-        assert boundary_lattice_count(d) == boundary_by_gcd(d)
+def test_unit_edges_skip_nothing_in_boundary_or_shoelace(vertices, anchor):
+    # forwards every chain edge has dy = -1, backwards dy = +1; the boundary
+    # count reads only forward chains, whose every edge it checks, and takes
+    # the anchor and closing edges' gcds wherever the anchor lies
+    forward, backward = as_diagram(vertices), as_diagram(reversed(vertices))
+    for d in (forward, as_diagram([anchor, *vertices[1:]])):
+        assert lattice_counts(d)[1] == boundary_by_gcd(d)
+    for d in (forward, backward):
         assert area_shoelace(d) == area_by_edge_shoelace(d)
 
 
@@ -226,7 +226,7 @@ def test_unit_edges_skip_nothing_in_boundary_or_shoelace(vertices):
 @settings(max_examples=300)
 def test_interior_sum_by_parts_matches_edge_terms(vertices):
     d = as_diagram(vertices)
-    assert interior_lattice_count(d) == interior_by_edge_terms(d)
+    assert lattice_counts(d)[0] == interior_by_edge_terms(d)
 
 
 @given(vertices=unit_descent_chains(), data=st.data())
@@ -237,7 +237,7 @@ def test_interior_sum_by_parts_checks_every_edge(vertices, data):
     lift = data.draw(st.integers(min_value=-3, max_value=3).filter(bool))
     vertices[i] = LatticePoint(vertices[i].x, vertices[i].y + lift)
     with pytest.raises(ValueError, match="down by one"):
-        interior_lattice_count(as_diagram(vertices))
+        lattice_counts(as_diagram(vertices))
 
 
 @st.composite

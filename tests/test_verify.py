@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 import polydiagram.areas as areas
+import polydiagram.core as core
 import polydiagram.verify as verify
 from polydiagram import (
     PolynomialDiagram,
@@ -98,3 +99,20 @@ def test_failures_stay_in_grid_order_when_the_slab_sum_is_off(monkeypatch):
         ((q, n, k), check) for q in (1, 2) for (n, k), check in at_q
     ]
     assert report.golden_problems == ()
+
+
+def test_small_grid_walks_each_cycle_once_per_reader(monkeypatch):
+    # q = 1 points walk the cycle for the shoelace sum only; q >= 2 points
+    # add Pick's one lattice walk and validate_diagram's shape walk
+    walks = 0
+    original = core.VertexCycle.__iter__
+
+    def counting(cycle):
+        nonlocal walks
+        walks += 1
+        return original(cycle)
+
+    monkeypatch.setattr(core.VertexCycle, "__iter__", counting)
+    report = run_grid_verification(q_max=4, n_max=1, k_max=3)
+    assert report.passed
+    assert walks == 1 * 2 * 3 + 3 * (3 * 2 * 3) == 60
