@@ -7,27 +7,34 @@ must all produce the same rational.  ROUTES names them, once, in the order
 documents list them, and states whether each reads the diagram or only its
 polynomial.  Every function returns a Fraction in lowest terms; for a
 lattice polygon the reduced denominator is always 1 or 2.  The closed form
-costs O(1) big-integer operations and every other route O(k): the slab sum
-does two per slab (a product by q and a small addition), and the shoelace
-sum and the lattice counts at most one addition per vertex, plus, in the
+costs O(1) big-integer operations and every other route O(k) of them: the
+slab sum joins k slab weights by binary splitting, and the shoelace sum and
+the lattice counts do at most one addition per vertex each, plus, in the
 shoelace sum, one product by a small factor wherever its coefficient
 changes, and in the lattice counts two gcds (comparisons aside).  None
 grows with the polygon's x-extent q^(n+k), and none uses the fact that
-consecutive chain x differ by a factor of q.  The diagram routes read the
-vertex cycle as a stream: each walks it once, forward, holding O(1)
-vertices, and takes the closing edge from the first vertices it kept, so
-their memory stays flat in k when the cycle is regenerated (as
-build_diagram's is) rather than stored.
+consecutive chain x differ by a factor of q.  The two diagram oracles read
+the vertex cycle as a stream, in one shared walk (_walk_cycle) that keeps
+each oracle's sums in its own accumulators: it walks the cycle once,
+forward, holding O(1) vertices, and takes the closing edge from the first
+vertices it kept, so memory stays flat in k when the cycle is regenerated
+(as build_diagram's is) rather than stored.  area_shoelace and
+lattice_counts each take that walk when called alone; cross_check takes it
+once per diagram and hands it to both routes with the diagram.
 
 Each O(k) route evaluates an exact identity:
 
-- the slab sum factors (q-1) q^n out of every slab and evaluates the
-  remaining weighted sum of q^m by Horner's rule;
+- the slab sum factors (q-1) q^n out of every slab and sums the remaining
+  weighted sum of q^m by binary splitting, W(lo, hi) = W(lo, mid) +
+  q^(mid-lo) W(mid, hi), with Horner's rule over runs of at most
+  _SLAB_LEAF slabs, so its big-integer products are balanced instead of
+  k products by q of an ever longer number;
 - the shoelace sum takes its vertex form, sum of x_i (y_{i+1} - y_{i-1}),
   which holds for any lattice cycle, and by distributivity adds the x of
   each run of equal coefficients before multiplying the run once;
 - the interior count sums the per-edge counts by parts, which needs every
-  chain edge to descend exactly one unit (it checks each edge);
+  chain edge to descend exactly one unit (the walk checks each edge, and a
+  failed check is Pick's alone: it never changes the shoelace sum);
 - the boundary count, in the same walk, takes gcd(1, |dx|) = 1 for each
   checked chain edge, so the chain costs no big-integer operation at all;
   only the anchor edge and the closing edge cost an x difference and a gcd.
@@ -46,7 +53,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .core import PolynomialDiagram, SpecialPolynomial, build_diagram
 
@@ -95,20 +102,117 @@ def area_general(p: SpecialPolynomial) -> Fraction:
 
     Slab m has twice-area (q-1) q^n * q^m (2k-2m-1), so the sum is
     (q-1) q^n * W with W = sum of (2k-2m-1) q^m over m = 0..k-1; m = k-1 is
-    the triangle, and for k = 1 only the triangle remains.  Horner's rule
-    from m = k-1 down adds each slab's weight in turn, one multiplication by
-    q and one small addition per slab.  Equals area_closed_form exactly, and
-    0 when q = 1.
+    the triangle, and for k = 1 only the triangle remains.  W is summed by
+    binary splitting (see _slab_weights): runs of at most _SLAB_LEAF slabs
+    add their weights by Horner's rule, and adjacent runs are joined by one
+    product with a power of q, so the cost is that of a few big-integer
+    products of the result's size, not k of them.  Equals area_closed_form
+    exactly, and 0 when q = 1.
     """
     return _slab_sum(p.q, p.n, p.k)
 
 
+# Runs of at most this many slabs are summed by Horner's rule; at k <= _SLAB_LEAF
+# that is the whole sum, and longer runs are split in two.
+_SLAB_LEAF = 64
+
+
 def _slab_sum(q: int, n: int, k: int) -> Fraction:
     """area_general's slab sum on plain ints, which the caller has validated."""
-    weights = 0  # W, accumulated from the triangle (weight 1) leftwards
-    for weight in range(1, 2 * k, 2):
-        weights = weights * q + weight
+    weights, _ = _slab_weights(q, k, 0, k, power=False)
     return Fraction((q - 1) * q**n * weights, 2)
+
+
+def _slab_weights(q: int, k: int, lo: int, hi: int, power: bool) -> tuple[int, int]:
+    """(sum of (2k-2m-1) q^(m-lo) over lo <= m < hi, q^(hi-lo) if `power` else 1).
+
+    A run of at most _SLAB_LEAF slabs adds its weights by Horner's rule from
+    slab hi-1 leftwards, one product by q and one small addition per slab.
+    A longer run splits at its midpoint: W(lo, hi) = W(lo, mid) +
+    q^(mid-lo) W(mid, hi), where the left half returns its power of q with
+    its sum.  The power of the rightmost run is never needed, so it is only
+    formed when asked for.
+    """
+    if hi - lo <= _SLAB_LEAF:
+        weights = 0  # accumulated from slab hi-1 (weight 2k-2hi+1) leftwards
+        for weight in range(2 * (k - hi) + 1, 2 * (k - lo), 2):
+            weights = weights * q + weight
+        return weights, q ** (hi - lo) if power else 1
+    mid = (lo + hi) // 2
+    low, shift = _slab_weights(q, k, lo, mid, power=True)
+    high, rest = _slab_weights(q, k, mid, hi, power)
+    return low + shift * high, shift * rest if power else 1
+
+
+class _CycleSums(NamedTuple):
+    """What one walk of a cycle gives each diagram oracle, kept apart.
+
+    `kept` is the number of leading vertices the walk kept, at most 3: the
+    shoelace sum needs 3 and the lattice counts 2.  `shoelace` is the
+    vertex-form shoelace sum, twice the signed area; `interior` and
+    `boundary` are Pick's lattice counts, and `bad_edge` the first chain
+    edge that does not step right and down by one, or None.  A value whose
+    oracle's precondition failed is meaningless; each oracle states its own
+    failure, so no text is formed here.
+    """
+
+    kept: int
+    shoelace: int
+    interior: int
+    boundary: int
+    bad_edge: tuple[tuple[int, int], tuple[int, int]] | None
+
+
+def _walk_cycle(vertices: Iterable[tuple[int, int]]) -> _CycleSums:
+    """Walk a cycle once, anchor first, for the shoelace sum and Pick's counts.
+
+    Each vertex after the first chain vertex arrives as `after` while its
+    predecessor `here` sits between `before` and `after`.  The shoelace sum
+    and the lattice count each add here.x to their own accumulator, and
+    Pick's check reads the chain edge here -> after; a failed check is
+    recorded and never stops the walk, so the shoelace sum is the same
+    whatever Pick finds.  The two wrap-around shoelace terms, at the last
+    vertex and at the anchor, come from the first vertices the walk kept.
+    """
+    walk = iter(vertices)
+    head = list(islice(walk, 3))
+    if len(head) < 2:
+        return _CycleSums(len(head), 0, 0, 0, None)
+    (anchor_x, anchor_y), (first_x, first_y) = head[:2]
+    total = run = coefficient = 0  # shoelace; run: sum of x since the coefficient last changed
+    count = 0  # Pick: sum of x over every chain vertex but the last
+    bad_edge = None
+    before_y, here_x, here_y = anchor_y, first_x, first_y
+    for after_x, after_y in chain(head[2:], walk):
+        if (after_x <= here_x or after_y != here_y - 1) and bad_edge is None:
+            bad_edge = (here_x, here_y), (after_x, after_y)
+        count += here_x
+        step = after_y - before_y
+        if step == coefficient:
+            run += here_x
+        else:
+            total += run * coefficient
+            run, coefficient = here_x, step
+        before_y, here_x, here_y = here_y, after_x, after_y
+    last_x, last_y = here_x, here_y
+    total += run * coefficient + last_x * (anchor_y - before_y) + anchor_x * (first_y - last_y)
+    edges = first_y - last_y
+    interior = count + last_x * last_y - first_x * first_y - edges - (last_y - 1)
+    boundary = (edges + math.gcd(first_y - anchor_y, first_x - anchor_x)
+                + math.gcd(anchor_y - last_y, anchor_x - last_x))
+    return _CycleSums(len(head), total, interior, boundary, bad_edge)
+
+
+@dataclass(frozen=True)
+class _WalkedDiagram(PolynomialDiagram):
+    """A diagram carrying the one walk of its cycle that cross_check took."""
+
+    sums: _CycleSums
+
+
+def _cycle_sums(d: PolynomialDiagram) -> _CycleSums:
+    """The diagram's walk: the one cross_check took, else a new one."""
+    return d.sums if isinstance(d, _WalkedDiagram) else _walk_cycle(d.vertices)
 
 
 def area_shoelace(d: PolynomialDiagram) -> Fraction:
@@ -120,29 +224,18 @@ def area_shoelace(d: PolynomialDiagram) -> Fraction:
     x are added up and the run is multiplied by its coefficient once, which
     is exact by distributivity.  So each vertex costs one addition, and
     each change of coefficient one product by a small factor (at most k in
-    a diagram, whose inner chain vertices all have coefficient -2).  One
-    walk of the cycle visits the vertices from the second to the last, each
-    between its neighbours, then the first, whose neighbours are the last
-    and the second: the walk keeps the first two vertices for that.  It
-    starts next to the anchor, so the running sums grow with the vertices'
-    x instead of starting at full width.  Exact for every diagram,
-    including degenerate ones (which give 0).
+    a diagram, whose inner chain vertices all have coefficient -2).  The
+    walk (see _walk_cycle) visits the vertices from the second to the last,
+    each between its neighbours, and adds the last vertex's and the first's
+    terms from the first two vertices it kept.  It starts next to the
+    anchor, so the running sums grow with the vertices' x instead of
+    starting at full width.  Exact for every diagram, including degenerate
+    ones (which give 0).
     """
-    walk = iter(d.vertices)
-    head = list(islice(walk, 3))
-    if len(head) < 3:
-        raise ValueError(f"need at least 3 vertices, got {len(head)}")
-    total = run = coefficient = 0  # run: sum of x since the coefficient last changed
-    (_, before_y), (here_x, here_y) = head[:2]
-    for after_x, after_y in chain(head[2:], walk, head[:2]):
-        step = after_y - before_y
-        if step == coefficient:
-            run += here_x
-        else:
-            total += run * coefficient
-            run, coefficient = here_x, step
-        before_y, here_x, here_y = here_y, after_x, after_y
-    return Fraction(abs(total + run * coefficient), 2)
+    sums = _cycle_sums(d)
+    if sums.kept < 3:
+        raise ValueError(f"need at least 3 vertices, got {sums.kept}")
+    return Fraction(abs(sums.shoelace), 2)
 
 
 def lattice_counts(d: PolynomialDiagram) -> tuple[int, int]:
@@ -163,30 +256,19 @@ def lattice_counts(d: PolynomialDiagram) -> tuple[int, int]:
     them.  On the boundary each such edge holds gcd(1, |dx|) = 1 point
     besides its start, so only the anchor edge and the closing edge, taken
     from the anchor and the first chain vertex the walk keeps, cost a gcd.
-    Raises ValueError for degenerate diagrams and for any chain edge that
-    does not step right and down by one.
+    The walk is the one the shoelace sum reads (see _walk_cycle), with its
+    own accumulator.  Raises ValueError for degenerate diagrams and for the
+    first chain edge that does not step right and down by one.
     """
     if d.degenerate:
         raise ValueError("degenerate diagram (q = 1) has no interior")
-    walk = iter(d.vertices)
-    head = list(islice(walk, 2))
-    if len(head) < 2:
+    sums = _cycle_sums(d)
+    if sums.kept < 2:
         raise ValueError("need a chain vertex after the anchor")
-    (anchor_x, anchor_y), (first_x, first_y) = head
-    last_x, last_y = first_x, first_y
-    count = 0
-    for x, y in walk:
-        if x <= last_x or y != last_y - 1:
-            raise ValueError(
-                f"chain edge {(last_x, last_y)} -> {(x, y)} does not step right and down by one"
-            )
-        count += last_x
-        last_x, last_y = x, y
-    edges = first_y - last_y
-    interior = count + last_x * last_y - first_x * first_y - edges - (last_y - 1)
-    boundary = (edges + math.gcd(first_y - anchor_y, first_x - anchor_x)
-                + math.gcd(anchor_y - last_y, anchor_x - last_x))
-    return interior, boundary
+    if sums.bad_edge is not None:
+        a, b = sums.bad_edge
+        raise ValueError(f"chain edge {a} -> {b} does not step right and down by one")
+    return sums.interior, sums.boundary
 
 
 def area_pick(d: PolynomialDiagram) -> Fraction:
@@ -243,10 +325,13 @@ def route_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = No
 def cross_check(p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> AreaCrossCheck:
     """Compute the area by every route that applies and compare exactly.
 
-    `d` is p's diagram when the caller has already built it.  Disagreement
-    is reported in the record, never raised.
+    `d` is p's diagram when the caller has already built it.  Its cycle is
+    walked once: the shoelace and Pick routes both read that walk, each its
+    own sums, from the diagram they are passed.  Disagreement is reported
+    in the record, never raised.
     """
     d = build_diagram(p) if d is None else d
+    walked = _WalkedDiagram(d.vertices, d.source, _walk_cycle(d.vertices))
     return AreaCrossCheck(
-        {name: route_area(name, p, d) for name in ROUTES if route_refusal(name, p) is None}
+        {name: route_area(name, p, walked) for name in ROUTES if route_refusal(name, p) is None}
     )

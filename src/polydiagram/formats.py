@@ -24,6 +24,8 @@ import csv
 import io
 import json
 import operator
+import re
+from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -69,18 +71,30 @@ def rational_from_json(obj: object) -> Fraction:
     """Decode a {"num": ..., "den": ...} object back into a reduced Fraction.
 
     Each field is an integer string or an int; any other value, a float or a
-    bool included, is refused rather than truncated.
+    bool included, is refused rather than truncated.  A string of any
+    length is read, past the digit cap int() keeps on Python 3.11+.
     """
     try:
-        fields = obj["num"], obj["den"]  # type: ignore[index]
-        if any(isinstance(f, bool) or not isinstance(f, (int, str)) for f in fields):
-            raise TypeError
-        num, den = map(int, fields)
+        num, den = _json_integer(obj["num"]), _json_integer(obj["den"])  # type: ignore[index]
     except (TypeError, KeyError, ValueError) as exc:
         raise ValueError(f"not a rational object: {obj!r}") from exc
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
     return Fraction(num, den)
+
+
+# The integer strings int() reads.  Decimal reads them too, exactly and with
+# no digit cap, and int() of a Decimal converts without going through text.
+_INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _json_integer(field: object) -> int:
+    """One field of a rational object: an int, or an integer string of any length."""
+    if isinstance(field, str) and _INTEGER_TEXT.fullmatch(field):
+        return int(Decimal(field))
+    if isinstance(field, int) and not isinstance(field, bool):
+        return int(field)
+    raise TypeError(f"not an integer or an integer string: {field!r}")
 
 
 def table_document(fmt: str, headers: list[str], rows: list[list[str]]) -> str:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import polydiagram.core as core
 from polydiagram import (
     ROUTES,
     AreaCrossCheck,
@@ -128,6 +129,15 @@ class TestShoelace:
     def test_cubic(self):
         # cross-product cycle sum is 3 - 4 - 6 - 8 + 0 = -15
         assert area_shoelace(build_diagram(build_polynomial(2, 0, 3))) == Fraction(15, 2)
+
+    def test_a_cycle_pick_refuses_keeps_its_area(self):
+        # the walk Pick shares records its flat top edge without forming any
+        # text, so an x past the int->str digit cap leaves the sum exact
+        wide = 10**5000
+        d = PolynomialDiagram([(1, 0), (1, 2), (wide, 2), (wide, 0)], build_polynomial(2, 0, 2))
+        assert area_shoelace(d) == 2 * (wide - 1)
+        with pytest.raises(ValueError):
+            lattice_counts(d)
 
 
 class TestPick:
@@ -265,6 +275,25 @@ class TestCrossCheck:
         if q >= 2:
             assert lattice_counts(once()) == lattice_counts(d)
             assert area_pick(once()) == area_shoelace(d)
+
+    @pytest.mark.parametrize("q,n,k", [(2, 0, 1), (3, 1, 5), (2, 0, 300)])
+    def test_cross_check_walks_the_diagram_once(self, q, n, k, monkeypatch):
+        # the shoelace sum and Pick's counts come from one walk of the cycle
+        p = build_polynomial(q, n, k)
+        expected = cross_check(p)
+        walks = 0
+        original = core.VertexCycle.__iter__
+
+        def counting(cycle):
+            nonlocal walks
+            walks += 1
+            return original(cycle)
+
+        monkeypatch.setattr(core.VertexCycle, "__iter__", counting)
+        assert cross_check(p, build_diagram(p)) == expected
+        assert walks == 1
+        once = PolynomialDiagram(iter(build_diagram(p).vertices), p)
+        assert cross_check(p, once) == expected and list(expected.areas) == list(ROUTES)
 
     def test_stored_vertices_agree_at_huge_degree(self):
         p = build_polynomial(3, 2, 3000)

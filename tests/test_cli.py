@@ -263,6 +263,16 @@ class TestHugeValues:
                 assert Fraction(area) == expected
                 assert Fraction(decimal) == expected
 
+    def test_json_beyond_the_int_digit_cap_reads_back(self, capsys):
+        # a 4534-digit numerator, read back under the default digit cap
+        code, out, _ = run_cli(capsys, "area", "--q", "3", "--n", "9500", "--k", "2",
+                               "--method", "closed", "--format", "json")
+        assert code == 0
+        area = json.loads(out)["results"][0]["area"]
+        assert len(area["num"]) == 4534
+        assert rational_from_json(area) == polydiagram.area_closed_form(
+            polydiagram.build_polynomial(3, 9500, 2))
+
     def test_render_beyond_the_int_digit_cap(self, capsys):
         # labels print x = 10^4300 .. 10^4302 in full
         code, out, _ = run_cli(capsys, "render", "--q", "10", "--n", "4300", "--k", "2")

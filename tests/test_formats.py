@@ -94,8 +94,11 @@ class TestJsonRational:
             rational_from_json("5/2")
         with pytest.raises(ValueError):
             rational_from_json({"num": "1", "den": "0"})
-        # fields that int() would truncate, to 1/2, 15/2 and 1/2
-        for obj in ({"num": 1.9, "den": 2}, {"num": 15, "den": 2.7}, {"num": True, "den": 2}):
+        # fields that int() would truncate, to 1/2, 15/2 and 1/2, and strings
+        # that Decimal reads but that are not integers
+        for obj in ({"num": 1.9, "den": 2}, {"num": 15, "den": 2.7}, {"num": True, "den": 2},
+                    {"num": "1e3", "den": "1"}, {"num": "1.5", "den": "2"},
+                    {"num": "NaN", "den": "1"}, {"num": "1", "den": "Infinity"}):
             with pytest.raises(ValueError, match="not a rational object"):
                 rational_from_json(obj)
 

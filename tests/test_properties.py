@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polydiagram import (
@@ -28,7 +28,8 @@ from polydiagram import (
     ratio_sequence,
     validate_diagram,
 )
-from polydiagram.areas import route_area, route_refusal
+from polydiagram.areas import _SLAB_LEAF as _LEAF
+from polydiagram.areas import _slab_sum, route_area, route_refusal
 from polydiagram.core import _walk_shape
 from polydiagram.render import RenderSpec
 from references import (
@@ -73,11 +74,18 @@ def test_closed_form_matches_slab_sum(q, n, k):
 @given(
     q=st.integers(min_value=1, max_value=200),
     n=st.integers(min_value=0, max_value=30),
-    k=st.integers(min_value=1, max_value=300),
+    k=st.sampled_from([_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1])
+    | st.integers(min_value=1, max_value=5 * _LEAF),
 )
+@example(q=1, n=3, k=2 * _LEAF + 1)
+@example(q=2, n=1, k=_LEAF - 1)
+@example(q=3, n=2, k=_LEAF)
+@example(q=5, n=4, k=_LEAF + 1)
+@example(q=7, n=1, k=2 * _LEAF + 1)
 def test_slab_sum_matches_running_power_sum(q, n, k):
+    # Horner's rule up to the leaf size, binary splitting above it
     p = build_polynomial(q, n, k)
-    assert area_general(p) == slab_sum_by_running_power(p)
+    assert _slab_sum(q, n, k) == slab_sum_by_running_power(p) == area_closed_form(p)
 
 
 @given(q=bases, n=shifts, k=degrees)

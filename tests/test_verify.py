@@ -102,8 +102,8 @@ def test_failures_stay_in_grid_order_when_the_slab_sum_is_off(monkeypatch):
 
 
 def test_small_grid_walks_each_cycle_once_per_reader(monkeypatch):
-    # q = 1 points walk the cycle for the shoelace sum only; q >= 2 points
-    # add Pick's one lattice walk and validate_diagram's shape walk
+    # cross_check walks each cycle once for both the shoelace sum and Pick;
+    # q >= 2 points add validate_diagram's shape walk
     walks = 0
     original = core.VertexCycle.__iter__
 
@@ -115,4 +115,4 @@ def test_small_grid_walks_each_cycle_once_per_reader(monkeypatch):
     monkeypatch.setattr(core.VertexCycle, "__iter__", counting)
     report = run_grid_verification(q_max=4, n_max=1, k_max=3)
     assert report.passed
-    assert walks == 1 * 2 * 3 + 3 * (3 * 2 * 3) == 60
+    assert walks == 1 * 2 * 3 + 2 * (3 * 2 * 3) == 42
