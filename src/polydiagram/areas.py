@@ -3,24 +3,23 @@
 Two formula routes (the per-slab trapezoid sum, and the closed form it
 telescopes to) and two geometric oracles (the shoelace sum over the vertex
 cycle, and lattice-point counting through Pick's relation A = I + B/2 - 1)
-must all produce the same rational.  ROUTES names them, once, in the order
-documents list them, and states whether each reads the diagram or only its
-polynomial.  Every function returns a Fraction in lowest terms; for a
-lattice polygon the reduced denominator is always 1 or 2.  The closed form
-costs O(1) big-integer operations and every other route O(k) of them: the
-slab sum joins k slab weights by binary splitting, and the shoelace sum and
-the lattice counts do at most one addition per vertex each, plus, in the
-shoelace sum, one product by a small factor wherever its coefficient
-changes, and in the lattice counts two gcds (comparisons aside).  None
-grows with the polygon's x-extent q^(n+k), and none uses the fact that
-consecutive chain x differ by a factor of q.  The two diagram oracles read
-the vertex cycle as a stream, in one shared walk (_walk_cycle) that keeps
-each oracle's sums in its own accumulators: it walks the cycle once,
-forward, holding O(1) vertices, and takes the closing edge from the first
-vertices it kept, so memory stays flat in k when the cycle is regenerated
-(as build_diagram's is) rather than stored.  area_shoelace and
-lattice_counts each take that walk when called alone; cross_check takes it
-once per diagram and hands it to both routes with the diagram.
+must all produce the same rational, a Fraction in lowest terms whose
+denominator is 1 or 2.  ROUTES holds each route's own function, once, in
+the order documents list them: the formula routes read the ints (q, n, k)
+and the oracles one walk of the vertex cycle, and each public area function
+runs its entry.  The closed form costs O(1) big-integer operations and
+every other route O(k) of them: the slab sum joins k slab weights by binary
+splitting, and the shoelace sum and the lattice counts do at most one
+addition per vertex each, plus, in the shoelace sum, one product by a small
+factor wherever its coefficient changes, and in the lattice counts two gcds
+(comparisons aside).  None grows with the polygon's x-extent q^(n+k), and
+none uses the fact that consecutive chain x differ by a factor of q.  The
+walk (_walk_cycle) reads the cycle as a stream and keeps each oracle's sums
+in its own accumulators: it walks the cycle once, forward, holding O(1)
+vertices, and takes the closing edge from the first vertices it kept, so
+memory stays flat in k when the cycle is regenerated (as build_diagram's
+is) rather than stored.  cross_check takes it once per diagram for both
+oracles.
 
 Each O(k) route evaluates an exact identity:
 
@@ -89,12 +88,17 @@ def area_closed_form(p: SpecialPolynomial) -> Fraction:
     The slab sum telescopes: summing (q^(m+1) - q^m) * (2k-2m-1) by parts over
     m = 0..k-1 leaves q^k - (2k-1) + 2(q + q^2 + ... + q^(k-1)), and the
     geometric sum is (q^k - q)/(q-1).  At k = 2 this is q^n (q+3)(q-1) / 2.
+    Runs ROUTES["closed"].
     """
-    if p.degenerate:
+    return route_area("closed", p)
+
+
+def _closed_form(q: int, n: int, k: int) -> Fraction:
+    """The closed route: area_closed_form on plain ints, which the caller has validated."""
+    if q == 1:
         return Fraction(0)
-    q, k = p.q, p.k
     qk = q**k
-    return Fraction(q**p.n * (qk - (2 * k - 1) + 2 * ((qk - q) // (q - 1))), 2)
+    return Fraction(q**n * (qk - (2 * k - 1) + 2 * ((qk - q) // (q - 1))), 2)
 
 
 def area_general(p: SpecialPolynomial) -> Fraction:
@@ -103,13 +107,12 @@ def area_general(p: SpecialPolynomial) -> Fraction:
     Slab m has twice-area (q-1) q^n * q^m (2k-2m-1), so the sum is
     (q-1) q^n * W with W = sum of (2k-2m-1) q^m over m = 0..k-1; m = k-1 is
     the triangle, and for k = 1 only the triangle remains.  W is summed by
-    binary splitting (see _slab_weights): runs of at most _SLAB_LEAF slabs
-    add their weights by Horner's rule, and adjacent runs are joined by one
-    product with a power of q, so the cost is that of a few big-integer
-    products of the result's size, not k of them.  Equals area_closed_form
-    exactly, and 0 when q = 1.
+    binary splitting (see _slab_weights), so the cost is that of a few
+    big-integer products of the result's size, not k of them.  Equals
+    area_closed_form exactly, and 0 when q = 1.  Runs ROUTES["general"],
+    which is _slab_sum.
     """
-    return _slab_sum(p.q, p.n, p.k)
+    return route_area("general", p)
 
 
 # Runs of at most this many slabs are summed by Horner's rule; at k <= _SLAB_LEAF
@@ -118,7 +121,7 @@ _SLAB_LEAF = 64
 
 
 def _slab_sum(q: int, n: int, k: int) -> Fraction:
-    """area_general's slab sum on plain ints, which the caller has validated."""
+    """The general route: area_general's slab sum on plain ints, which the caller has validated."""
     weights, _ = _slab_weights(q, k, 0, k, power=False)
     return Fraction((q - 1) * q**n * weights, 2)
 
@@ -203,18 +206,6 @@ def _walk_cycle(vertices: Iterable[tuple[int, int]]) -> _CycleSums:
     return _CycleSums(len(head), total, interior, boundary, bad_edge)
 
 
-@dataclass(frozen=True)
-class _WalkedDiagram(PolynomialDiagram):
-    """A diagram carrying the one walk of its cycle that cross_check took."""
-
-    sums: _CycleSums
-
-
-def _cycle_sums(d: PolynomialDiagram) -> _CycleSums:
-    """The diagram's walk: the one cross_check took, else a new one."""
-    return d.sums if isinstance(d, _WalkedDiagram) else _walk_cycle(d.vertices)
-
-
 def area_shoelace(d: PolynomialDiagram) -> Fraction:
     """Shoelace oracle: |sum of x_i * (y_{i+1} - y_{i-1})| / 2 over the cycle.
 
@@ -225,17 +216,19 @@ def area_shoelace(d: PolynomialDiagram) -> Fraction:
     is exact by distributivity.  So each vertex costs one addition, and
     each change of coefficient one product by a small factor (at most k in
     a diagram, whose inner chain vertices all have coefficient -2).  The
-    walk (see _walk_cycle) visits the vertices from the second to the last,
-    each between its neighbours, and adds the last vertex's and the first's
-    terms from the first two vertices it kept.  It starts next to the
-    anchor, so the running sums grow with the vertices' x instead of
-    starting at full width.  Exact for every diagram, including degenerate
-    ones (which give 0).
+    walk (see _walk_cycle) starts next to the anchor, so the running sums
+    grow with the vertices' x instead of starting at full width.  Exact for
+    every diagram, including degenerate ones (which give 0).  Runs
+    ROUTES["shoelace"] on one walk of d's cycle.
     """
-    sums = _cycle_sums(d)
-    if sums.kept < 3:
-        raise ValueError(f"need at least 3 vertices, got {sums.kept}")
-    return Fraction(abs(sums.shoelace), 2)
+    return route_area("shoelace", d.source, d)
+
+
+def _shoelace_area(walk: _CycleSums) -> Fraction:
+    """The shoelace route: area_shoelace from one walk of the cycle."""
+    if walk.kept < 3:
+        raise ValueError(f"need at least 3 vertices, got {walk.kept}")
+    return Fraction(abs(walk.shoelace), 2)
 
 
 def lattice_counts(d: PolynomialDiagram) -> tuple[int, int]:
@@ -261,41 +254,53 @@ def lattice_counts(d: PolynomialDiagram) -> tuple[int, int]:
     first chain edge that does not step right and down by one.
     """
     if d.degenerate:
-        raise ValueError("degenerate diagram (q = 1) has no interior")
-    sums = _cycle_sums(d)
-    if sums.kept < 2:
+        raise ValueError(_NO_INTERIOR)
+    return _lattice_counts(_walk_cycle(d.vertices))
+
+
+_NO_INTERIOR = "degenerate diagram (q = 1) has no interior"
+
+
+def _lattice_counts(walk: _CycleSums) -> tuple[int, int]:
+    """lattice_counts from one walk of the cycle, once its chain edges are checked."""
+    if walk.kept < 2:
         raise ValueError("need a chain vertex after the anchor")
-    if sums.bad_edge is not None:
-        a, b = sums.bad_edge
+    if walk.bad_edge is not None:
+        a, b = walk.bad_edge
         raise ValueError(f"chain edge {a} -> {b} does not step right and down by one")
-    return sums.interior, sums.boundary
+    return walk.interior, walk.boundary
 
 
 def area_pick(d: PolynomialDiagram) -> Fraction:
-    """Lattice-point oracle: area = interior + boundary/2 - 1."""
-    interior, boundary = lattice_counts(d)
+    """Lattice-point oracle by ROUTES["pick"]: I + B/2 - 1; raises as lattice_counts does."""
+    if d.degenerate:
+        raise ValueError(_NO_INTERIOR)
+    return route_area("pick", d.source, d)
+
+
+def _pick_area(walk: _CycleSums) -> Fraction:
+    """The Pick route: Pick's relation over the lattice counts of one walk."""
+    interior, boundary = _lattice_counts(walk)
     return Fraction(2 * interior + boundary - 2, 2)
 
 
 class Route(NamedTuple):
     """An area route: whether it reads the diagram, and its area function.
 
-    `area` takes the PolynomialDiagram when `reads_diagram`, else only the
-    SpecialPolynomial; route_area passes it the one it reads.
+    `area` reads a validated polynomial's ints (q, n, k) or, when `reads_diagram`,
+    one walk of its diagram's cycle; only route_area and cross_check pass it that.
     """
 
     reads_diagram: bool
     area: Callable[..., Fraction]
 
 
-# Every route, in the order documents list them.  Each function is looked up
-# by name when the route runs, so a rebound module attribute (a test's
-# patch, a tracer's wrapper) is what runs.
+# Every route, in the order documents list them.
 ROUTES: dict[str, Route] = {
-    "closed": Route(False, lambda p: area_closed_form(p)),
-    "general": Route(False, lambda p: area_general(p)),
-    "shoelace": Route(True, lambda d: area_shoelace(d)),
-    "pick": Route(True, lambda d: area_pick(d)),
+    "closed": Route(False, _closed_form),
+    "general": Route(False, _slab_sum),
+    "shoelace": Route(True, _shoelace_area),
+    "pick": Route(True, _pick_area),
 }
 
 
@@ -311,27 +316,26 @@ def route_refusal(name: str, p: SpecialPolynomial) -> str | None:
 
 
 def route_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> Fraction:
-    """Area of p by route `name`.
+    """Area of p by route `name`: ROUTES[name] applied to p's ints, or to one walk of its diagram.
 
     `d` is p's diagram when the caller has already built it; otherwise it
     is built only for a route that reads one.
     """
     route = ROUTES[name]
     if not route.reads_diagram:
-        return route.area(p)
-    return route.area(build_diagram(p) if d is None else d)
+        return route.area(p.q, p.n, p.k)
+    return route.area(_walk_cycle((build_diagram(p) if d is None else d).vertices))
 
 
 def cross_check(p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> AreaCrossCheck:
     """Compute the area by every route that applies and compare exactly.
 
-    `d` is p's diagram when the caller has already built it.  Its cycle is
-    walked once: the shoelace and Pick routes both read that walk, each its
-    own sums, from the diagram they are passed.  Disagreement is reported
-    in the record, never raised.
+    Each route reads p's ints or one walk, shared by the diagram routes, of
+    the cycle of `d`, p's diagram when the caller has already built it.
+    Disagreement is reported in the record, never raised.
     """
-    d = build_diagram(p) if d is None else d
-    walked = _WalkedDiagram(d.vertices, d.source, _walk_cycle(d.vertices))
+    walk = _walk_cycle((build_diagram(p) if d is None else d).vertices)
     return AreaCrossCheck(
-        {name: route_area(name, p, walked) for name in ROUTES if route_refusal(name, p) is None}
+        {name: route.area(walk) if route.reads_diagram else route.area(p.q, p.n, p.k)
+         for name, route in ROUTES.items() if route_refusal(name, p) is None}
     )

@@ -79,7 +79,7 @@ def rational_from_json(obj: object) -> Fraction:
     except (TypeError, KeyError, ValueError) as exc:
         raise ValueError(f"not a rational object: {obj!r}") from exc
     if den <= 0:
-        raise ValueError(f"denominator must be positive, got {den}")
+        raise ValueError(f"denominator must be positive, got {'0' if den == 0 else 'a negative'}")
     return Fraction(num, den)
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .areas import _slab_sum
+from .areas import ROUTES
 from .core import build_polynomial
 
 __all__ = [
@@ -58,15 +58,16 @@ class SequenceReport:
 
 
 def area_sequence(k: int, n: int, q_from: int, q_to: int) -> AreaSequence:
-    """Materialize the areas for q = q_from..q_to at fixed (k, n), by the slab sum.
+    """Materialize the areas for q = q_from..q_to at fixed (k, n), by ROUTES["general"].
 
     The parameters are validated once, at q_from: a range whose first q is
-    valid holds only valid q.
+    valid holds only valid q, so the route reads each q's ints directly.
     """
     if q_from > q_to:
         raise ValueError(f"empty range: q_from={q_from} > q_to={q_to}")
     build_polynomial(q_from, n, k)
-    values = tuple(_slab_sum(q, n, k) for q in range(q_from, q_to + 1))
+    general = ROUTES["general"].area
+    values = tuple(general(q, n, k) for q in range(q_from, q_to + 1))
     return AreaSequence(k=k, n=n, q_start=q_from, values=values)
 
 

@@ -234,6 +234,36 @@ class TestVerify:
         assert exc.value.code == 2
 
 
+def route_off_by_one(name: str):
+    """ROUTES[name] one too large: a formula route at q = 3 only, as a constant
+    offset cancels in diff's differences; a diagram route, which reads no q,
+    everywhere."""
+    route = areas.ROUTES[name]
+    if route.reads_diagram:
+        broken = route._replace(area=lambda walk: route.area(walk) + 1)
+    else:
+        broken = route._replace(area=lambda q, n, k: route.area(q, n, k) + (q == 3))
+    return mock.patch.dict(areas.ROUTES, {name: broken})
+
+
+@pytest.mark.parametrize("name", areas.ROUTES)
+def test_a_fault_at_a_route_entry_reaches_every_command(capsys, name):
+    # argv, and its exit code with the fault
+    commands = [
+        (("area", "--q", "3", "--k", "3", "--method", name), 0),
+        (("area", "--q", "3", "--k", "3", "--method", "all"), 1),
+        (("verify", "--q-max", "3", "--n-max", "0", "--k-max", "2"), 1),
+    ]
+    if name == "general":
+        commands += [(("table", "--q-to", "5"), 0), (("diff", "--q-to", "6"), 0)]
+    for argv, faulted_code in commands:
+        code, clean, _ = run_cli(capsys, *argv)
+        with route_off_by_one(name):
+            faulted, out, _ = run_cli(capsys, *argv)
+        assert (code, faulted) == (0, faulted_code), argv
+        assert out != clean, argv
+
+
 @contextmanager
 def unlimited_int_digits():
     """Lift the int<->str digit cap (Python >= 3.11) while comparing huge values."""

@@ -87,6 +87,15 @@ class TestJsonRational:
     def test_decodes_unreduced_input(self):
         assert rational_from_json({"num": "10", "den": "4"}) == Fraction(5, 2)
 
+    @pytest.mark.parametrize("den", [-(10**5000 - 1), "-" + "9" * 5000, 0, "-2"],
+                             ids=["int_5000_digits", "str_5000_digits", "zero", "minus_two"])
+    def test_names_a_non_positive_denominator_by_its_sign(self, den):
+        # a 5000-digit int has no text under the int->str digit cap of Python 3.11+,
+        # so the message must not format the denominator
+        sign = "0" if den == 0 else "a negative"
+        with pytest.raises(ValueError, match=f"^denominator must be positive, got {sign}$"):
+            rational_from_json({"num": "1", "den": den})
+
     def test_rejects_junk(self):
         with pytest.raises(ValueError):
             rational_from_json({"num": "1"})
@@ -120,8 +129,9 @@ class TestDocuments:
     def test_json_document_of_an_injected_verify_failure(self, monkeypatch):
         payloads = []
         monkeypatch.setattr(cli, "json_document", lambda payload: payloads.append(payload) or "")
-        original = areas.area_general
-        monkeypatch.setattr(areas, "area_general", lambda p: original(p) + (p.n == 1))
+        general = areas.ROUTES["general"]
+        broken = general._replace(area=lambda q, n, k: general.area(q, n, k) + (n == 1))
+        monkeypatch.setitem(areas.ROUTES, "general", broken)
         assert cli.main(["verify", "--q-max", "2", "--n-max", "1", "--k-max", "2"]) == 1
         (payload,) = payloads
         assert payload["failures"] and isinstance(payload["first_failure"], dict)

@@ -4,7 +4,8 @@ Each case's stdout is stored in `golden/<name>.out`, and its stderr, when not
 empty, in `golden/<name>.err`.  To refreeze after an intended change of
 output, run `python tests/test_golden.py` from the repository root with the
 trusted sources on the path and review the diff.  A case listed in FAULTS runs,
-and is frozen, with that fault injected into the package.
+and is frozen, with that fault injected into the package at an `areas.ROUTES`
+entry, the one way into each area route.
 """
 
 from __future__ import annotations
@@ -94,17 +95,18 @@ CASES.update(
 @contextlib.contextmanager
 def _broken_slab_sum_and_golden_row():
     """The slab sum off by one at n = 1, and the q = 16 golden row's area off by one."""
-    general = areas.area_general
+    general = areas.ROUTES["general"]
+    broken = general._replace(area=lambda q, n, k: general.area(q, n, k) + (n == 1))
     rows = tuple((q, area + (q == 16), ratio) for q, area, ratio in verify.GOLDEN_QUADRATIC_ROWS)
-    with mock.patch.object(areas, "area_general", lambda p: general(p) + (p.n == 1)):
+    with mock.patch.dict(areas.ROUTES, general=broken):
         with mock.patch.object(verify, "GOLDEN_QUADRATIC_ROWS", rows):
             yield
 
 
 def _pick_off_by_one():
     """Pick's area one too large, so `area --method all` renders two distinct values."""
-    pick = areas.area_pick
-    return mock.patch.object(areas, "area_pick", lambda d: pick(d) + 1)
+    pick = areas.ROUTES["pick"]
+    return mock.patch.dict(areas.ROUTES, pick=pick._replace(area=lambda walk: pick.area(walk) + 1))
 
 
 # name -> fault injected while the case runs

@@ -1,9 +1,12 @@
-"""The public surface: every name a module exports resolves, so star-imports work."""
+"""The public surface: every name a module exports resolves, so star-imports work,
+and no module reaches into another's private names."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +38,19 @@ def test_star_import_binds_every_exported_name(name):
     namespace: dict[str, object] = {}
     exec(f"from {name} import *", namespace)
     assert set(importlib.import_module(name).__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(polydiagram.__file__).parent.glob("*.py")), ids=lambda path: path.stem
+)
+def test_no_module_imports_a_private_name_of_another(path):
+    # a private helper imported by name is a second way into it that a patch
+    # of the public entry, such as an areas.ROUTES entry, does not reach
+    imports = [
+        f"from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert imports == []

@@ -19,16 +19,15 @@ from polydiagram.core import _walk_shape
 
 def test_default_grid_computes_each_slab_sum_once(monkeypatch):
     calls = 0
-    original = areas.area_general
+    general = areas.ROUTES["general"]
 
-    def counting(p):
+    def counting(q, n, k):
         nonlocal calls
         calls += 1
-        return original(p)
+        return general.area(q, n, k)
 
-    # the route table's slab sum, and the golden rows' own
-    monkeypatch.setattr(areas, "area_general", counting)
-    monkeypatch.setattr(verify, "area_general", counting)
+    # the route table's slab sum, which the golden rows' area_general runs too
+    monkeypatch.setitem(areas.ROUTES, "general", general._replace(area=counting))
     report = run_grid_verification()
     assert report.passed
     # every point runs the route and denominator checks, n >= 1 the scaling
@@ -73,8 +72,8 @@ def test_chain_structure_check_walks_the_cycle_once(cycle, k, holds):
 
 def test_a_broken_route_fails_only_its_own_check(monkeypatch):
     clean = run_grid_verification(q_max=4, n_max=1, k_max=3)
-    original = areas.area_pick
-    monkeypatch.setattr(areas, "area_pick", lambda d: original(d) + 1)
+    pick = areas.ROUTES["pick"]
+    monkeypatch.setitem(areas.ROUTES, "pick", pick._replace(area=lambda walk: pick.area(walk) + 1))
     report = run_grid_verification(q_max=4, n_max=1, k_max=3)
     assert {f.check for f in report.failures} == {"pick_vs_shoelace"}
     assert len(report.failures) == report.pick_checks == 3 * 2 * 3
@@ -84,8 +83,9 @@ def test_a_broken_route_fails_only_its_own_check(monkeypatch):
 
 
 def test_failures_stay_in_grid_order_when_the_slab_sum_is_off(monkeypatch):
-    original = areas.area_general
-    monkeypatch.setattr(areas, "area_general", lambda p: original(p) + (p.n == 1))
+    general = areas.ROUTES["general"]
+    broken = general._replace(area=lambda q, n, k: general.area(q, n, k) + (n == 1))
+    monkeypatch.setitem(areas.ROUTES, "general", broken)
     report = run_grid_verification(q_max=2, n_max=2, k_max=2)
     at_q = [
         ((1, 1), "general_vs_shoelace"),
