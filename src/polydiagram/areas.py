@@ -250,15 +250,13 @@ def lattice_counts(d: PolynomialDiagram) -> tuple[int, int]:
     besides its start, so only the anchor edge and the closing edge, taken
     from the anchor and the first chain vertex the walk keeps, cost a gcd.
     The walk is the one the shoelace sum reads (see _walk_cycle), with its
-    own accumulator.  Raises ValueError for degenerate diagrams and for the
-    first chain edge that does not step right and down by one.
+    own accumulator.  Raises ValueError with route_refusal's text at q = 1,
+    before the walk, and for the first chain edge that does not step right and down by one.
     """
-    if d.degenerate:
-        raise ValueError(_NO_INTERIOR)
+    refusal = route_refusal("pick", d.source)
+    if refusal is not None:
+        raise ValueError(refusal)
     return _lattice_counts(_walk_cycle(d.vertices))
-
-
-_NO_INTERIOR = "degenerate diagram (q = 1) has no interior"
 
 
 def _lattice_counts(walk: _CycleSums) -> tuple[int, int]:
@@ -272,9 +270,7 @@ def _lattice_counts(walk: _CycleSums) -> tuple[int, int]:
 
 
 def area_pick(d: PolynomialDiagram) -> Fraction:
-    """Lattice-point oracle by ROUTES["pick"]: I + B/2 - 1; raises as lattice_counts does."""
-    if d.degenerate:
-        raise ValueError(_NO_INTERIOR)
+    """Pick's I + B/2 - 1 by route_area("pick", d.source, d); raises as lattice_counts does."""
     return route_area("pick", d.source, d)
 
 
@@ -307,8 +303,8 @@ ROUTES: dict[str, Route] = {
 def route_refusal(name: str, p: SpecialPolynomial) -> str | None:
     """Why route `name` does not apply to p, or None when it does.
 
-    Every route applies except Pick, which needs q >= 2: a degenerate
-    diagram has no interior.
+    Every route applies except Pick, which needs q >= 2 (a q = 1 diagram has
+    no interior).  route_area and lattice_counts raise it; cross_check skips it.
     """
     if name == "pick" and p.q < 2:
         return f"route 'pick' needs q >= 2 (a q = 1 diagram has no interior), got q = {p.q}"
@@ -318,9 +314,12 @@ def route_refusal(name: str, p: SpecialPolynomial) -> str | None:
 def route_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> Fraction:
     """Area of p by route `name`: ROUTES[name] applied to p's ints, or to one walk of its diagram.
 
-    `d` is p's diagram when the caller has already built it; otherwise it
-    is built only for a route that reads one.
+    A refused route raises route_refusal's text before any work.  `d` is p's
+    diagram when the caller has built it, else built for a route that reads one.
     """
+    refusal = route_refusal(name, p)
+    if refusal is not None:
+        raise ValueError(refusal)
     route = ROUTES[name]
     if not route.reads_diagram:
         return route.area(p.q, p.n, p.k)

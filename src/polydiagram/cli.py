@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .areas import ROUTES, cross_check, route_area, route_refusal
+from .areas import ROUTES, cross_check, route_area
 from .core import build_diagram, build_polynomial
 from .formats import (
     DEFAULT_DIGITS,
@@ -59,17 +59,13 @@ def _params(args: argparse.Namespace) -> dict[str, str | int]:
 
 def cmd_area(args: argparse.Namespace) -> int:
     p = build_polynomial(args.q, args.n, args.k)
-    refusal = route_refusal(args.method, p)
-    if refusal is not None:
-        raise ValueError(refusal)
-    if p.degenerate:
-        _warn("q = 1 produces a degenerate diagram; every area is 0")
-
     if args.method == "all":
         check = cross_check(p)
         areas, agree = check.areas, check.agree
-    else:
+    else:  # route_area refuses a route that does not apply before any work
         areas, agree = {args.method: route_area(args.method, p)}, True
+    if p.degenerate:
+        _warn("q = 1 produces a degenerate diagram; every area is 0")
 
     records = [{"method": name, "area": value} for name, value in areas.items()]
     _emit(

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_DIGITS = 4
-MAX_DIGITS = 1000  # the CLI's --digits limit; the work grows with 10**digits
+MAX_DIGITS = 1000  # the CLI's --digits limit; the work and the text grow with digits
 _UNDEFINED = "undefined"  # CSV/markdown text of a missing rational; JSON uses null
 
 
@@ -70,14 +70,13 @@ def _decimal_text(num: int, den: int, digits: int) -> str:
 def rational_from_json(obj: object) -> Fraction:
     """Decode a {"num": ..., "den": ...} object back into a reduced Fraction.
 
-    Each field is an integer string or an int; any other value, a float or a
-    bool included, is refused rather than truncated.  A string of any
-    length is read, past the digit cap int() keeps on Python 3.11+.
+    Each field is an int or an integer string of any length, read past the
+    digit cap int() keeps on Python 3.11+.  Any other value, a float or a bool
+    included, is refused rather than truncated, by its key, never its text.
     """
-    try:
-        num, den = _json_integer(obj["num"]), _json_integer(obj["den"])  # type: ignore[index]
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ValueError(f"not a rational object: {obj!r}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"not a rational object: a {type(obj).__name__}, not a dict")
+    num, den = _json_integer(obj, "num"), _json_integer(obj, "den")
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {'0' if den == 0 else 'a negative'}")
     return Fraction(num, den)
@@ -88,13 +87,16 @@ def rational_from_json(obj: object) -> Fraction:
 _INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
-def _json_integer(field: object) -> int:
-    """One field of a rational object: an int, or an integer string of any length."""
+def _json_integer(obj: dict, key: str) -> int:
+    """Field `key` of a rational object: an int, or an integer string of any length."""
+    if key not in obj:
+        raise ValueError(f"not a rational object: no {key!r} field")
+    field = obj[key]
     if isinstance(field, str) and _INTEGER_TEXT.fullmatch(field):
         return int(Decimal(field))
     if isinstance(field, int) and not isinstance(field, bool):
         return int(field)
-    raise TypeError(f"not an integer or an integer string: {field!r}")
+    raise ValueError(f"not a rational object: {key!r} is not an int or an integer string")
 
 
 def table_document(fmt: str, headers: list[str], rows: list[list[str]]) -> str:

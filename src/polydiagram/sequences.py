@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .areas import ROUTES
 from .core import build_polynomial
@@ -85,11 +86,11 @@ def ratio_sequence(s: AreaSequence) -> list[Fraction | None]:
 
 
 def finite_difference(s: AreaSequence, order: int) -> list[Fraction]:
-    """Forward differences of the given order (binomial-weighted alternating sums).
+    """Forward differences of the given order, by `order` passes of values[j+1] - values[j].
 
-    Entry j is sum of (-1)^(order-i) * C(order, i) * values[j+i] for
-    i = 0..order; order 2 gives values[j+2] - 2*values[j+1] + values[j].
-    The sequence must be longer than the order.
+    The passes subtract integer numerators on one common denominator; order 2
+    gives values[j+2] - 2*values[j+1] + values[j].  The sequence must be
+    longer than the order.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
@@ -97,14 +98,11 @@ def finite_difference(s: AreaSequence, order: int) -> list[Fraction]:
         raise ValueError(
             f"order {order} needs more than {order} values, sequence has {len(s.values)}"
         )
-    weights = [(-1) ** (order - i) * math.comb(order, i) for i in range(order + 1)]
-    # Weighted sums over integer numerators on one common denominator.
     den = math.lcm(*(v.denominator for v in s.values))
     nums = [v.numerator * (den // v.denominator) for v in s.values]
-    return [
-        Fraction(sum(w * x for w, x in zip(weights, nums[j : j + order + 1])), den)
-        for j in range(len(nums) - order)
-    ]
+    for _ in range(order):
+        nums = list(map(sub, nums[1:], nums))
+    return [Fraction(x, den) for x in nums]
 
 
 def convergence_report(s: AreaSequence, difference_order: int = 2) -> SequenceReport:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import polydiagram.areas as areas
 import polydiagram.core as core
 from polydiagram import (
     ROUTES,
@@ -22,7 +24,7 @@ from polydiagram import (
     lattice_counts,
     validate_diagram,
 )
-from polydiagram.areas import route_refusal
+from polydiagram.areas import route_area, route_refusal
 from references import (
     LatticePoint,
     area_closed_form_k2,
@@ -32,6 +34,8 @@ from references import (
     trapezoid_area,
     triangle_area,
 )
+
+PICK_AT_Q_1 = "route 'pick' needs q >= 2 (a q = 1 diagram has no interior), got q = 1"
 
 
 class TestClosedForm:
@@ -155,7 +159,7 @@ class TestPick:
         assert area_pick(build_diagram(build_polynomial(3, 0, 2))) == 6
 
     def test_rejects_degenerate(self):
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(ValueError, match=re.escape(PICK_AT_Q_1)):
             area_pick(build_diagram(build_polynomial(1, 0, 2)))
 
     @pytest.mark.parametrize("vertices", [(), (LatticePoint(1, 0),)])
@@ -206,6 +210,36 @@ class TestPick:
         assert area_pick(d) == area_shoelace(d)
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+class TestRouteGate:
+    """route_refusal is the one gate: a refused route raises its text before any work."""
+
+    def test_route_area_refuses_before_building_or_walking(self, monkeypatch):
+        p = build_polynomial(1, 0, 3)
+        monkeypatch.setattr(areas, "build_diagram", _no_work)
+        monkeypatch.setattr(core.VertexCycle, "__iter__", _no_work)
+        with pytest.raises(ValueError, match=f"^{re.escape(PICK_AT_Q_1)}$"):
+            route_area("pick", p)
+
+    @pytest.mark.parametrize("oracle", [area_pick, lattice_counts])
+    def test_diagram_oracles_refuse_before_walking(self, oracle, monkeypatch):
+        d = build_diagram(build_polynomial(1, 0, 3))
+        monkeypatch.setattr(areas, "build_diagram", _no_work)
+        monkeypatch.setattr(core.VertexCycle, "__iter__", _no_work)
+        with pytest.raises(ValueError, match=f"^{re.escape(PICK_AT_Q_1)}$"):
+            oracle(d)
+
+    @pytest.mark.parametrize("name", [name for name in ROUTES if name != "pick"])
+    @pytest.mark.parametrize("n,k", [(0, 1), (0, 3), (2, 5)])
+    def test_every_other_route_gives_0_at_q_1(self, name, n, k):
+        p = build_polynomial(1, n, k)
+        assert route_area(name, p) == route_area(name, p, build_diagram(p)) == 0
+        assert cross_check(p).areas[name] == 0
+
+
 class TestCrossCheck:
     def test_quadratic_all_routes_agree(self):
         check = cross_check(build_polynomial(4, 0, 2))
@@ -236,7 +270,7 @@ class TestCrossCheck:
     def test_only_pick_is_refused_at_q_1(self, name):
         refusal = route_refusal(name, build_polynomial(1, 0, 2))
         if name == "pick":
-            assert refusal == "route 'pick' needs q >= 2 (a q = 1 diagram has no interior), got q = 1"
+            assert refusal == PICK_AT_Q_1
         else:
             assert refusal is None
         assert route_refusal(name, build_polynomial(2, 0, 2)) is None

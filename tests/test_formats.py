@@ -111,6 +111,18 @@ class TestJsonRational:
             with pytest.raises(ValueError, match="not a rational object"):
                 rational_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [{"num": 10**5000, "den": 2.5}, {"num": 10**5000}, [10**5000],
+         {"num": [10**5000], "den": "1"}],
+        ids=["float_den", "no_den", "list", "list_num"],
+    )
+    def test_junk_holding_an_int_past_the_digit_cap(self, obj):
+        # a 5000-digit int has no text under the int->str digit cap of Python 3.11+,
+        # so the message must name what is wrong without formatting the input
+        with pytest.raises(ValueError, match="^not a rational object: "):
+            rational_from_json(obj)
+
 
 class TestDocuments:
     def test_csv_layout(self):
