@@ -3,23 +3,23 @@
 Two formula routes (the per-slab trapezoid sum, and the closed form it
 telescopes to) and two geometric oracles (the shoelace sum over the vertex
 cycle, and lattice-point counting through Pick's relation A = I + B/2 - 1)
-must all produce the same rational, a Fraction in lowest terms whose
-denominator is 1 or 2.  ROUTES holds each route's own function, once, in
-the order documents list them: the formula routes read the ints (q, n, k)
-and the oracles one walk of the vertex cycle, and each public area function
-runs its entry.  The closed form costs O(1) big-integer operations and
-every other route O(k) of them: the slab sum joins k slab weights by binary
-splitting, and the shoelace sum and the lattice counts do at most one
-addition per vertex each, plus, in the shoelace sum, one product by a small
-factor wherever its coefficient changes, and in the lattice counts two gcds
-(comparisons aside).  None grows with the polygon's x-extent q^(n+k), and
-none uses the fact that consecutive chain x differ by a factor of q.  The
-walk (_walk_cycle) reads the cycle as a stream and keeps each oracle's sums
-in its own accumulators: it walks the cycle once, forward, holding O(1)
-vertices, and takes the closing edge from the first vertices it kept, so
-memory stays flat in k when the cycle is regenerated (as build_diagram's
-is) rather than stored.  cross_check takes it once per diagram for both
-oracles.
+must all give the same twice-area 2A = 2I + B - 2, an exact int.  ROUTES
+holds each route's own function, once, in the order documents list them:
+the formula routes read (q, n, k) and the oracles one walk of the cycle.
+route_area, which each public area function runs, halves it to a Fraction;
+AreaCrossCheck compares the ints.  The closed form costs O(1) big-integer
+operations and every other route O(k) of them: the slab sum joins k slab
+weights by binary splitting, and the shoelace sum and the lattice counts do
+at most one addition per vertex each, plus, in the shoelace sum, one
+product by a small factor wherever its coefficient changes, and in the
+lattice counts two gcds (comparisons aside).  None grows with the polygon's
+x-extent q^(n+k), and none uses the fact that consecutive chain x differ by
+a factor of q.  The walk (_walk_cycle) reads the cycle as a stream and
+keeps each oracle's sums in its own accumulators: it walks the cycle once,
+forward, holding O(1) vertices, and takes the closing edge from the first
+vertices it kept, so memory stays flat in k when the cycle is regenerated
+(as build_diagram's is) rather than stored.  cross_check takes it once per
+diagram for both oracles.
 
 Each O(k) route evaluates an exact identity:
 
@@ -42,8 +42,8 @@ The slab decomposition cuts the region under the monomial chain into k-1
 rectangular trapezoids plus one right triangle at the far end.  Slab m
 (0 <= m <= k-2) spans x = q^(n+m)..q^(n+m+1) with parallel vertical sides of
 heights k-m and k-m-1, hence area (q^(n+m+1) - q^(n+m)) * (2k-2m-1) / 2.
-The triangle (m = k-1) fits the same expression, so area_general sums the
-integer numerators for m = 0..k-1 and halves once at the end.
+The triangle (m = k-1) fits the same expression, so the general route sums
+the integer numerators for m = 0..k-1, and route_area halves the sum once.
 """
 
 from __future__ import annotations
@@ -72,14 +72,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AreaCrossCheck:
-    """Area by every route that applies, keyed by route name in ROUTES order."""
+    """Twice the area, an int, by every route that applies, keyed by name in ROUTES order."""
 
-    areas: dict[str, Fraction]
+    twice_areas: dict[str, int]
+
+    @property
+    def areas(self) -> dict[str, Fraction]:
+        """Each route's area: its twice-area halved."""
+        return {name: Fraction(twice, 2) for name, twice in self.twice_areas.items()}
 
     @property
     def agree(self) -> bool:
-        """Exact equality of every area present."""
-        return len(set(self.areas.values())) <= 1
+        """Exact equality of every twice-area present."""
+        return len(set(self.twice_areas.values())) <= 1
 
 
 def area_closed_form(p: SpecialPolynomial) -> Fraction:
@@ -93,12 +98,12 @@ def area_closed_form(p: SpecialPolynomial) -> Fraction:
     return route_area("closed", p)
 
 
-def _closed_form(q: int, n: int, k: int) -> Fraction:
-    """The closed route: area_closed_form on plain ints, which the caller has validated."""
+def _closed_form(q: int, n: int, k: int) -> int:
+    """The closed route: twice area_closed_form on plain ints, which the caller has validated."""
     if q == 1:
-        return Fraction(0)
+        return 0
     qk = q**k
-    return Fraction(q**n * (qk - (2 * k - 1) + 2 * ((qk - q) // (q - 1))), 2)
+    return q**n * (qk - (2 * k - 1) + 2 * ((qk - q) // (q - 1)))
 
 
 def area_general(p: SpecialPolynomial) -> Fraction:
@@ -120,10 +125,10 @@ def area_general(p: SpecialPolynomial) -> Fraction:
 _SLAB_LEAF = 64
 
 
-def _slab_sum(q: int, n: int, k: int) -> Fraction:
-    """The general route: area_general's slab sum on plain ints, which the caller has validated."""
+def _slab_sum(q: int, n: int, k: int) -> int:
+    """The general route: twice area_general's slab sum on plain, validated ints."""
     weights, _ = _slab_weights(q, k, 0, k, power=False)
-    return Fraction((q - 1) * q**n * weights, 2)
+    return (q - 1) * q**n * weights
 
 
 def _slab_weights(q: int, k: int, lo: int, hi: int, power: bool) -> tuple[int, int]:
@@ -224,11 +229,11 @@ def area_shoelace(d: PolynomialDiagram) -> Fraction:
     return route_area("shoelace", d.source, d)
 
 
-def _shoelace_area(walk: _CycleSums) -> Fraction:
-    """The shoelace route: area_shoelace from one walk of the cycle."""
+def _shoelace_area(walk: _CycleSums) -> int:
+    """The shoelace route: twice area_shoelace from one walk of the cycle."""
     if walk.kept < 3:
         raise ValueError(f"need at least 3 vertices, got {walk.kept}")
-    return Fraction(abs(walk.shoelace), 2)
+    return abs(walk.shoelace)
 
 
 def lattice_counts(d: PolynomialDiagram) -> tuple[int, int]:
@@ -274,21 +279,21 @@ def area_pick(d: PolynomialDiagram) -> Fraction:
     return route_area("pick", d.source, d)
 
 
-def _pick_area(walk: _CycleSums) -> Fraction:
-    """The Pick route: Pick's relation over the lattice counts of one walk."""
+def _pick_area(walk: _CycleSums) -> int:
+    """The Pick route: 2I + B - 2, twice Pick's I + B/2 - 1, over the counts of one walk."""
     interior, boundary = _lattice_counts(walk)
-    return Fraction(2 * interior + boundary - 2, 2)
+    return 2 * interior + boundary - 2
 
 
 class Route(NamedTuple):
-    """An area route: whether it reads the diagram, and its area function.
+    """An area route: whether it reads the diagram, and its twice-area function.
 
-    `area` reads a validated polynomial's ints (q, n, k) or, when `reads_diagram`,
-    one walk of its diagram's cycle; only route_area and cross_check pass it that.
+    `twice_area` gives 2A, an int, from a validated polynomial's ints (q, n, k) or,
+    when `reads_diagram`, one walk of its diagram's cycle (from route_area or cross_check).
     """
 
     reads_diagram: bool
-    area: Callable[..., Fraction]
+    twice_area: Callable[..., int]
 
 
 # Every route, in the order documents list them.
@@ -312,7 +317,7 @@ def route_refusal(name: str, p: SpecialPolynomial) -> str | None:
 
 
 def route_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> Fraction:
-    """Area of p by route `name`: ROUTES[name] applied to p's ints, or to one walk of its diagram.
+    """Area of p by route `name`: half of ROUTES[name] on p's ints, or on one walk of its diagram.
 
     A refused route raises route_refusal's text before any work.  `d` is p's
     diagram when the caller has built it, else built for a route that reads one.
@@ -322,12 +327,13 @@ def route_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = No
         raise ValueError(refusal)
     route = ROUTES[name]
     if not route.reads_diagram:
-        return route.area(p.q, p.n, p.k)
-    return route.area(_walk_cycle((build_diagram(p) if d is None else d).vertices))
+        return Fraction(route.twice_area(p.q, p.n, p.k), 2)
+    walk = _walk_cycle((build_diagram(p) if d is None else d).vertices)
+    return Fraction(route.twice_area(walk), 2)
 
 
 def cross_check(p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> AreaCrossCheck:
-    """Compute the area by every route that applies and compare exactly.
+    """Compute twice the area by every route that applies, as exact ints, and compare them.
 
     Each route reads p's ints or one walk, shared by the diagram routes, of
     the cycle of `d`, p's diagram when the caller has already built it.
@@ -335,6 +341,6 @@ def cross_check(p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> Are
     """
     walk = _walk_cycle((build_diagram(p) if d is None else d).vertices)
     return AreaCrossCheck(
-        {name: route.area(walk) if route.reads_diagram else route.area(p.q, p.n, p.k)
+        {name: route.twice_area(walk) if route.reads_diagram else route.twice_area(p.q, p.n, p.k)
          for name, route in ROUTES.items() if route_refusal(name, p) is None}
     )

@@ -23,7 +23,7 @@ from .formats import (
     table_document,
 )
 from .render import RenderSpec, diagram_svg
-from .sequences import area_sequence, finite_difference, ratio_sequence
+from .sequences import area_sequence, check_order, check_range, finite_difference, ratio_sequence
 from .verify import CheckFailure, run_grid_verification
 
 __all__ = ["main", "build_parser"]
@@ -78,8 +78,7 @@ def cmd_area(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.q_from > args.q_to:
-        raise ValueError(f"empty range: q_from={args.q_from} > q_to={args.q_to}")
+    check_range(args.k, args.n, args.q_from, args.q_to)
     if args.q_from == 1:
         _warn("q = 1 row is degenerate; its ratio is undefined")
     # One extra value past q_to so the last row still has its ratio.
@@ -94,8 +93,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
+    check_range(args.k, args.n, args.q_from, args.q_to)  # refused before any route runs
+    check_order(args.order, args.q_to - args.q_from + 1)
     seq = area_sequence(args.k, args.n, args.q_from, args.q_to)
-    values = finite_difference(seq, args.order)  # rejects ranges too short
+    values = finite_difference(seq, args.order)
     records = [
         {"q": str(args.q_from + j), "difference": value} for j, value in enumerate(values)
     ]

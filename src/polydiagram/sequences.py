@@ -59,17 +59,18 @@ class SequenceReport:
 
 
 def area_sequence(k: int, n: int, q_from: int, q_to: int) -> AreaSequence:
-    """Materialize the areas for q = q_from..q_to at fixed (k, n), by ROUTES["general"].
+    """Materialize the areas for q = q_from..q_to at fixed (k, n): halves of ROUTES["general"]."""
+    check_range(k, n, q_from, q_to)
+    general = ROUTES["general"].twice_area
+    values = tuple(Fraction(general(q, n, k), 2) for q in range(q_from, q_to + 1))
+    return AreaSequence(k=k, n=n, q_start=q_from, values=values)
 
-    The parameters are validated once, at q_from: a range whose first q is
-    valid holds only valid q, so the route reads each q's ints directly.
-    """
+
+def check_range(k: int, n: int, q_from: int, q_to: int) -> None:
+    """Refuse an empty range, then (k, n, q_from): a valid first q makes every q in range valid."""
     if q_from > q_to:
         raise ValueError(f"empty range: q_from={q_from} > q_to={q_to}")
     build_polynomial(q_from, n, k)
-    general = ROUTES["general"].area
-    values = tuple(general(q, n, k) for q in range(q_from, q_to + 1))
-    return AreaSequence(k=k, n=n, q_start=q_from, values=values)
 
 
 def ratio_sequence(s: AreaSequence) -> list[Fraction | None]:
@@ -92,17 +93,20 @@ def finite_difference(s: AreaSequence, order: int) -> list[Fraction]:
     gives values[j+2] - 2*values[j+1] + values[j].  The sequence must be
     longer than the order.
     """
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
-    if order >= len(s.values):
-        raise ValueError(
-            f"order {order} needs more than {order} values, sequence has {len(s.values)}"
-        )
+    check_order(order, len(s.values))
     den = math.lcm(*(v.denominator for v in s.values))
     nums = [v.numerator * (den // v.denominator) for v in s.values]
     for _ in range(order):
         nums = list(map(sub, nums[1:], nums))
     return [Fraction(x, den) for x in nums]
+
+
+def check_order(order: int, length: int) -> None:
+    """Refuse a difference order that is not positive or not below the sequence length."""
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
+    if order >= length:
+        raise ValueError(f"order {order} needs more than {order} values, sequence has {length}")
 
 
 def convergence_report(s: AreaSequence, difference_order: int = 2) -> SequenceReport:

@@ -105,8 +105,8 @@ def run_grid_verification(
     tally = dict.fromkeys(CHECKS, 0)
     failures: list[CheckFailure] = []
     for q in range(1, q_max + 1):
-        # below[k]: the slab-sum area at (q, n - 1, k); None while n = 0.
-        below: list[Fraction | None] = [None] * (k_max + 1)
+        # below[k]: twice the slab-sum area at (q, n - 1, k); None while n = 0.
+        below: list[int | None] = [None] * (k_max + 1)
         for n in range(n_max + 1):
             for k in range(1, k_max + 1):
                 below[k] = _verify_point(q, n, k, below[k], tally, failures)
@@ -121,13 +121,12 @@ def run_grid_verification(
 
 
 def _verify_point(
-    q: int, n: int, k: int, below: Fraction | None,
+    q: int, n: int, k: int, below: int | None,
     tally: dict[str, int], failures: list[CheckFailure],
-) -> Fraction:
+) -> int:
     """Run every check at one grid point, counting each in `tally`.
 
-    `below` is the slab-sum area at (q, n - 1, k), or None when n = 0.
-    Returns this point's slab-sum area.
+    `below` is twice the slab-sum area at (q, n - 1, k), or None at n = 0; returns this point's.
     """
 
     def fail(check: str, detail: str) -> None:
@@ -135,24 +134,24 @@ def _verify_point(
 
     p = SpecialPolynomial(q, n, k)
     d = build_diagram(p)
-    areas = cross_check(p, d).areas
-    lace = areas["shoelace"]
-    for name, area in areas.items():
+    twice_areas = cross_check(p, d).twice_areas
+    lace = twice_areas["shoelace"]
+    for name, twice in twice_areas.items():
         if name != "shoelace":
             check = _VS_SHOELACE[name]
             tally[check] += 1
-            if area != lace:
-                fail(check, f"{name}={area} shoelace={lace}")
+            if twice != lace:
+                fail(check, f"{name}={Fraction(twice, 2)} shoelace={Fraction(lace, 2)}")
 
-    general = areas["general"]
+    general = twice_areas["general"]
     tally["reduced_denominator"] += 1
-    if general.denominator not in (1, 2):
-        fail("reduced_denominator", f"denominator={general.denominator}")
+    if general.denominator != 1:  # the area's is 1 or 2 exactly when 2A is an integer
+        fail("reduced_denominator", f"denominator={Fraction(general, 2).denominator}")
 
     if below is not None:
         tally["scaling_in_n"] += 1
-        if general != q * below:
-            fail("scaling_in_n", f"area(n)={general} q*area(n-1)={q * below}")
+    if below is not None and general != q * below:
+        fail("scaling_in_n", f"area(n)={Fraction(general, 2)} q*area(n-1)={Fraction(q * below, 2)}")
 
     if d.degenerate:
         return general

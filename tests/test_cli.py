@@ -140,6 +140,11 @@ class TestTable:
         assert out.splitlines()[1] == "1,0/1,0,undefined,undefined"
         assert "degenerate" in err
 
+    def test_invalid_parameters_are_refused_before_the_q_1_warning(self, capsys):
+        assert run_cli(capsys, "table", "--q-from", "1", "--k", "0") == (
+            2, "", "error: k must be a positive integer (the degree), got 0\n"
+        )
+
     def test_empty_range_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "table", "--q-from", "5", "--q-to", "4")
         assert code == 2
@@ -181,6 +186,25 @@ class TestDiff:
         )
         assert code == 2
         assert "order" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--order", "0"), "order must be positive, got 0"),
+            (("--order", "5", "--q-to", "4"), "order 5 needs more than 5 values, sequence has 3"),
+            (("--order", "0", "--q-from", "5", "--q-to", "4"), "empty range: q_from=5 > q_to=4"),
+            (("--order", "0", "--q-from", "0"), "q must be a positive integer, got 0"),
+        ],
+    )
+    def test_order_is_refused_before_any_route_runs(self, capsys, monkeypatch, argv, message):
+        # the refusals keep their order (empty range, then q, then order), and
+        # the order is refused before the area sequence is computed
+        def no_work(*args):
+            raise AssertionError("a route ran")
+
+        general = areas.ROUTES["general"]
+        monkeypatch.setitem(areas.ROUTES, "general", general._replace(twice_area=no_work))
+        assert run_cli(capsys, "diff", *argv) == (2, "", f"error: {message}\n")
 
 
 class TestVerify:
@@ -235,14 +259,14 @@ class TestVerify:
 
 
 def route_off_by_one(name: str):
-    """ROUTES[name] one too large: a formula route at q = 3 only, as a constant
-    offset cancels in diff's differences; a diagram route, which reads no q,
-    everywhere."""
+    """ROUTES[name]'s area one too large (its twice-area two too large): a
+    formula route at q = 3 only, as a constant offset cancels in diff's
+    differences; a diagram route, which reads no q, everywhere."""
     route = areas.ROUTES[name]
     if route.reads_diagram:
-        broken = route._replace(area=lambda walk: route.area(walk) + 1)
+        broken = route._replace(twice_area=lambda walk: route.twice_area(walk) + 2)
     else:
-        broken = route._replace(area=lambda q, n, k: route.area(q, n, k) + (q == 3))
+        broken = route._replace(twice_area=lambda q, n, k: route.twice_area(q, n, k) + 2 * (q == 3))
     return mock.patch.dict(areas.ROUTES, {name: broken})
 
 

@@ -142,7 +142,9 @@ class TestDocuments:
         payloads = []
         monkeypatch.setattr(cli, "json_document", lambda payload: payloads.append(payload) or "")
         general = areas.ROUTES["general"]
-        broken = general._replace(area=lambda q, n, k: general.area(q, n, k) + (n == 1))
+        broken = general._replace(
+            twice_area=lambda q, n, k: general.twice_area(q, n, k) + 2 * (n == 1)
+        )
         monkeypatch.setitem(areas.ROUTES, "general", broken)
         assert cli.main(["verify", "--q-max", "2", "--n-max", "1", "--k-max", "2"]) == 1
         (payload,) = payloads

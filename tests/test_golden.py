@@ -96,7 +96,7 @@ CASES.update(
 def _broken_slab_sum_and_golden_row():
     """The slab sum off by one at n = 1, and the q = 16 golden row's area off by one."""
     general = areas.ROUTES["general"]
-    broken = general._replace(area=lambda q, n, k: general.area(q, n, k) + (n == 1))
+    broken = general._replace(twice_area=lambda q, n, k: general.twice_area(q, n, k) + 2 * (n == 1))
     rows = tuple((q, area + (q == 16), ratio) for q, area, ratio in verify.GOLDEN_QUADRATIC_ROWS)
     with mock.patch.dict(areas.ROUTES, general=broken):
         with mock.patch.object(verify, "GOLDEN_QUADRATIC_ROWS", rows):
@@ -106,7 +106,9 @@ def _broken_slab_sum_and_golden_row():
 def _pick_off_by_one():
     """Pick's area one too large, so `area --method all` renders two distinct values."""
     pick = areas.ROUTES["pick"]
-    return mock.patch.dict(areas.ROUTES, pick=pick._replace(area=lambda walk: pick.area(walk) + 1))
+    return mock.patch.dict(
+        areas.ROUTES, pick=pick._replace(twice_area=lambda walk: pick.twice_area(walk) + 2)
+    )
 
 
 # name -> fault injected while the case runs

@@ -29,7 +29,7 @@ from polydiagram import (
     validate_diagram,
 )
 from polydiagram.areas import _SLAB_LEAF as _LEAF
-from polydiagram.areas import _slab_sum, route_area, route_refusal
+from polydiagram.areas import _slab_sum, _walk_cycle, route_area, route_refusal
 from polydiagram.core import _walk_shape
 from polydiagram.render import RenderSpec
 from references import (
@@ -85,7 +85,27 @@ def test_closed_form_matches_slab_sum(q, n, k):
 def test_slab_sum_matches_running_power_sum(q, n, k):
     # Horner's rule up to the leaf size, binary splitting above it
     p = build_polynomial(q, n, k)
-    assert _slab_sum(q, n, k) == slab_sum_by_running_power(p) == area_closed_form(p)
+    assert Fraction(_slab_sum(q, n, k), 2) == slab_sum_by_running_power(p) == area_closed_form(p)
+
+
+@given(q=bases, n=shifts, k=degrees)
+@example(q=1, n=0, k=3)
+@example(q=1, n=2, k=1)
+def test_each_route_entry_returns_twice_the_area_as_an_int(q, n, k):
+    # every route but Pick applies at q = 1; route_area and AreaCrossCheck.areas halve
+    p = build_polynomial(q, n, k)
+    d = build_diagram(p)
+    walk = _walk_cycle(d.vertices)
+    for name, route in ROUTES.items():
+        if route_refusal(name, p) is None:
+            twice = route.twice_area(walk) if route.reads_diagram else route.twice_area(q, n, k)
+            assert type(twice) is int
+            assert twice == 2 * route_area(name, p, d)
+        else:
+            assert (name, q) == ("pick", 1)
+    check = cross_check(p, d)
+    assert list(check.twice_areas) == list(check.areas)
+    assert check.areas == {name: Fraction(t, 2) for name, t in check.twice_areas.items()}
 
 
 @given(q=bases, n=shifts, k=degrees)

@@ -3,6 +3,8 @@ by name, failures in grid order."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 import polydiagram.areas as areas
@@ -24,10 +26,10 @@ def test_default_grid_computes_each_slab_sum_once(monkeypatch):
     def counting(q, n, k):
         nonlocal calls
         calls += 1
-        return general.area(q, n, k)
+        return general.twice_area(q, n, k)
 
     # the route table's slab sum, which the golden rows' area_general runs too
-    monkeypatch.setitem(areas.ROUTES, "general", general._replace(area=counting))
+    monkeypatch.setitem(areas.ROUTES, "general", general._replace(twice_area=counting))
     report = run_grid_verification()
     assert report.passed
     # every point runs the route and denominator checks, n >= 1 the scaling
@@ -73,7 +75,9 @@ def test_chain_structure_check_walks_the_cycle_once(cycle, k, holds):
 def test_a_broken_route_fails_only_its_own_check(monkeypatch):
     clean = run_grid_verification(q_max=4, n_max=1, k_max=3)
     pick = areas.ROUTES["pick"]
-    monkeypatch.setitem(areas.ROUTES, "pick", pick._replace(area=lambda walk: pick.area(walk) + 1))
+    # Pick's area one too large: its twice-area two too large
+    broken = pick._replace(twice_area=lambda walk: pick.twice_area(walk) + 2)
+    monkeypatch.setitem(areas.ROUTES, "pick", broken)
     report = run_grid_verification(q_max=4, n_max=1, k_max=3)
     assert {f.check for f in report.failures} == {"pick_vs_shoelace"}
     assert len(report.failures) == report.pick_checks == 3 * 2 * 3
@@ -84,7 +88,7 @@ def test_a_broken_route_fails_only_its_own_check(monkeypatch):
 
 def test_failures_stay_in_grid_order_when_the_slab_sum_is_off(monkeypatch):
     general = areas.ROUTES["general"]
-    broken = general._replace(area=lambda q, n, k: general.area(q, n, k) + (n == 1))
+    broken = general._replace(twice_area=lambda q, n, k: general.twice_area(q, n, k) + 2 * (n == 1))
     monkeypatch.setitem(areas.ROUTES, "general", broken)
     report = run_grid_verification(q_max=2, n_max=2, k_max=2)
     at_q = [
@@ -116,3 +120,53 @@ def test_small_grid_walks_each_cycle_once_per_reader(monkeypatch):
     report = run_grid_verification(q_max=4, n_max=1, k_max=3)
     assert report.passed
     assert walks == 1 * 2 * 3 + 2 * (3 * 2 * 3) == 42
+
+
+def test_a_half_unit_fault_fails_its_check_at_every_point(monkeypatch):
+    # a twice-area one too large is an area off by 1/2, and the detail shows the halves
+    general = areas.ROUTES["general"]
+    broken = general._replace(twice_area=lambda q, n, k: general.twice_area(q, n, k) + 1)
+    monkeypatch.setitem(areas.ROUTES, "general", broken)
+    report = run_grid_verification(q_max=3, n_max=1, k_max=2)
+    details = {(f.q, f.n, f.k): f.detail for f in report.failures
+               if f.check == "general_vs_shoelace"}
+    assert len(details) == report.tally["general_vs_shoelace"] == 3 * 2 * 2
+    assert details[1, 0, 1] == "general=1/2 shoelace=0"
+    assert details[2, 0, 2] == "general=3 shoelace=5/2"
+    assert details[3, 0, 2] == "general=13/2 shoelace=6"
+    assert "reduced_denominator" not in {f.check for f in report.failures}
+
+
+def test_a_non_integer_twice_area_fails_reduced_denominator(monkeypatch):
+    general = areas.ROUTES["general"]
+    broken = general._replace(
+        twice_area=lambda q, n, k: general.twice_area(q, n, k) + Fraction(1, 3)
+    )
+    monkeypatch.setitem(areas.ROUTES, "general", broken)
+    report = run_grid_verification(q_max=1, n_max=0, k_max=1)
+    assert [(f.check, f.detail) for f in report.failures] == [
+        ("general_vs_shoelace", "general=1/6 shoelace=0"),
+        ("reduced_denominator", "denominator=6"),
+    ]
+
+
+def test_a_passing_grid_builds_no_fraction_per_point(monkeypatch):
+    # the checks compare int twice-areas; what Fractions a run builds (the
+    # golden rows) do not grow with the grid
+    built = 0
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return Fraction(*args)
+
+    monkeypatch.setattr(areas, "Fraction", counting)
+    monkeypatch.setattr(verify, "Fraction", counting)
+    counts = []
+    for q_max, n_max, k_max in [(1, 0, 1), (3, 1, 4)]:
+        built = 0
+        report = run_grid_verification(q_max=q_max, n_max=n_max, k_max=k_max)
+        assert report.passed
+        counts.append((report.points, built))
+    assert counts[0][0] == 1 and counts[1][0] == 24
+    assert counts[0][1] == counts[1][1] > 0
