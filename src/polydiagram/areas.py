@@ -6,20 +6,21 @@ cycle, and lattice-point counting through Pick's relation A = I + B/2 - 1)
 must all give the same twice-area 2A = 2I + B - 2, an exact int.  ROUTES
 holds each route's own function, once, in the order documents list them:
 the formula routes read (q, n, k) and the oracles one walk of the cycle.
-route_area, which each public area function runs, halves it to a Fraction;
-AreaCrossCheck compares the ints.  The closed form costs O(1) big-integer
-operations and every other route O(k) of them: the slab sum joins k slab
-weights by binary splitting, and the shoelace sum and the lattice counts do
-at most one addition per vertex each, plus, in the shoelace sum, one
-product by a small factor wherever its coefficient changes, and in the
-lattice counts two gcds (comparisons aside).  None grows with the polygon's
-x-extent q^(n+k), and none uses the fact that consecutive chain x differ by
-a factor of q.  The walk (_walk_cycle) reads the cycle as a stream and
-keeps each oracle's sums in its own accumulators: it walks the cycle once,
-forward, holding O(1) vertices, and takes the closing edge from the first
-vertices it kept, so memory stays flat in k when the cycle is regenerated
-(as build_diagram's is) rather than stored.  cross_check takes it once per
-diagram for both oracles.
+route_twice_area runs one route, and route_area, which each public area
+function runs, halves its int to a Fraction; AreaCrossCheck compares the
+ints.  The closed form costs O(1) big-integer operations and every other
+route O(k) of them: the slab sum joins k slab weights by binary splitting,
+and the shoelace sum and the lattice counts do at most one addition per
+vertex each, plus, in the shoelace sum, one product by a small factor
+wherever its coefficient changes, and in the lattice counts two gcds
+(comparisons aside).  None grows with the polygon's x-extent q^(n+k), and
+none uses the fact that consecutive chain x differ by a factor of q.  The
+walk (_walk_cycle) reads the cycle as a stream and keeps each oracle's sums
+in its own accumulators: it walks the cycle once, forward, holding O(1)
+vertices, and takes the closing edge from the first vertices it kept, so
+memory stays flat in k when the cycle is regenerated (as build_diagram's
+is) rather than stored.  cross_check takes it once per diagram for both
+oracles.
 
 Each O(k) route evaluates an exact identity:
 
@@ -317,7 +318,17 @@ def route_refusal(name: str, p: SpecialPolynomial) -> str | None:
 
 
 def route_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> Fraction:
-    """Area of p by route `name`: half of ROUTES[name] on p's ints, or on one walk of its diagram.
+    """Area of p by route `name`: route_twice_area halved."""
+    return Fraction(route_twice_area(name, p, d), 2)
+
+
+def half_pair(twice: int) -> tuple[int, int]:
+    """Fraction(twice, 2) as the (num, den) pair of a document cell, in lowest terms, for an int."""
+    return (twice, 2) if twice & 1 else (twice >> 1, 1)
+
+
+def route_twice_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> int:
+    """Twice the area of p by route `name`: ROUTES[name] on p's ints, or one walk of its diagram.
 
     A refused route raises route_refusal's text before any work.  `d` is p's
     diagram when the caller has built it, else built for a route that reads one.
@@ -327,9 +338,8 @@ def route_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = No
         raise ValueError(refusal)
     route = ROUTES[name]
     if not route.reads_diagram:
-        return Fraction(route.twice_area(p.q, p.n, p.k), 2)
-    walk = _walk_cycle((build_diagram(p) if d is None else d).vertices)
-    return Fraction(route.twice_area(walk), 2)
+        return route.twice_area(p.q, p.n, p.k)
+    return route.twice_area(_walk_cycle((build_diagram(p) if d is None else d).vertices))
 
 
 def cross_check(p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> AreaCrossCheck:

@@ -6,14 +6,25 @@ verification or cross-check failure or an SVG that `render --out` cannot
 write, and 2 for a usage error.  Identical invocations produce
 byte-identical documents.  A JSON document's `params` block is built from
 the parsed arguments, so each flag is declared once, in `build_parser`.
+
+`area`, `table` and `diff` hand the document writer exact ints: each area
+is a twice-area from the routes, halved to a (num, den) pair, and `table`
+and `diff` take their ratios and differences on the twice-areas.  Every
+document writer yields its text in chunks, and `table`, `diff` and
+`render` compute their rows as the chunks are taken, so the memory of a
+document stays flat in its length.  Each command raises every refusal
+before its first chunk, and the chunks are written inside `main`, while
+the int-to-str digit cap is lifted.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from itertools import count, tee
+from typing import Iterable
 
-from .areas import ROUTES, cross_check, route_area
+from .areas import ROUTES, cross_check, half_pair, route_twice_area
 from .core import build_diagram, build_polynomial
 from .formats import (
     DEFAULT_DIGITS,
@@ -23,7 +34,7 @@ from .formats import (
     table_document,
 )
 from .render import RenderSpec, diagram_svg
-from .sequences import area_sequence, check_order, check_range, finite_difference, ratio_sequence
+from .sequences import check_order, check_range, differences, ratio_pairs, twice_area_sequence
 from .verify import CheckFailure, run_grid_verification
 
 __all__ = ["main", "build_parser"]
@@ -33,8 +44,9 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
+def _emit(chunks: Iterable[str]) -> None:
+    """Write a document to stdout chunk by chunk, as the writer yields them."""
+    sys.stdout.writelines(chunks)
 
 
 def _check_digits(digits: int) -> None:
@@ -61,16 +73,16 @@ def cmd_area(args: argparse.Namespace) -> int:
     p = build_polynomial(args.q, args.n, args.k)
     if args.method == "all":
         check = cross_check(p)
-        areas, agree = check.areas, check.agree
-    else:  # route_area refuses a route that does not apply before any work
-        areas, agree = {args.method: route_area(args.method, p)}, True
+        twice_areas, agree = check.twice_areas, check.agree
+    else:  # route_twice_area refuses a route that does not apply before any work
+        twice_areas, agree = {args.method: route_twice_area(args.method, p)}, True
     if p.degenerate:
         _warn("q = 1 produces a degenerate diagram; every area is 0")
 
-    records = [{"method": name, "area": value} for name, value in areas.items()]
-    _emit(
-        records_document(args.format, records, _params(args), args.digits, "results", agree=agree)
-    )
+    rows = [(name, half_pair(twice)) for name, twice in twice_areas.items()]
+    _emit(records_document(
+        args.format, ("method", "area"), rows, _params(args), args.digits, "results", agree=agree
+    ))
     if not agree:
         print("error: area methods disagree", file=sys.stderr)
         return 1
@@ -81,26 +93,21 @@ def cmd_table(args: argparse.Namespace) -> int:
     check_range(args.k, args.n, args.q_from, args.q_to)
     if args.q_from == 1:
         _warn("q = 1 row is degenerate; its ratio is undefined")
-    # One extra value past q_to so the last row still has its ratio.
-    seq = area_sequence(args.k, args.n, args.q_from, args.q_to + 1)
-    ratios = ratio_sequence(seq)
-    records = [
-        {"q": str(q), "area": area, "ratio": ratio}
-        for q, area, ratio in zip(range(args.q_from, args.q_to + 1), seq.values, ratios)
-    ]
-    _emit(records_document(args.format, records, _params(args), args.digits))
+    # One extra value past q_to so the last row still has its ratio; the
+    # rows are computed as the document is written.
+    twice, ahead = tee(twice_area_sequence(args.k, args.n, args.q_from, args.q_to + 1))
+    qs = map(str, range(args.q_from, args.q_to + 1))
+    rows = zip(qs, map(half_pair, twice), ratio_pairs(ahead))
+    _emit(records_document(args.format, ("q", "area", "ratio"), rows, _params(args), args.digits))
     return 0
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
     check_range(args.k, args.n, args.q_from, args.q_to)  # refused before any route runs
     check_order(args.order, args.q_to - args.q_from + 1)
-    seq = area_sequence(args.k, args.n, args.q_from, args.q_to)
-    values = finite_difference(seq, args.order)
-    records = [
-        {"q": str(args.q_from + j), "difference": value} for j, value in enumerate(values)
-    ]
-    _emit(records_document(args.format, records, _params(args), args.digits))
+    twice = twice_area_sequence(args.k, args.n, args.q_from, args.q_to)
+    rows = zip(map(str, count(args.q_from)), map(half_pair, differences(list(twice), args.order)))
+    _emit(records_document(args.format, ("q", "difference"), rows, _params(args), args.digits))
     return 0
 
 
@@ -125,7 +132,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "passed": report.passed,
     }
     if args.format == "json":
-        _emit(json_document(document))
+        _emit((json_document(document),))
     else:
         _emit(table_document(args.format, ["key", "value"], _verify_rows(document)))
     if document["first_failure"] is not None:
@@ -170,13 +177,12 @@ def cmd_render(args: argparse.Namespace) -> int:
     d = build_diagram(p)
     if d.degenerate:
         _warn("q = 1 produces a degenerate diagram; rendering a vertical segment")
-    document = diagram_svg(d, spec)
     if args.out is None:
-        _emit(document)
+        _emit(diagram_svg(d, spec))
         return 0
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(document)
+            handle.writelines(diagram_svg(d, spec))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1

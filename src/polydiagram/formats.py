@@ -6,11 +6,15 @@ values survive any JSON reader; CSV and markdown carry "num/den" text plus
 a rounded decimal column.  Decimal rendering rounds half to even at the
 configured number of places, trims trailing zeros, and always uses '.' as
 the decimal point, so identical inputs give byte-identical output.
-`records_document` renders one list of records in any of the three formats.
-It converts each rational's numerator to text once, an integer's decimal
-cell being that same text, and a rational equal to the one rendered just
-before it (the agreeing routes of `area`) reuses that one's cells, so a run
-of equal values is converted once in all.  Each row is built once, as its
+`records_document` renders rows of cells in any of the three formats.  A
+rational cell arrives as a (num, den) pair of ints in lowest terms, so no
+Fraction is built per row.  The rows are read as the document is written,
+and each writer yields its text in chunks of CHUNK_ROWS rows, so a document
+of any length is written in flat memory, one write per chunk.  Each
+rational's numerator is converted to text once, an integer's decimal cell
+being that same text, and a rational equal to the one rendered just before
+it (the agreeing routes of `area`) reuses that one's cells, so a run of
+equal values is converted once in all.  Each row is built once, as its
 cells in column order: `table_document` writes those cells as they are for
 CSV and markdown, and in JSON they are already JSON text, joined into the
 row's object text.  The JSON frame around the rows is a few lines, written
@@ -27,7 +31,9 @@ import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "DEFAULT_DIGITS",
@@ -99,16 +105,30 @@ def _json_integer(obj: dict, key: str) -> int:
     raise ValueError(f"not a rational object: {key!r} is not an int or an integer string")
 
 
-def table_document(fmt: str, headers: list[str], rows: list[list[str]]) -> str:
-    """A markdown pipe table when fmt is "markdown", else a CSV table with '\\n' line endings."""
-    if fmt == "markdown":
-        rule = ["---"] * len(headers)
-        return "".join(f"| {' | '.join(row)} |\n" for row in (headers, rule, *rows))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buffer.getvalue()
+# Rows per chunk of a streamed document: each chunk is one write of many rows.
+CHUNK_ROWS = 256
+
+
+def batched(items: Iterable) -> Iterator[list]:
+    """Consecutive lists of CHUNK_ROWS items (the last one shorter), as the items are read."""
+    items = iter(items)
+    while batch := list(islice(items, CHUNK_ROWS)):
+        yield batch
+
+
+def table_document(fmt: str, headers: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
+    """A markdown pipe table when fmt is "markdown", else a CSV table with '\\n' line endings.
+
+    The text comes in chunks of CHUNK_ROWS lines, the header first, as the rows are read.
+    """
+    lines = chain((headers, ["---"] * len(headers)) if fmt == "markdown" else (headers,), rows)
+    for batch in batched(lines):
+        if fmt == "markdown":
+            yield "".join(f"| {' | '.join(row)} |\n" for row in batch)
+        else:
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows(batch)
+            yield buffer.getvalue()
 
 
 def json_document(payload: dict) -> str:
@@ -129,50 +149,78 @@ _FIELD_PAD = _ROW_PAD + "  "
 
 def records_document(
     fmt: str,
-    records: list[dict[str, str | Fraction | None]],
+    fields: Sequence[str],
+    rows: Iterable[Sequence[str | tuple[int, int] | None]],
     params: dict,
     digits: int,
     key: str = "rows",
     **extra: object,
-) -> str:
-    """Render records (field -> str | Fraction | None) as a csv, markdown or json document.
+) -> Iterator[str]:
+    """Render rows of cells, one per field, as a csv, markdown or json document, in chunks.
 
-    A text field is one column.  A rational field `f` becomes the columns
-    `f` ("num/den", or {"num", "den"} in JSON) and `f_decimal`; None, a
-    rational that does not exist, fills both with "undefined" (null in JSON).
-    Every record has the first record's fields, in its order; the columns
-    and the CSV and markdown header come from it.
+    A text cell is one column.  A rational cell, a (num, den) pair in lowest
+    terms with den > 0, makes its field `f` the columns `f` ("num/den", or
+    {"num", "den"} in JSON) and `f_decimal`; None, a rational that does not
+    exist, fills both with "undefined" (null in JSON).  The first row's
+    cells tell which fields are text, and every row has the same kinds in
+    the same order; with no rows there are no columns.
 
-    Each row is built once, as its list of cells in column order, and a run
-    of equal rationals is converted once (see the module docstring).  The
-    num/den text keeps a denominator of 1 ("6/1").  CSV and markdown rows go
-    to table_document as they are, and omit params.  In JSON the cells are
-    already JSON text, and each row is joined into its object's text, every
-    cell after its field's `"name": ` prefix.  The document around the rows
-    is written here too: params, the rows under `key`, then each extra key,
-    every value but the rows through json.dumps with a two-space indent, so
-    the whole is what json_document({"params": params, key: rows, **extra})
-    would write.
+    The rows are read as the chunks are taken, CHUNK_ROWS to a chunk, so a
+    document of any length is written in flat memory.  Each row is built
+    once, as its list of cells in column order, and a run of equal rationals
+    is converted once (see the module docstring).  The num/den text keeps a
+    denominator of 1 ("6/1").  CSV and markdown rows go to table_document as
+    they are, and omit params.  In JSON the cells are already JSON text, and
+    each row is joined into its object's text, every cell after its field's
+    `"name": ` prefix.  The document around the rows is written here too:
+    params, the rows under `key`, then each extra key, every value but the
+    rows through json.dumps with a two-space indent, so the whole is what
+    json_document({"params": params, key: rows, **extra}) would write.
     """
-    as_json = fmt == "json"
+    rows = iter(rows)
+    first = next(rows, None)
+    kinds = () if first is None else [isinstance(cell, str) for cell in first]
     headers = [
         column
-        for name, value in (records[0].items() if records else ())
-        for column in ((name,) if isinstance(value, str) else (name, name + "_decimal"))
+        for name, text in zip(fields, kinds)
+        for column in ((name,) if text else (name, name + "_decimal"))
     ]
+    cells = _row_cells(fmt == "json", () if first is None else chain((first,), rows), digits)
+    if fmt != "json":
+        yield from table_document(fmt, headers, cells)
+        return
+    prefixes = [f"{_FIELD_PAD}{_quote(name)}: " for name in headers]
+    close = "\n" + _ROW_PAD + "}"
+    yield f'{{\n  "params": {_indented_json(params)},\n  {_quote(key)}: ['
+    separator = "\n"  # before the first row; ",\n" between rows
+    for batch in batched(cells):
+        yield separator + ",\n".join(
+            f"{_ROW_PAD}{{\n" + ",\n".join(map(operator.add, prefixes, row)) + close
+            for row in batch
+        )
+        separator = ",\n"
+    extra_text = "".join(
+        f",\n  {_quote(name)}: {_indented_json(value)}" for name, value in extra.items()
+    )
+    yield ("]" if first is None else "\n  ]") + extra_text + "\n}\n"
+
+
+def _row_cells(
+    as_json: bool, rows: Iterable[Sequence[str | tuple[int, int] | None]], digits: int
+) -> Iterator[list[str]]:
+    """Each row's cells in column order, JSON text when as_json, as the rows are read."""
     missing = ("null", "null") if as_json else (_UNDEFINED, _UNDEFINED)
-    rows: list[list[str]] = []
-    last_num = last_den = None  # the rational rendered last; `pair` holds its two cells
-    for record in records:
-        row: list[str] = []
-        for value in record.values():
+    last = pair = None  # the rational rendered last, and its two cells
+    for row in rows:
+        cells: list[str] = []
+        for value in row:
             if isinstance(value, str):
-                row.append(_quote(value) if as_json else value)
+                cells.append(_quote(value) if as_json else value)
             elif value is None:
-                row += missing
+                cells += missing
             else:
-                num, den = value.numerator, value.denominator
-                if num != last_num or den != last_den:
+                if value != last:
+                    num, den = value
                     decimal = _decimal_text(num, den, digits)
                     num_text = decimal if den == 1 else str(num)
                     if as_json:
@@ -183,21 +231,6 @@ def records_document(
                         )
                     else:
                         pair = (f"{num_text}/{den}", decimal)
-                    last_num, last_den = num, den
-                row += pair
-        rows.append(row)
-    if not as_json:
-        return table_document(fmt, headers, rows)
-    prefixes = [f"{_FIELD_PAD}{_quote(name)}: " for name in headers]
-    close = "\n" + _ROW_PAD + "}"
-    rows_text = ",\n".join(
-        f"{_ROW_PAD}{{\n" + ",\n".join(map(operator.add, prefixes, row)) + close for row in rows
-    )
-    rows_open, rows_close = ("[\n", "\n  ]") if rows else ("[", "]")
-    extra_text = "".join(
-        f",\n  {_quote(name)}: {_indented_json(value)}" for name, value in extra.items()
-    )
-    return (
-        f'{{\n  "params": {_indented_json(params)},\n  {_quote(key)}: '
-        f"{rows_open}{rows_text}{rows_close}{extra_text}\n}}\n"
-    )
+                    last = value
+                cells += pair
+        yield cells

@@ -5,14 +5,19 @@ and a text label with its true coordinates.  With log_x enabled the
 horizontal position of each vertex is its base-q exponent, which spaces the
 monomial chain evenly no matter how wide the diagram is; labels still show
 the original coordinates.  Rendering is a pure function of its inputs, so
-identical invocations produce byte-identical documents.
+identical invocations produce byte-identical documents.  The document is
+yielded in chunks, and the vertex cycle is read in passes that each hold
+O(1) vertices, so its memory stays flat in k although the document grows
+with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import PolynomialDiagram
+from .formats import batched
 
 __all__ = ["RenderSpec", "diagram_svg"]
 
@@ -35,33 +40,34 @@ class RenderSpec:
             raise ValueError("margins leave no drawing area")
 
 
-def _horizontal_positions(
-    d: PolynomialDiagram, spec: RenderSpec, vertices: list[tuple[int, int]]
-) -> list[int]:
-    """Plot abscissa per vertex: true x, or the base-q exponent under log_x.
+def _plotted(d: PolynomialDiagram, spec: RenderSpec) -> Iterator[tuple[int, int, int]]:
+    """(abscissa, x, y) per vertex, in cycle order, from one new pass over the cycle.
 
-    The anchor and the chain vertex i sit at exponents n and n+i.  A
-    degenerate diagram (q = 1) keeps true coordinates, which are all equal,
-    so it collapses to one centered column either way.
+    The abscissa is the true x, or under log_x the base-q exponent: the
+    anchor and the chain vertex i sit at exponents n and n+i.  A degenerate
+    diagram (q = 1) keeps true coordinates, which are all equal, so it
+    collapses to one centered column either way.
     """
     p = d.source
-    if spec.log_x and p.q >= 2:
-        return [p.n] + [p.n + i for i in range(p.k + 1)]
-    return [x for x, _ in vertices]
+    log_x = spec.log_x and p.q >= 2
+    for index, (x, y) in enumerate(d.vertices):
+        yield (p.n + max(index - 1, 0) if log_x else x), x, y
 
 
-def diagram_svg(d: PolynomialDiagram, spec: RenderSpec | None = None) -> str:
-    """Render the diagram as a standalone SVG 1.1 document.
+def diagram_svg(d: PolynomialDiagram, spec: RenderSpec | None = None) -> Iterator[str]:
+    """Render the diagram as a standalone SVG 1.1 document, yielded in chunks.
 
-    The vertex cycle is walked once, into a list: the document holds a
-    label for every vertex anyway, so the list is smaller than the output.
+    The vertex cycle is read in passes, each holding O(1) vertices: one for
+    the plot ranges, one for the path and one for the labeled markers, which
+    come CHUNK_ROWS vertices to a chunk.  ''.join of the chunks is the
+    document.
     """
     spec = spec or RenderSpec()
-    vertices = list(d.vertices)
-    xs = _horizontal_positions(d, spec, vertices)
-    ys = [y for _, y in vertices]
-    x_lo, x_hi = min(xs), max(xs)
-    y_hi = max(ys)  # the top vertex sits at y = k >= 1
+    extent = _plotted(d, spec)
+    x_lo, _, y_hi = next(extent)
+    x_hi = x_lo
+    for position, _, y in extent:  # the top vertex sits at y = k >= 1
+        x_lo, x_hi, y_hi = min(x_lo, position), max(x_hi, position), max(y_hi, y)
 
     left = spec.margin_px
     right = spec.width_px - spec.margin_px
@@ -81,24 +87,29 @@ def diagram_svg(d: PolynomialDiagram, spec: RenderSpec | None = None) -> str:
     def fmt(v: float) -> str:
         return f"{v:.2f}"
 
-    path = "M " + " L ".join(f"{fmt(px(x))} {fmt(py(y))}" for x, y in zip(xs, ys)) + " Z"
-    parts = [
+    def marker(cx: float, cy: float, x: int, y: int) -> str:
+        return (
+            f'  <circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="3.5" fill="#1f77b4"/>\n'
+            f'  <text x="{fmt(cx + 6)}" y="{fmt(cy - 6)}" font-family="monospace" '
+            f'font-size="12" fill="#333333">({x}, {y})</text>\n'
+        )
+
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{spec.width_px}" height="{spec.height_px}" '
-        f'viewBox="0 0 {spec.width_px} {spec.height_px}">',
+        f'viewBox="0 0 {spec.width_px} {spec.height_px}">\n'
         f'  <line x1="{fmt(left)}" y1="{fmt(py(0))}" x2="{fmt(right)}" '
-        f'y2="{fmt(py(0))}" stroke="#999999" stroke-width="1"/>',
+        f'y2="{fmt(py(0))}" stroke="#999999" stroke-width="1"/>\n'
         f'  <line x1="{fmt(px(x_lo))}" y1="{fmt(bottom)}" x2="{fmt(px(x_lo))}" '
-        f'y2="{fmt(top)}" stroke="#999999" stroke-width="1"/>',
-        f'  <path d="{path}" fill="#c6dbef" fill-opacity="0.6" '
-        f'stroke="#1f77b4" stroke-width="2"/>',
-    ]
-    for position, (x, y) in zip(xs, vertices):
-        cx, cy = px(position), py(y)
-        parts.append(f'  <circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="3.5" fill="#1f77b4"/>')
-        parts.append(
-            f'  <text x="{fmt(cx + 6)}" y="{fmt(cy - 6)}" font-family="monospace" '
-            f'font-size="12" fill="#333333">({x}, {y})</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        f'y2="{fmt(top)}" stroke="#999999" stroke-width="1"/>\n'
+        f'  <path d="M '
+    )
+    points = (f"{fmt(px(position))} {fmt(py(y))}" for position, _, y in _plotted(d, spec))
+    separator = ""  # before the first point; " L " between points
+    for batch in batched(points):
+        yield separator + " L ".join(batch)
+        separator = " L "
+    yield ' Z" fill="#c6dbef" fill-opacity="0.6" stroke="#1f77b4" stroke-width="2"/>\n'
+    for batch in batched(_plotted(d, spec)):
+        yield "".join(marker(px(position), py(y), x, y) for position, x, y in batch)
+    yield "</svg>\n"

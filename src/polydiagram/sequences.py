@@ -7,18 +7,30 @@ the order-(n+3) difference of any degree-2 family vanishes identically.
 Consecutive ratios for the degree-2, n=0 family reduce to
 q(q+4) / ((q+3)(q-1)), which decreases strictly toward 1.
 
-All values are exact rationals; ratios with a zero predecessor (the q = 1
-entry) are carried as None markers so indices stay aligned with q.
+Each operation has one implementation on exact ints, which `table` and
+`diff` run on the twice-areas as they are computed, with no Fraction per
+row: twice_area_sequence yields 2A for each q from ROUTES["general"];
+ratio_pairs reduces each ratio of neighbours by one gcd (_ratio), as the
+halves cancel; differences takes `order` passes of integer subtraction, and
+the result is halved once.  The library functions keep their Fraction
+results, built from those same ints: area_sequence halves each twice-area
+by half_pair, ratio_sequence cross-multiplies each pair of neighbours into
+_ratio, and finite_difference puts the values on their least common
+denominator (2 for an area sequence) first.  Ratios with a zero predecessor
+(the q = 1 entry) are carried as None markers so indices stay aligned with
+q.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, pairwise, repeat
+from math import gcd, lcm
 from operator import sub
+from typing import Iterable, Iterator
 
-from .areas import ROUTES
+from .areas import ROUTES, half_pair
 from .core import build_polynomial
 
 __all__ = [
@@ -59,11 +71,19 @@ class SequenceReport:
 
 
 def area_sequence(k: int, n: int, q_from: int, q_to: int) -> AreaSequence:
-    """Materialize the areas for q = q_from..q_to at fixed (k, n): halves of ROUTES["general"]."""
-    check_range(k, n, q_from, q_to)
-    general = ROUTES["general"].twice_area
-    values = tuple(Fraction(general(q, n, k), 2) for q in range(q_from, q_to + 1))
+    """Materialize the areas for q = q_from..q_to at fixed (k, n): twice_area_sequence halved."""
+    twice = twice_area_sequence(k, n, q_from, q_to)
+    values = tuple(Fraction(*half_pair(t)) for t in twice)
     return AreaSequence(k=k, n=n, q_start=q_from, values=values)
+
+
+def twice_area_sequence(k: int, n: int, q_from: int, q_to: int) -> Iterator[int]:
+    """Twice the area at q = q_from..q_to, exact ints from ROUTES["general"], computed as read.
+
+    The range is refused, if at all, by this call, before any route runs.
+    """
+    check_range(k, n, q_from, q_to)
+    return map(ROUTES["general"].twice_area, range(q_from, q_to + 1), repeat(n), repeat(k))
 
 
 def check_range(k: int, n: int, q_from: int, q_to: int) -> None:
@@ -74,31 +94,54 @@ def check_range(k: int, n: int, q_from: int, q_to: int) -> None:
 
 
 def ratio_sequence(s: AreaSequence) -> list[Fraction | None]:
-    """Consecutive ratios values[j+1] / values[j]; None marks a zero predecessor.
+    """Consecutive ratios values[j+1] / values[j] by _ratio; None marks a zero predecessor.
 
-    Each ratio is Fraction(b.num * a.den, b.den * a.num), cross-multiplied:
-    the constructor's one gcd reduces it and moves a negative sign to the
-    numerator, where `b / a` would dispatch the operator and take two.
+    Each pair is cross-multiplied onto the one denominator it needs, so the
+    cost per ratio does not grow with the rest of the sequence.
     """
-    return [
-        Fraction(b.numerator * a.denominator, b.denominator * a.numerator) if a else None
-        for a, b in zip(s.values, s.values[1:])
-    ]
+    pairs = (
+        _ratio(b.numerator * a.denominator, a.numerator * b.denominator)
+        for a, b in pairwise(s.values)
+    )
+    return [None if pair is None else Fraction(*pair) for pair in pairs]
+
+
+def ratio_pairs(values: Iterable[int]) -> Iterator[tuple[int, int] | None]:
+    """Consecutive ratios b / a of integers on one denominator, which cancels, by _ratio as read."""
+    return (_ratio(b, a) for a, b in pairwise(values))
+
+
+def _ratio(b: int, a: int) -> tuple[int, int] | None:
+    """b / a as the pair (b / g, a / g), g = gcd(a, b) signed like a; None when a = 0.
+
+    The pair is in lowest terms with a positive denominator.
+    """
+    if not a:
+        return None
+    g = gcd(a, b) if a > 0 else -gcd(a, b)
+    return b // g, a // g
 
 
 def finite_difference(s: AreaSequence, order: int) -> list[Fraction]:
-    """Forward differences of the given order, by `order` passes of values[j+1] - values[j].
+    """Forward differences of the given order, by `differences` on one common denominator.
 
-    The passes subtract integer numerators on one common denominator; order 2
-    gives values[j+2] - 2*values[j+1] + values[j].  The sequence must be
-    longer than the order.
+    Order 2 gives values[j+2] - 2*values[j+1] + values[j].  The sequence must
+    be longer than the order.
     """
     check_order(order, len(s.values))
-    den = math.lcm(*(v.denominator for v in s.values))
+    den = lcm(*(v.denominator for v in s.values))
     nums = [v.numerator * (den // v.denominator) for v in s.values]
+    return [Fraction(x, den) for x in differences(nums, order)]
+
+
+def differences(values: list[int], order: int) -> list[int]:
+    """Forward differences of integers: `order` passes of values[j+1] - values[j].
+
+    The caller has checked the order with check_order.
+    """
     for _ in range(order):
-        nums = list(map(sub, nums[1:], nums))
-    return [Fraction(x, den) for x in nums]
+        values = list(map(sub, islice(values, 1, None), values))
+    return values
 
 
 def check_order(order: int, length: int) -> None:

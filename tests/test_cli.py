@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -327,6 +328,26 @@ class TestHugeValues:
         assert rational_from_json(area) == polydiagram.area_closed_form(
             polydiagram.build_polynomial(3, 9500, 2))
 
+    def test_streamed_rows_beyond_the_int_digit_cap_read_back(self, capsys):
+        # rows of 4516 and 7158 digits, streamed chunk by chunk: a chunk written
+        # outside main's lifted digit cap would raise on Python 3.11+
+        capped = hasattr(sys, "get_int_max_str_digits")
+        previous = sys.get_int_max_str_digits() if capped else None
+        k = 15000
+        code, out, err = run_cli(capsys, "table", "--k", str(k), "--q-from", "2", "--q-to", "3",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        if capped:
+            assert sys.get_int_max_str_digits() == previous
+        rows = json.loads(out)["rows"]
+        assert len(rows[0]["area"]["num"]) > 4300
+        area = {q: polydiagram.area_general(polydiagram.build_polynomial(q, 0, k))
+                for q in (2, 3, 4)}
+        assert [rational_from_json(row["area"]) for row in rows] == [area[2], area[3]]
+        assert [rational_from_json(row["ratio"]) for row in rows] == [
+            area[3] / area[2], area[4] / area[3]
+        ]
+
     def test_render_beyond_the_int_digit_cap(self, capsys):
         # labels print x = 10^4300 .. 10^4302 in full
         code, out, _ = run_cli(capsys, "render", "--q", "10", "--n", "4300", "--k", "2")
@@ -382,7 +403,7 @@ def test_digits_past_the_limit_are_refused_before_any_work(command, digits):
     out, err = io.StringIO(), io.StringIO()
     work = mock.Mock(side_effect=AssertionError("work started"))
     with contextlib.ExitStack() as stack:
-        for name in ("build_polynomial", "area_sequence"):
+        for name in ("build_polynomial", "twice_area_sequence"):
             stack.enter_context(mock.patch.object(cli, name, work))
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
@@ -410,17 +431,71 @@ class TestRender:
         assert text.count("<circle") == 6
 
     def test_unwritable_path_fails(self, capsys, tmp_path):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "render", "--q", "2", "--k", "2",
             "--out", str(tmp_path / "missing" / "diagram.svg"),
         )
-        assert code == 1
+        assert (code, out) == (1, "")
         assert "cannot write" in err
+
+    @pytest.mark.parametrize("argv", [("--q", "3", "--k", "300"), ("--q", "1", "--k", "2"),
+                                      ("--q", "2", "--n", "3", "--k", "600", "--log-x")])
+    def test_out_file_holds_the_bytes_printed_to_stdout(self, capsys, tmp_path, argv):
+        target = tmp_path / "diagram.svg"
+        code, printed, _ = run_cli(capsys, "render", *argv)
+        assert code == 0
+        assert run_cli(capsys, "render", *argv, "--out", str(target))[:2] == (0, "")
+        assert target.read_bytes() == printed.encode("utf-8")
 
     def test_degenerate_warns(self, capsys):
         code, _, err = run_cli(capsys, "render", "--q", "1", "--k", "2")
         assert code == 0
         assert "degenerate" in err
+
+
+@pytest.mark.parametrize("command", ["table", "diff"])
+def test_rows_build_no_fraction(capsys, monkeypatch, command):
+    # rows are written from exact ints: the Fractions a run builds, if any, do
+    # not grow with the q range
+    built = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    counts = []
+    for q_to in ("100", "2000"):
+        built = 0
+        for fmt in ("csv", "json", "markdown"):
+            assert main([command, "--q-to", q_to, "--format", fmt]) == 0
+        counts.append(built)
+    capsys.readouterr()
+    assert counts[0] == counts[1]
+
+
+class _Discard(io.TextIOBase):
+    """A text sink that keeps nothing."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+def test_table_memory_is_flat_in_the_row_count(fmt):
+    # the document is streamed: ten times the rows may not take much more memory
+    peaks = []
+    for q_to in ("2000", "20000"):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(_Discard()):
+                assert main(["table", "--q-to", q_to, "--format", fmt]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def subparsers() -> dict[str, argparse.ArgumentParser]:

@@ -6,12 +6,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polydiagram.areas as areas
 import polydiagram.cli as cli
 from polydiagram.formats import (
+    CHUNK_ROWS,
     format_decimal,
     json_document,
     rational_from_json,
@@ -126,11 +127,11 @@ class TestJsonRational:
 
 class TestDocuments:
     def test_csv_layout(self):
-        doc = table_document("csv", ["a", "b"], [["1", "2"], ["3", "4"]])
+        doc = "".join(table_document("csv", ["a", "b"], [["1", "2"], ["3", "4"]]))
         assert doc == "a,b\n1,2\n3,4\n"
 
     def test_markdown_layout(self):
-        doc = table_document("markdown", ["a", "b"], [["1", "2"]])
+        doc = "".join(table_document("markdown", ["a", "b"], [["1", "2"]]))
         assert doc == "| a | b |\n| --- | --- |\n| 1 | 2 |\n"
 
     def test_json_document_parses_and_ends_with_newline(self):
@@ -179,6 +180,22 @@ json_values = st.recursive(
 )
 
 
+def _pair(value: Fraction | None) -> tuple[int, int] | None:
+    return None if value is None else (value.numerator, value.denominator)
+
+
+def _streamed(
+    fmt: str, records: list[dict], params: dict, digits: int, key: str = "rows", **extra: object
+) -> str:
+    """records_document's chunks, joined, for records of text and Fraction fields."""
+    fields = list(records[0]) if records else []
+    rows = (
+        tuple(v if isinstance(v, str) else _pair(v) for v in record.values())
+        for record in records
+    )
+    return "".join(records_document(fmt, fields, rows, params, digits, key, **extra))
+
+
 class TestRecordsDocument:
     RECORDS = [
         {"q": "1", "ratio": None},
@@ -186,16 +203,16 @@ class TestRecordsDocument:
     ]
 
     def test_csv_splits_rationals_and_marks_missing_ones(self):
-        doc = records_document("csv", self.RECORDS, {"k": "2"}, 1)
+        doc = _streamed("csv", self.RECORDS, {"k": "2"}, 1)
         assert doc == "q,ratio,ratio_decimal\n1,undefined,undefined\n2,7/4,1.8\n"
 
     def test_markdown_has_the_csv_columns(self):
-        doc = records_document("markdown", self.RECORDS, {"k": "2"}, 1)
+        doc = _streamed("markdown", self.RECORDS, {"k": "2"}, 1)
         assert doc.splitlines()[0] == "| q | ratio | ratio_decimal |"
         assert doc.splitlines()[2] == "| 1 | undefined | undefined |"
 
     def test_json_carries_params_rows_and_extra_keys(self):
-        doc = records_document("json", self.RECORDS, {"k": "2"}, 1, "results", agree=True)
+        doc = _streamed("json", self.RECORDS, {"k": "2"}, 1, "results", agree=True)
         assert json.loads(doc) == {
             "params": {"k": "2"},
             "results": [
@@ -249,10 +266,10 @@ def _cells_one_by_one(
     ]
     headers = [
         column
-        for name, v in records[0].items()
+        for name, v in (records[0].items() if records else ())
         for column in ((name,) if isinstance(v, str) else (name, name + "_decimal"))
     ]
-    return table_document(fmt, headers, rows)
+    return "".join(table_document(fmt, headers, rows))
 
 
 @given(a=wide_rationals, b=wide_rationals, digits=st.integers(min_value=0, max_value=8))
@@ -270,8 +287,8 @@ def test_records_document_renders_each_cell_as_alone(a, b, digits):
     shifted = values[4:] + values[:4]
     pairs = [{"i": str(i), "u": u, "v": v} for i, (u, v) in enumerate(zip(shifted, values))]
     for fmt in ("csv", "markdown", "json"):
-        assert records_document(fmt, records, {}, digits) == _cells_one_by_one(fmt, records, digits)
-        assert records_document(fmt, pairs, {}, digits, "results", agree=False) == (
+        assert _streamed(fmt, records, {}, digits) == _cells_one_by_one(fmt, records, digits)
+        assert _streamed(fmt, pairs, {}, digits, "results", agree=False) == (
             _cells_one_by_one(fmt, pairs, digits, "results", agree=False)
         )
 
@@ -299,6 +316,36 @@ def test_records_document_json_is_json_dumps_of_the_same_document(
     # key) is written by records_document itself
     records = [{field: text, "v": v} for text, v in cells]
     document = {"params": params, "results": _json_rows(records, digits), **extra}
-    assert records_document("json", records, params, digits, "results", **extra) == (
+    assert _streamed("json", records, params, digits, "results", **extra) == (
         json.dumps(document, indent=2) + "\n"
     )
+
+
+@given(
+    values=st.lists(st.one_of(st.none(), wide_rationals), min_size=1, max_size=5),
+    run=st.integers(min_value=1, max_value=4),
+    length=st.integers(min_value=0, max_value=2 * CHUNK_ROWS + 2),
+    extra=st.dictionaries(st.sampled_from(["agree", "note"]), json_values, max_size=2),
+    digits=st.integers(min_value=0, max_value=6),
+)
+@example(values=[Fraction(5, 2)], run=1, length=0, extra={}, digits=4)  # no rows
+@example(values=[None, Fraction(6)], run=3, length=CHUNK_ROWS, extra={"agree": True}, digits=4)
+@example(values=[Fraction(-7, 2)], run=1, length=CHUNK_ROWS + 1, extra={}, digits=0)
+@settings(max_examples=40, deadline=None)
+def test_streamed_chunks_join_to_the_one_cell_at_a_time_document(
+    values, run, length, extra, digits
+):
+    # rows across chunk boundaries, with runs of equal values (each `run` rows
+    # long), None cells and extra keys; a chunk holds many rows, not one per write
+    records = [
+        {"q": str(j), "area": values[j // run % len(values)],
+         "ratio": values[(j // run + 1) % len(values)]}
+        for j in range(length)
+    ]
+    rows = [(r["q"], _pair(r["area"]), _pair(r["ratio"])) for r in records]
+    for fmt in ("csv", "markdown", "json"):
+        chunks = list(records_document(fmt, ("q", "area", "ratio"), iter(rows), {}, digits,
+                                       **extra))
+        kept = extra if fmt == "json" else {}
+        assert "".join(chunks) == _cells_one_by_one(fmt, records, digits, **kept)
+        assert len(chunks) <= length // 64 + 3

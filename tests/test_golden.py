@@ -136,6 +136,14 @@ def test_output_is_byte_identical_to_golden(name):
     assert err == (err_path.read_text(encoding="utf-8") if err_path.exists() else "")
 
 
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("error_")))
+def test_a_refused_command_prints_nothing(name):
+    # every refusal comes before the first byte of a streamed document
+    code, out, _ = run(name)
+    assert (code, out) == (2, "")
+    assert (GOLDEN / f"{name}.out").read_text(encoding="utf-8") == ""
+
+
 def test_every_golden_file_has_a_case():
     assert {path.stem for path in GOLDEN.iterdir()} == set(CASES)
 

@@ -175,7 +175,7 @@ def test_streamed_diagram_reads_like_the_materialized_tuple(q, n, k):
         assert area_pick(streamed) == area_pick(stored)
     for log_x in (False, True):
         spec = RenderSpec(log_x=log_x)
-        assert diagram_svg(streamed, spec) == diagram_svg(stored, spec)
+        assert "".join(diagram_svg(streamed, spec)) == "".join(diagram_svg(stored, spec))
 
 
 def as_diagram(vertices):

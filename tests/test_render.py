@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from polydiagram import RenderSpec, build_diagram, build_polynomial, diagram_svg
+from polydiagram import RenderSpec, build_diagram, build_polynomial
+from polydiagram import diagram_svg as svg_chunks
+
+
+def diagram_svg(d, spec=None) -> str:
+    """The document diagram_svg yields, joined."""
+    return "".join(svg_chunks(d, spec))
 
 
 def _circle_xs(svg: str) -> list[float]:

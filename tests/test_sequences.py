@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from polydiagram import sequences
 from polydiagram import (
     AreaSequence,
     area_sequence,
@@ -80,6 +82,22 @@ class TestRatios:
     def test_zero_predecessor_is_marked_undefined(self):
         ratios = ratio_sequence(area_sequence(2, 0, 1, 3))
         assert ratios == [None, Fraction(12, 5)]
+
+    def test_gcd_operands_do_not_grow_with_distinct_denominators(self, monkeypatch):
+        # 1/1, -3/2, 1/3, ...: the lcm of every denominator has thousands of
+        # bits, but each ratio only needs its own pair cross-multiplied.
+        values = tuple(Fraction((-1) ** j * (2 * j + 1), j + 1) for j in range(2000))
+        widest = []
+
+        def recording_gcd(a, b):
+            widest.append(max(a.bit_length(), b.bit_length()))
+            return math.gcd(a, b)
+
+        monkeypatch.setattr(sequences, "gcd", recording_gcd)
+        ratios = ratio_sequence(AreaSequence(k=1, n=0, q_start=1, values=values))
+        assert ratios == [b / a for a, b in zip(values, values[1:])]
+        assert len(widest) == len(values) - 1
+        assert max(widest) <= 2 * 12
 
 
 class TestFiniteDifference:
