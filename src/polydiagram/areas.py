@@ -8,9 +8,10 @@ holds each route's own function, once, in the order documents list them:
 the formula routes read (q, n, k) and the oracles one walk of the cycle.
 route_twice_area runs one route, and route_area, which each public area
 function runs, halves its int to a Fraction; AreaCrossCheck compares the
-ints.  The closed form costs O(1) big-integer operations and every other
-route O(k) of them: the slab sum joins k slab weights by binary splitting,
-and the shoelace sum and the lattice counts do at most one addition per
+ints, and records a route that raises as that route's failure.  The
+closed form costs O(1) big-integer operations and every other route O(k)
+of them: the slab sum joins k slab weights by binary splitting, and the
+shoelace sum and the lattice counts do at most one addition per
 vertex each, plus, in the shoelace sum, one product by a small factor
 wherever its coefficient changes, and in the lattice counts two gcds
 (comparisons aside).  None grows with the polygon's x-extent q^(n+k), and
@@ -50,7 +51,7 @@ the integer numerators for m = 0..k-1, and route_area halves the sum once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Callable, Iterable, NamedTuple
@@ -73,9 +74,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AreaCrossCheck:
-    """Twice the area, an int, by every route that applies, keyed by name in ROUTES order."""
+    """Twice the area, an int, by every route that applies, keyed by name in ROUTES order.
+
+    A route that raised has no twice-area; `raised` holds its exception's
+    type and text, "ZeroDivisionError: division by zero", under its name.
+    """
 
     twice_areas: dict[str, int]
+    raised: dict[str, str] = field(default_factory=dict)
 
     @property
     def areas(self) -> dict[str, Fraction]:
@@ -84,8 +90,8 @@ class AreaCrossCheck:
 
     @property
     def agree(self) -> bool:
-        """Exact equality of every twice-area present."""
-        return len(set(self.twice_areas.values())) <= 1
+        """No route raised, and every twice-area present is exactly equal."""
+        return not self.raised and len(set(self.twice_areas.values())) <= 1
 
 
 def area_closed_form(p: SpecialPolynomial) -> Fraction:
@@ -342,15 +348,31 @@ def route_twice_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | Non
     return route.twice_area(_walk_cycle((build_diagram(p) if d is None else d).vertices))
 
 
-def cross_check(p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> AreaCrossCheck:
+def cross_check(
+    p: SpecialPolynomial, d: PolynomialDiagram | None = None, names: Iterable[str] | None = None
+) -> AreaCrossCheck:
     """Compute twice the area by every route that applies, as exact ints, and compare them.
 
-    Each route reads p's ints or one walk, shared by the diagram routes, of
-    the cycle of `d`, p's diagram when the caller has already built it.
-    Disagreement is reported in the record, never raised.
+    `names` are the routes to run, in order, every one in ROUTES by default;
+    a route that does not apply (route_refusal) is skipped.  Each route
+    reads p's ints or one walk, shared by the diagram routes and taken only
+    when one of them runs, of the cycle of `d`, p's diagram when the caller
+    has already built it.  Disagreement is reported in the record, never
+    raised, and so is a route that raises: it is a fault of that route.
     """
-    walk = _walk_cycle((build_diagram(p) if d is None else d).vertices)
-    return AreaCrossCheck(
-        {name: route.twice_area(walk) if route.reads_diagram else route.twice_area(p.q, p.n, p.k)
-         for name, route in ROUTES.items() if route_refusal(name, p) is None}
-    )
+    twice_areas: dict[str, int] = {}
+    raised: dict[str, str] = {}
+    walk = None
+    for name in ROUTES if names is None else names:
+        route = ROUTES[name]
+        if route_refusal(name, p) is not None:
+            continue
+        if route.reads_diagram and walk is None:
+            walk = _walk_cycle((build_diagram(p) if d is None else d).vertices)
+        try:
+            twice_areas[name] = (
+                route.twice_area(walk) if route.reads_diagram else route.twice_area(p.q, p.n, p.k)
+            )
+        except Exception as exc:  # any raise is a failed route, reported like a disagreement
+            raised[name] = f"{type(exc).__name__}: {exc}"
+    return AreaCrossCheck(twice_areas, raised)

@@ -2,10 +2,12 @@
 
 Data documents go to stdout so they can be piped; warnings and failure
 diagnostics go to stderr.  Exit status is 0 for success, 1 for a
-verification or cross-check failure or an SVG that `render --out` cannot
-write, and 2 for a usage error.  Identical invocations produce
-byte-identical documents.  A JSON document's `params` block is built from
-the parsed arguments, so each flag is declared once, in `build_parser`.
+verification or cross-check failure, a route that raises (`area` and
+`verify` run every route through `cross_check`, which records the raise)
+or an SVG that `render --out` cannot write, and 2 for a usage error.
+Identical invocations produce byte-identical documents.  A JSON document's
+`params` block is built from the parsed arguments, so each flag is
+declared once, in `build_parser`.
 
 `area`, `table` and `diff` hand the document writer exact ints: each area
 is a twice-area from the routes, halved to a (num, den) pair, and `table`
@@ -24,7 +26,7 @@ import sys
 from itertools import count, tee
 from typing import Iterable
 
-from .areas import ROUTES, cross_check, half_pair, route_twice_area
+from .areas import ROUTES, cross_check, half_pair, route_refusal
 from .core import build_diagram, build_polynomial
 from .formats import (
     DEFAULT_DIGITS,
@@ -73,20 +75,24 @@ def cmd_area(args: argparse.Namespace) -> int:
     p = build_polynomial(args.q, args.n, args.k)
     if args.method == "all":
         check = cross_check(p)
-        twice_areas, agree = check.twice_areas, check.agree
-    else:  # route_twice_area refuses a route that does not apply before any work
-        twice_areas, agree = {args.method: route_twice_area(args.method, p)}, True
+    else:  # a route that does not apply is refused before any work
+        refusal = route_refusal(args.method, p)
+        if refusal is not None:
+            raise ValueError(refusal)
+        check = cross_check(p, names=(args.method,))
     if p.degenerate:
         _warn("q = 1 produces a degenerate diagram; every area is 0")
 
-    rows = [(name, half_pair(twice)) for name, twice in twice_areas.items()]
+    rows = [(name, half_pair(twice)) for name, twice in check.twice_areas.items()]
     _emit(records_document(
-        args.format, ("method", "area"), rows, _params(args), args.digits, "results", agree=agree
+        args.format, ("method", "area"), rows, _params(args), args.digits, "results",
+        agree=check.agree,
     ))
-    if not agree:
+    for name, text in check.raised.items():
+        print(f"error: route {name!r} raised {text}", file=sys.stderr)
+    if len(set(check.twice_areas.values())) > 1:
         print("error: area methods disagree", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if check.agree else 1
 
 
 def cmd_table(args: argparse.Namespace) -> int:

@@ -10,16 +10,30 @@ the decimal point, so identical inputs give byte-identical output.
 rational cell arrives as a (num, den) pair of ints in lowest terms, so no
 Fraction is built per row.  The rows are read as the document is written,
 and each writer yields its text in chunks of CHUNK_ROWS rows, so a document
-of any length is written in flat memory, one write per chunk.  Each
-rational's numerator is converted to text once, an integer's decimal cell
-being that same text, and a rational equal to the one rendered just before
-it (the agreeing routes of `area`) reuses that one's cells, so a run of
-equal values is converted once in all.  Each row is built once, as its
-cells in column order: `table_document` writes those cells as they are for
-CSV and markdown, and in JSON they are already JSON text, joined into the
-row's object text.  The JSON frame around the rows is a few lines, written
-by `records_document` itself; `json_document`, verify's writer, is
-json.dumps with a two-space indent.
+of any length is written in flat memory, one write per chunk.
+
+Whatever is the same for every row is set up once per document, and most
+of the per-row work runs in C.  Each chunk's rows are read as columns, by
+the kinds of the first row: a text column passes as it is (quoted in JSON),
+and a rational column is one `map` of the document's cell function, which
+fixes 10**digits and its templates once.  That function converts each
+numerator to text once, an integer's decimal cell being that same text,
+and a rational equal to the one rendered just before it (the agreeing
+routes of `area`) reuses that one's cells, so a run of equal values is
+converted once in all.  `zip` rebuilds the rows from the columns.  Each
+JSON row object is then written by one `%` template built from the
+headers, each chunk of markdown rows by one join of the rows' joined
+cells, and CSV rows go through csv.writer.  `table_document` is the one
+CSV and markdown writer, `verify`'s tables included.  The JSON frame
+around the rows is a few lines, written by `records_document` itself;
+`json_document`, verify's writer, is json.dumps with a two-space indent.
+
+Before Python 3.12, str() of an int takes time quadratic in its digits.
+`int_text` is str() below a measured crossover of about 16,000 digits, and
+above it splits the int on powers of two and joins the parts in `decimal`,
+the method of 3.12's own str().  A rational whose numerator or denominator
+reaches that size has its numerator, its denominator and its decimal's
+digits converted by it.
 """
 
 from __future__ import annotations
@@ -27,13 +41,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import operator
 import re
-from decimal import Decimal
+import sys
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "DEFAULT_DIGITS",
@@ -52,25 +66,70 @@ _UNDEFINED = "undefined"  # CSV/markdown text of a missing rational; JSON uses n
 
 def format_decimal(value: Fraction, digits: int = DEFAULT_DIGITS) -> str:
     """Round to `digits` decimal places (half to even) and trim trailing zeros."""
-    return _decimal_text(value.numerator, value.denominator, digits)
+    return _rational_cells(False, digits)((value.numerator, value.denominator))[1]
 
 
-def _decimal_text(num: int, den: int, digits: int) -> str:
-    """format_decimal of num/den (den > 0, lowest terms); str(num) when den == 1."""
-    if digits < 0:
-        raise ValueError(f"digits must be non-negative, got {digits}")
-    if den == 1:
-        return str(num)
-    unit = 10**digits
-    scaled, rest = divmod(num * unit, den)  # floor; 0 <= rest < den
-    if 2 * rest > den or (2 * rest == den and scaled & 1):
-        scaled += 1
-    sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), unit)
-    if digits == 0:
-        return f"{sign}{whole}"
-    text = f"{whole}.{frac:0{digits}d}".rstrip("0").rstrip(".")
-    return sign + text
+# Every sum and product of integers is exact in this context: its precision
+# is the largest there is, and an inexact result would raise.  Its methods
+# are called directly, so no thread's current context changes.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+
+# From this many bits on, split_int_text is faster than str() before 3.12:
+# on 3.11 they cross at about 16,000 digits (15,000: 3.2 against 2.7 ms;
+# 10,000: 1.5 against 2.0 ms).  An int has fewer bits exactly when it lies
+# strictly between the two bounds.  Below _LEAF_BITS, Decimal(int) converts
+# a part directly.
+_SPLIT_BITS = 53_000
+_SPLIT_FROM = 1 << _SPLIT_BITS
+_SPLIT_BELOW = -_SPLIT_FROM
+_LEAF_BITS = 128
+
+
+def split_int_text(value: int) -> str:
+    """str(value), by splitting the int on powers of two and joining the parts in decimal.
+
+    value = hi * 2^w + lo with w half its bits; each half is converted the
+    same way, and the parts are joined by one exact decimal product and sum,
+    with each power 2^w formed once.  That is the method of str() from
+    Python 3.12 on (its _pylong module), and takes the time of a few
+    decimal products of the result's size rather than time quadratic in
+    its digits.  No int is converted to text, so the int->str digit cap of
+    Python 3.11+ does not apply.
+    """
+    powers: dict[int, Decimal] = {}
+
+    def power(bits: int) -> Decimal:
+        result = powers.get(bits)
+        if result is None:
+            if bits <= _LEAF_BITS:
+                result = Decimal(1 << bits)
+            elif bits - 1 in powers:
+                result = EXACT.add(powers[bits - 1], powers[bits - 1])
+            else:  # the smaller half first, so an odd width finds bits - 1 formed
+                half = bits >> 1
+                result = EXACT.multiply(power(half), power(bits - half))
+            powers[bits] = result
+        return result
+
+    def join(part: int, bits: int) -> Decimal:
+        if bits <= _LEAF_BITS:
+            return Decimal(part)
+        half = bits >> 1
+        hi = part >> half
+        low = join(part - (hi << half), half)
+        return EXACT.add(low, EXACT.multiply(join(hi, bits - half), power(half)))
+
+    text = str(join(abs(value), value.bit_length()))
+    return "-" + text if value < 0 else text
+
+
+if sys.version_info >= (3, 12):
+    int_text = str  # str() splits a huge int itself
+else:
+
+    def int_text(value: int) -> str:
+        """str(value): str() below _SPLIT_BITS bits, split_int_text from there on."""
+        return str(value) if _SPLIT_BELOW < value < _SPLIT_FROM else split_int_text(value)
 
 
 def rational_from_json(obj: object) -> Fraction:
@@ -116,19 +175,21 @@ def batched(items: Iterable) -> Iterator[list]:
         yield batch
 
 
-def table_document(fmt: str, headers: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
+def table_document(fmt: str, headers: list[str], rows: Iterable[Sequence[str]]) -> Iterator[str]:
     """A markdown pipe table when fmt is "markdown", else a CSV table with '\\n' line endings.
 
     The text comes in chunks of CHUNK_ROWS lines, the header first, as the rows are read.
+    A markdown chunk is one join of its rows' joined cells; CSV rows go through csv.writer.
     """
-    lines = chain((headers, ["---"] * len(headers)) if fmt == "markdown" else (headers,), rows)
-    for batch in batched(lines):
-        if fmt == "markdown":
-            yield "".join(f"| {' | '.join(row)} |\n" for row in batch)
-        else:
-            buffer = io.StringIO()
-            csv.writer(buffer, lineterminator="\n").writerows(batch)
-            yield buffer.getvalue()
+    if fmt == "markdown":
+        lines = chain((headers, ["---"] * len(headers)), rows)
+        for batch in batched(lines):
+            yield "| " + " |\n| ".join(map(" | ".join, batch)) + " |\n"
+        return
+    for batch in batched(chain((headers,), rows)):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(batch)
+        yield buffer.getvalue()
 
 
 def json_document(payload: dict) -> str:
@@ -166,12 +227,12 @@ def records_document(
     the same order; with no rows there are no columns.
 
     The rows are read as the chunks are taken, CHUNK_ROWS to a chunk, so a
-    document of any length is written in flat memory.  Each row is built
-    once, as its list of cells in column order, and a run of equal rationals
-    is converted once (see the module docstring).  The num/den text keeps a
-    denominator of 1 ("6/1").  CSV and markdown rows go to table_document as
-    they are, and omit params.  In JSON the cells are already JSON text, and
-    each row is joined into its object's text, every cell after its field's
+    document of any length is written in flat memory.  Each chunk's cells
+    are made column by column, and a run of equal rationals is converted
+    once (see the module docstring).  The num/den text keeps a denominator
+    of 1 ("6/1").  CSV and markdown rows go to table_document, and omit
+    params.  In JSON the cells are already JSON text, and each row's object
+    is one `%` template of the headers, every cell after its field's
     `"name": ` prefix.  The document around the rows is written here too:
     params, the rows under `key`, then each extra key, every value but the
     rows through json.dumps with a two-space indent, so the whole is what
@@ -185,19 +246,20 @@ def records_document(
         for name, text in zip(fields, kinds)
         for column in ((name,) if text else (name, name + "_decimal"))
     ]
-    cells = _row_cells(fmt == "json", () if first is None else chain((first,), rows), digits)
+    batches = _row_batches(
+        fmt == "json", kinds, () if first is None else chain((first,), rows), digits
+    )
     if fmt != "json":
-        yield from table_document(fmt, headers, cells)
+        yield from table_document(fmt, headers, chain.from_iterable(batches))
         return
-    prefixes = [f"{_FIELD_PAD}{_quote(name)}: " for name in headers]
-    close = "\n" + _ROW_PAD + "}"
+    fields_text = ",\n".join(
+        f"{_FIELD_PAD}{_quote(name).replace('%', '%%')}: %s" for name in headers
+    )
+    row = f"{_ROW_PAD}{{\n{fields_text}\n{_ROW_PAD}}}"
     yield f'{{\n  "params": {_indented_json(params)},\n  {_quote(key)}: ['
     separator = "\n"  # before the first row; ",\n" between rows
-    for batch in batched(cells):
-        yield separator + ",\n".join(
-            f"{_ROW_PAD}{{\n" + ",\n".join(map(operator.add, prefixes, row)) + close
-            for row in batch
-        )
+    for batch in batches:
+        yield separator + ",\n".join(map(row.__mod__, batch))
         separator = ",\n"
     extra_text = "".join(
         f",\n  {_quote(name)}: {_indented_json(value)}" for name, value in extra.items()
@@ -205,32 +267,81 @@ def records_document(
     yield ("]" if first is None else "\n  ]") + extra_text + "\n}\n"
 
 
-def _row_cells(
-    as_json: bool, rows: Iterable[Sequence[str | tuple[int, int] | None]], digits: int
-) -> Iterator[list[str]]:
-    """Each row's cells in column order, JSON text when as_json, as the rows are read."""
-    missing = ("null", "null") if as_json else (_UNDEFINED, _UNDEFINED)
-    last = pair = None  # the rational rendered last, and its two cells
-    for row in rows:
-        cells: list[str] = []
-        for value in row:
-            if isinstance(value, str):
-                cells.append(_quote(value) if as_json else value)
-            elif value is None:
-                cells += missing
+def _row_batches(
+    as_json: bool,
+    kinds: Sequence[bool],
+    rows: Iterable[Sequence[str | tuple[int, int] | None]],
+    digits: int,
+) -> Iterator[Iterable[tuple[str, ...]]]:
+    """Each CHUNK_ROWS rows' cells in column order, JSON text when as_json, as the rows are read.
+
+    `kinds` tells, per field, whether its cells are text.  A chunk is read as
+    columns: a text column passes as it is, or quoted in JSON, and a
+    rational column is one map of the document's cell function, split into
+    its two columns; zip rebuilds the rows.
+    """
+    rational = _rational_cells(as_json, digits)
+    for batch in batched(rows):
+        columns: list[Iterable[str]] = []
+        for text, column in zip(kinds, zip(*batch)):
+            if not text:
+                columns += zip(*map(rational, column))
             else:
-                if value != last:
-                    num, den = value
-                    decimal = _decimal_text(num, den, digits)
-                    num_text = decimal if den == 1 else str(num)
-                    if as_json:
-                        pair = (
-                            f'{{\n{_FIELD_PAD}  "num": "{num_text}",\n'
-                            f'{_FIELD_PAD}  "den": "{den}"\n{_FIELD_PAD}}}',
-                            f'"{decimal}"',
-                        )
-                    else:
-                        pair = (f"{num_text}/{den}", decimal)
-                    last = value
-                cells += pair
-        yield cells
+                columns.append(map(_quote, column) if as_json else column)
+        yield zip(*columns) if columns else [()] * len(batch)
+
+
+def _rational_cells(
+    as_json: bool, digits: int
+) -> Callable[[tuple[int, int] | None], tuple[str, str]]:
+    """The document's cell function: a rational's two cells, JSON text when as_json.
+
+    A rational (num, den), in lowest terms with den > 0, gives its num/den
+    text and its decimal, num/den rounded half to even at `digits` places
+    with trailing zeros trimmed (num itself when den == 1).  10**digits and
+    the templates are fixed here, once per document, and a rational equal
+    to the one rendered just before it reuses that one's cells.  An int is
+    converted by str(), or by int_text when the value holds one of
+    _SPLIT_BITS bits or more.
+    """
+    if digits < 0:
+        raise ValueError(f"digits must be non-negative, got {digits}")
+    twice_unit = 2 * 10**digits
+    width = digits + 1  # the scaled decimal's digits, zero-padded to at least one whole digit
+    if as_json:
+        missing = ("null", "null")
+        fraction = f'{{\n{_FIELD_PAD}  "num": "%s",\n{_FIELD_PAD}  "den": "%s"\n{_FIELD_PAD}}}'
+        decimal_cell = '"%s"'
+    else:
+        missing = (_UNDEFINED, _UNDEFINED)
+        fraction, decimal_cell = "%s/%s", "%s"
+    last = pair = None  # the rational rendered last, and its two cells
+
+    def cells(value: tuple[int, int] | None) -> tuple[str, str]:
+        nonlocal last, pair
+        if value is None:
+            return missing
+        if value == last:
+            return pair
+        last = num, den = value
+        small = _SPLIT_BELOW < num < _SPLIT_FROM and den < _SPLIT_FROM
+        text = str if small else int_text
+        if den == 1:
+            decimal = text(num)
+        else:
+            scaled, rest = divmod(num * twice_unit + den, 2 * den)  # num/den rounded half up
+            if not rest and scaled & 1:  # a tie, which rounds to even
+                scaled -= 1
+            if digits:
+                decimal = text(abs(scaled)).zfill(width)
+                decimal = (decimal[:-digits] + "." + decimal[-digits:]).rstrip("0").rstrip(".")
+                if scaled < 0:
+                    decimal = "-" + decimal
+            else:
+                decimal = text(scaled)
+        # %s gives str() of each int of a small value; a large one's ints are converted once
+        texts = (num, den) if small else (decimal if den == 1 else text(num), text(den))
+        pair = fraction % texts, decimal_cell % decimal
+        return pair
+
+    return cells

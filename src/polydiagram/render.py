@@ -8,16 +8,28 @@ the original coordinates.  Rendering is a pure function of its inputs, so
 identical invocations produce byte-identical documents.  The document is
 yielded in chunks, and the vertex cycle is read in passes that each hold
 O(1) vertices, so its memory stays flat in k although the document grows
-with it.
+with it.  Each path point and each vertex marker is one `%` template, whose
+`%.2f` gives the text of f"{v:.2f}".
+
+A label's x is exact text, and str() of an int takes time quadratic in its
+digits before Python 3.12.  So an x that is q times the x before it is
+labelled by a running Decimal product, one exact product by q per vertex,
+whose text costs time linear in its digits; any other x, such as the anchor
+or an x of a stored cycle that breaks the chain, is labelled by str() and
+starts a new product.  `render --q 3 --k 20000`, whose labels reach 9543
+digits, took 10 s with str() of every label and takes under 1 s this way,
+as a process on Python 3.11 on a 2-core host.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from decimal import Decimal
+from itertools import starmap
+from typing import Iterable, Iterator
 
 from .core import PolynomialDiagram
-from .formats import batched
+from .formats import EXACT, batched
 
 __all__ = ["RenderSpec", "diagram_svg"]
 
@@ -54,6 +66,36 @@ def _plotted(d: PolynomialDiagram, spec: RenderSpec) -> Iterator[tuple[int, int,
         yield (p.n + max(index - 1, 0) if log_x else x), x, y
 
 
+def _labeled(
+    plotted: Iterable[tuple[int, int, int]], q: int
+) -> Iterator[tuple[int, str, int]]:
+    """(abscissa, str(x), y) per (abscissa, x, y), as they are read.
+
+    An x that is q times the x before it is the text of a running Decimal
+    product, exact in the EXACT context; any other x is str(x), which starts
+    a new product.
+    """
+    factor = Decimal(q)
+    last = label = None  # the x before, and it as an exact Decimal
+    for position, x, y in plotted:
+        if label is not None and x == last * q:
+            label = EXACT.multiply(label, factor)
+            text = str(label)
+        else:
+            text = str(x)
+            label = Decimal(text)
+        last = x
+        yield position, text, y
+
+
+# A vertex's marker and its label; the label's x is already text.
+_MARKER = (
+    '  <circle cx="%.2f" cy="%.2f" r="3.5" fill="#1f77b4"/>\n'
+    '  <text x="%.2f" y="%.2f" font-family="monospace" '
+    'font-size="12" fill="#333333">(%s, %s)</text>\n'
+)
+
+
 def diagram_svg(d: PolynomialDiagram, spec: RenderSpec | None = None) -> Iterator[str]:
     """Render the diagram as a standalone SVG 1.1 document, yielded in chunks.
 
@@ -67,7 +109,12 @@ def diagram_svg(d: PolynomialDiagram, spec: RenderSpec | None = None) -> Iterato
     x_lo, _, y_hi = next(extent)
     x_hi = x_lo
     for position, _, y in extent:  # the top vertex sits at y = k >= 1
-        x_lo, x_hi, y_hi = min(x_lo, position), max(x_hi, position), max(y_hi, y)
+        if position < x_lo:
+            x_lo = position
+        elif position > x_hi:
+            x_hi = position
+        if y > y_hi:
+            y_hi = y
 
     left = spec.margin_px
     right = spec.width_px - spec.margin_px
@@ -87,12 +134,9 @@ def diagram_svg(d: PolynomialDiagram, spec: RenderSpec | None = None) -> Iterato
     def fmt(v: float) -> str:
         return f"{v:.2f}"
 
-    def marker(cx: float, cy: float, x: int, y: int) -> str:
-        return (
-            f'  <circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="3.5" fill="#1f77b4"/>\n'
-            f'  <text x="{fmt(cx + 6)}" y="{fmt(cy - 6)}" font-family="monospace" '
-            f'font-size="12" fill="#333333">({x}, {y})</text>\n'
-        )
+    def marker(position: int, label: str, y: int) -> str:
+        cx, cy = px(position), py(y)
+        return _MARKER % (cx, cy, cx + 6, cy - 6, label, y)
 
     yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -104,12 +148,12 @@ def diagram_svg(d: PolynomialDiagram, spec: RenderSpec | None = None) -> Iterato
         f'y2="{fmt(top)}" stroke="#999999" stroke-width="1"/>\n'
         f'  <path d="M '
     )
-    points = (f"{fmt(px(position))} {fmt(py(y))}" for position, _, y in _plotted(d, spec))
+    points = ("%.2f %.2f" % (px(position), py(y)) for position, _, y in _plotted(d, spec))
     separator = ""  # before the first point; " L " between points
     for batch in batched(points):
         yield separator + " L ".join(batch)
         separator = " L "
     yield ' Z" fill="#c6dbef" fill-opacity="0.6" stroke="#1f77b4" stroke-width="2"/>\n'
-    for batch in batched(_plotted(d, spec)):
-        yield "".join(marker(px(position), py(y), x, y) for position, x, y in batch)
+    for batch in batched(starmap(marker, _labeled(_plotted(d, spec), d.source.q))):
+        yield "".join(batch)
     yield "</svg>\n"

@@ -4,9 +4,12 @@ run_grid_verification walks q = 1..q_max, n = 0..n_max, k = 1..k_max and at
 each point checks every area route against the shoelace oracle, the
 n-1 -> n scaling law, the reduced denominators, and (for q >= 2) the
 diagram's structural invariants.  It also replays the frozen golden rows
-for the degree-2, n=0 family.  Points are visited in (q, n, k) order and
-failures recorded in that order, so reports are deterministic.  Every check
-that runs is counted by name in the report's tally.
+for the degree-2, n=0 family.  A route that raises fails its check against
+the shoelace oracle, and a golden row whose slab sum raises is a problem,
+so a faulty route ends the sweep with a report, not an exception.  Points
+are visited in (q, n, k) order and failures recorded in that order, so
+reports are deterministic.  Every check that runs is counted by name in
+the report's tally.
 """
 
 from __future__ import annotations
@@ -123,10 +126,14 @@ def run_grid_verification(
 def _verify_point(
     q: int, n: int, k: int, below: int | None,
     tally: dict[str, int], failures: list[CheckFailure],
-) -> int:
+) -> int | None:
     """Run every check at one grid point, counting each in `tally`.
 
-    `below` is twice the slab-sum area at (q, n - 1, k), or None at n = 0; returns this point's.
+    `below` is twice the slab-sum area at (q, n - 1, k), or None at n = 0
+    or when the slab sum raised there; returns this point's.  A route that
+    raises fails its check against the shoelace oracle, and one the shoelace
+    oracle raises fails every such check; the checks that read the slab sum
+    do not run where it raised.
     """
 
     def fail(check: str, detail: str) -> None:
@@ -134,24 +141,32 @@ def _verify_point(
 
     p = SpecialPolynomial(q, n, k)
     d = build_diagram(p)
-    twice_areas = cross_check(p, d).twice_areas
-    lace = twice_areas["shoelace"]
-    for name, twice in twice_areas.items():
-        if name != "shoelace":
-            check = _VS_SHOELACE[name]
-            tally[check] += 1
-            if twice != lace:
-                fail(check, f"{name}={Fraction(twice, 2)} shoelace={Fraction(lace, 2)}")
+    routes = cross_check(p, d)
+    twice_areas, raised = routes.twice_areas, routes.raised
+    lace = twice_areas.get("shoelace")
+    for name, check in _VS_SHOELACE.items():
+        if name not in twice_areas and name not in raised:
+            continue  # refused: Pick at q = 1
+        tally[check] += 1
+        twice = twice_areas.get(name)
+        if twice is None or lace is None:
+            fail(check, "; ".join(f"{route} raised {raised[route]}"
+                                  for route in (name, "shoelace") if route in raised))
+        elif twice != lace:
+            fail(check, f"{name}={Fraction(twice, 2)} shoelace={Fraction(lace, 2)}")
 
-    general = twice_areas["general"]
-    tally["reduced_denominator"] += 1
-    if general.denominator != 1:  # the area's is 1 or 2 exactly when 2A is an integer
-        fail("reduced_denominator", f"denominator={Fraction(general, 2).denominator}")
+    # None when the general route raised, which general_vs_shoelace records
+    general = twice_areas.get("general")
+    if general is not None:
+        tally["reduced_denominator"] += 1
+        if general.denominator != 1:  # the area's is 1 or 2 exactly when 2A is an integer
+            fail("reduced_denominator", f"denominator={Fraction(general, 2).denominator}")
 
-    if below is not None:
+    if below is not None and general is not None:
         tally["scaling_in_n"] += 1
-    if below is not None and general != q * below:
-        fail("scaling_in_n", f"area(n)={Fraction(general, 2)} q*area(n-1)={Fraction(q * below, 2)}")
+        if general != q * below:
+            fail("scaling_in_n",
+                 f"area(n)={Fraction(general, 2)} q*area(n-1)={Fraction(q * below, 2)}")
 
     if d.degenerate:
         return general
@@ -181,11 +196,15 @@ def _golden_quadratic_problems() -> list[str]:
     """Exact areas and +/-0.05 decimal ratios against the frozen golden rows."""
     problems: list[str] = []
     for q, expected_area, ratio_text in GOLDEN_QUADRATIC_ROWS:
-        area = area_general(SpecialPolynomial(q, 0, 2))
+        try:
+            area, after = (area_general(SpecialPolynomial(r, 0, 2)) for r in (q, q + 1))
+        except Exception as exc:  # a raising slab sum is a problem, like a wrong area
+            problems.append(f"q={q}: general raised {type(exc).__name__}: {exc}")
+            continue
         if area != expected_area:
             problems.append(f"q={q}: area {area} != {expected_area}")
             continue
-        ratio = area_general(SpecialPolynomial(q + 1, 0, 2)) / area
+        ratio = after / area
         if abs(ratio - Fraction(ratio_text)) > _GOLDEN_RATIO_TOLERANCE:
             problems.append(f"q={q}: ratio {ratio} not within 0.05 of {ratio_text}")
     return problems

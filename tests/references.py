@@ -27,13 +27,18 @@ former chain check of the grid sweep, which now reads the unit chain steps
 off the shape walk.  The paper's per-slab formulas, `trapezoid_area` and
 `triangle_area`, are the former public pieces of the slab sum, and
 `format_rational` and `rational_to_json` the former per-cell encoders of
-the documents, which now render each row's cells in one pass.  Every
+the documents, which now render each chunk's cells column by column;
+`records_document_by_rows` writes a whole records document from them, a
+row and a cell at a time.  Every
 oracle that reads a diagram first materializes its vertices, so it indexes
 them freely.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 import operator
 from fractions import Fraction
@@ -98,6 +103,48 @@ def format_rational(value: Fraction) -> str:
 def rational_to_json(value: Fraction) -> dict[str, str]:
     """Encode a rational as {"num": ..., "den": ...} decimal strings."""
     return {"num": str(value.numerator), "den": str(value.denominator)}
+
+
+def records_document_by_rows(
+    fmt: str, fields: list[str], rows: list[tuple], params: dict, digits: int,
+    key: str = "rows", **extra: object,
+) -> str:
+    """records_document's text, written a row and a cell at a time.
+
+    Each rational cell, a (num, den) pair or None, goes through Fraction,
+    `format_rational`, `rational_to_json` and `decimal_by_fraction_round`;
+    CSV is one csv.writer row per line, markdown one join per line, and JSON
+    json.dumps of the whole document.
+    """
+    kinds = [isinstance(cell, str) for cell in rows[0]] if rows else []
+    headers = [column for name, text in zip(fields, kinds)
+               for column in ((name,) if text else (name, name + "_decimal"))]
+
+    def cells(row: tuple, as_json: bool) -> list:
+        out: list = []
+        for text, cell in zip(kinds, row):
+            if text:
+                out.append(cell)
+            elif cell is None:
+                out += [None, None] if as_json else ["undefined", "undefined"]
+            else:
+                value = Fraction(*cell)
+                out += [rational_to_json(value) if as_json else format_rational(value),
+                        decimal_by_fraction_round(value, digits)]
+        return out
+
+    if fmt == "json":
+        records = [dict(zip(headers, cells(row, True))) for row in rows]
+        return json.dumps({"params": params, key: records, **extra}, indent=2) + "\n"
+    lines = [cells(row, False) for row in rows]
+    if fmt == "markdown":
+        lines = [headers, ["---"] * len(headers), *lines]
+        return "".join(f"| {' | '.join(line)} |\n" for line in lines)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for line in [headers, *lines]:
+        writer.writerow(line)
+    return buffer.getvalue()
 
 
 def chain_steps_down_from(k: int, vertices: Iterable[tuple[int, int]]) -> bool:

@@ -266,6 +266,27 @@ class TestCrossCheck:
         check = AreaCrossCheck({"general": 5, "shoelace": 6})
         assert not check.agree
 
+    @pytest.mark.parametrize("error", [ValueError("no"), ZeroDivisionError("division by zero")])
+    def test_a_raising_route_is_recorded_and_does_not_agree(self, error, monkeypatch):
+        def raising(walk):
+            raise error
+
+        monkeypatch.setitem(ROUTES, "pick", ROUTES["pick"]._replace(twice_area=raising))
+        check = cross_check(build_polynomial(5, 0, 3))
+        assert check.raised == {"pick": f"{type(error).__name__}: {error}"}
+        assert check.twice_areas == dict.fromkeys(["closed", "general", "shoelace"], 180)
+        assert not check.agree
+
+    def test_named_routes_walk_only_for_a_diagram_route(self, monkeypatch):
+        p = build_polynomial(3, 1, 4)
+        expected = cross_check(p)
+        monkeypatch.setattr(areas, "build_diagram", _no_work)
+        check = cross_check(p, names=("general", "closed"))
+        assert check.twice_areas == {name: expected.twice_areas[name]
+                                     for name in ("general", "closed")}
+        # a named route that does not apply is skipped, as it is by default
+        assert cross_check(build_polynomial(1, 0, 3), names=("pick",)) == AreaCrossCheck({})
+
     @pytest.mark.parametrize("name", ROUTES)
     def test_only_pick_is_refused_at_q_1(self, name):
         refusal = route_refusal(name, build_polynomial(1, 0, 2))

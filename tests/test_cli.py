@@ -289,6 +289,61 @@ def test_a_fault_at_a_route_entry_reaches_every_command(capsys, name):
         assert out != clean, argv
 
 
+def route_raising(name: str, error: Exception):
+    """ROUTES[name] raising `error` wherever it runs."""
+
+    def raising(*args):
+        raise error
+
+    return mock.patch.dict(areas.ROUTES, {name: areas.ROUTES[name]._replace(twice_area=raising)})
+
+
+@pytest.mark.parametrize("error", [ValueError("no"), ZeroDivisionError("division by zero")],
+                         ids=["ValueError", "ZeroDivisionError"])
+class TestRaisingRoute:
+    """A route that raises is a failure of that route (exit 1), not a usage error (exit 2)."""
+
+    def test_area_prints_the_routes_that_returned(self, capsys, error):
+        with route_raising("pick", error):
+            code, out, err = run_cli(capsys, "area", "--q", "5", "--k", "3")
+        assert code == 1
+        assert out.splitlines() == [
+            "method,area,area_decimal", "closed,90/1,90", "general,90/1,90", "shoelace,90/1,90"
+        ]
+        assert err == f"error: route 'pick' raised {type(error).__name__}: {error}\n"
+
+    def test_area_of_the_raising_route_alone(self, capsys, error):
+        with route_raising("general", error):
+            code, out, err = run_cli(capsys, "area", "--q", "5", "--k", "3", "--method",
+                                     "general", "--format", "json")
+        assert code == 1
+        document = json.loads(out)
+        assert (document["results"], document["agree"]) == ([], False)
+        assert err == f"error: route 'general' raised {type(error).__name__}: {error}\n"
+
+    @pytest.mark.parametrize("name", ["pick", "shoelace", "general"])
+    def test_verify_fails_each_check_against_the_shoelace_oracle(self, capsys, error, name):
+        with route_raising(name, error):
+            code, out, err = run_cli(capsys, "verify", "--q-max", "2", "--n-max", "1",
+                                     "--k-max", "2")
+        assert code == 1
+        document = json.loads(out)
+        raised = f"{name} raised {type(error).__name__}: {error}"
+        # every point runs closed and general, q = 2 adds Pick
+        vs = {"pick": ["pick"], "general": ["general"],
+              "shoelace": ["closed", "general", "pick"]}[name]
+        expected = [
+            (q, n, k, f"{route}_vs_shoelace")
+            for q in (1, 2) for n in (0, 1) for k in (1, 2)
+            for route in vs if q == 2 or route != "pick"
+        ]
+        failures = document["failures"]
+        assert [(int(f["q"]), int(f["n"]), int(f["k"]), f["check"]) for f in failures] == expected
+        assert {f["detail"] for f in failures} == {raised}
+        assert document["golden_quadratic"]["ok"] is (name != "general")
+        assert err.startswith(f"error: verification failed at (q={expected[0][0]}, ")
+
+
 @contextmanager
 def unlimited_int_digits():
     """Lift the int<->str digit cap (Python >= 3.11) while comparing huge values."""

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -11,15 +13,23 @@ from hypothesis import strategies as st
 
 import polydiagram.areas as areas
 import polydiagram.cli as cli
+import polydiagram.formats as formats
 from polydiagram.formats import (
     CHUNK_ROWS,
     format_decimal,
+    int_text,
     json_document,
     rational_from_json,
     records_document,
+    split_int_text,
     table_document,
 )
-from references import decimal_by_fraction_round, format_rational, rational_to_json
+from references import (
+    decimal_by_fraction_round,
+    format_rational,
+    rational_to_json,
+    records_document_by_rows,
+)
 
 
 class TestFormatRational:
@@ -349,3 +359,93 @@ def test_streamed_chunks_join_to_the_one_cell_at_a_time_document(
         kept = extra if fmt == "json" else {}
         assert "".join(chunks) == _cells_one_by_one(fmt, records, digits, **kept)
         assert len(chunks) <= length // 64 + 3
+
+
+# Denominators past the areas' 1 and 2, so that decimals round at every place.
+rationals = st.one_of(
+    wide_rationals,
+    st.builds(Fraction, st.integers(min_value=-(10**40), max_value=10**40),
+              st.integers(min_value=1, max_value=10**12)),
+)
+
+
+@given(
+    texts=st.lists(json_texts, min_size=1, max_size=3),
+    values=st.lists(st.one_of(st.none(), rationals), min_size=1, max_size=5),
+    run=st.integers(min_value=1, max_value=4),
+    length=st.integers(min_value=0, max_value=40),
+    digits=st.integers(min_value=0, max_value=12),
+)
+@example(texts=["a"], values=[Fraction(-7, 2), None, Fraction(1, 3)], run=2,
+         length=CHUNK_ROWS + 3, digits=12)  # runs across a chunk boundary
+@example(texts=["x"], values=[Fraction(5, 2)], run=1, length=3, digits=0)  # ties to even
+@settings(max_examples=60, deadline=None)
+def test_records_document_matches_a_row_by_row_writer(texts, values, run, length, digits):
+    # a text field, then two rational fields holding runs of equal values
+    rows = [
+        (texts[j % len(texts)], *(
+            None if v is None else (v.numerator, v.denominator)
+            for v in (values[j // run % len(values)], values[(j // run + 1) % len(values)])
+        ))
+        for j in range(length)
+    ]
+    fields = ["name", "area", "ratio"]
+    for fmt in ("csv", "markdown", "json"):
+        extra = {"agree": True} if fmt == "json" else {}
+        assert "".join(records_document(fmt, fields, iter(rows), {"k": "2"}, digits, **extra)) == (
+            records_document_by_rows(fmt, fields, rows, {"k": "2"}, digits, **extra)
+        )
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the int<->str digit cap (Python >= 3.11) while str() is the oracle."""
+    previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
+
+
+@given(value=st.one_of(st.integers(), st.integers(min_value=-(1 << 6000), max_value=1 << 6000)))
+@example(value=0)
+@example(value=-1)
+@example(value=(1 << formats._LEAF_BITS) - 1)  # the widest leaf
+@example(value=1 << formats._LEAF_BITS)  # the narrowest split
+@example(value=-(1 << 257) + 1)
+@example(value=10**1000)  # decimal digits that cross the parts' boundaries
+def test_split_int_text_is_str(value):
+    with unlimited_int_digits():
+        assert split_int_text(value) == str(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [formats._SPLIT_FROM - 1, formats._SPLIT_FROM, -formats._SPLIT_FROM, 3**40000, -(7**30001)],
+    ids=["below", "at", "negative_at", "3^40000", "-7^30001"],
+)
+def test_int_text_is_str_around_the_crossover(value):
+    with unlimited_int_digits():
+        assert int_text(value) == str(value)
+
+
+def test_huge_rationals_are_converted_by_int_text(monkeypatch):
+    # a numerator past the crossover goes through int_text, which splits it before 3.12
+    splits = []
+    monkeypatch.setattr(formats, "split_int_text",
+                        lambda value: splits.append(value) or split_int_text(value))
+    num = 3**40000
+    rows = [("a", (num, 1)), ("b", (num, 1)), ("c", (-num, 2)), ("d", None)]
+    with unlimited_int_digits():
+        for fmt in ("csv", "json"):
+            assert "".join(records_document(fmt, ["t", "v"], rows, {}, 3)) == (
+                records_document_by_rows(fmt, ["t", "v"], rows, {}, 3)
+            )
+    if sys.version_info < (3, 12):
+        # each format: the integer's text once for its run, then -num/2's numerator and digits
+        assert [abs(v) for v in splits] == [num, num * 500, num] * 2
+    else:
+        assert splits == []

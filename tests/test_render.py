@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import decimal
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polydiagram import RenderSpec, build_diagram, build_polynomial
+from polydiagram import PolynomialDiagram, RenderSpec, build_diagram, build_polynomial
 from polydiagram import diagram_svg as svg_chunks
 
 
@@ -18,6 +21,10 @@ def diagram_svg(d, spec=None) -> str:
 
 def _circle_xs(svg: str) -> list[float]:
     return [float(m) for m in re.findall(r'<circle cx="([0-9.]+)"', svg)]
+
+
+def _labels(svg: str) -> list[tuple[str, str]]:
+    return re.findall(r">\((-?\d+), (-?\d+)\)</text>", svg)
 
 
 def test_document_shell():
@@ -106,3 +113,44 @@ def test_positions_beyond_the_float_range_are_correctly_rounded(q, k):
         for x, y in vertices
     ]
     assert re.findall(r'<circle cx="([0-9.]+)" cy="([0-9.]+)"', diagram_svg(d)) == expected
+
+
+@given(q=st.integers(min_value=1, max_value=50), n=st.integers(min_value=0, max_value=5),
+       k=st.integers(min_value=1, max_value=300), log_x=st.booleans())
+@example(q=1, n=5, k=3, log_x=False)  # every x equal: each is q times the one before
+@example(q=50, n=5, k=300, log_x=True)
+@settings(max_examples=40, deadline=None)
+def test_every_label_is_str_of_its_vertex(q, n, k, log_x):
+    d = build_diagram(build_polynomial(q, n, k))
+    svg = diagram_svg(d, RenderSpec(log_x=log_x))
+    assert _labels(svg) == [(str(x), str(y)) for x, y in d.vertices]
+
+
+@given(
+    q=st.integers(min_value=1, max_value=50),
+    xs=st.lists(st.one_of(st.none(), st.integers(min_value=-(10**40), max_value=10**40)),
+                min_size=2, max_size=40),
+    ys=st.lists(st.integers(min_value=1, max_value=9), min_size=40, max_size=40),
+)
+@example(q=3, xs=[0, None, None, 5, None, -2, None], ys=list(range(1, 41)))
+@settings(max_examples=60, deadline=None)
+def test_labels_of_a_stored_cycle_whose_x_break_the_chain(q, xs, ys):
+    # None continues the chain: that x is q times the one before
+    chain = [0 if xs[0] is None else xs[0]]
+    for x in xs[1:]:
+        chain.append(chain[-1] * q if x is None else x)
+    vertices = tuple(zip(chain, ys))
+    d = PolynomialDiagram(vertices, build_polynomial(q, 0, 1))
+    assert _labels(diagram_svg(d)) == [(str(x), str(y)) for x, y in vertices]
+
+
+def test_labels_are_exact_under_any_decimal_context():
+    # the running product uses its own context, and leaves the caller's as it was
+    d = build_diagram(build_polynomial(3, 0, 600))
+    with decimal.localcontext() as context:
+        context.prec = 3
+        chunks = []
+        for chunk in svg_chunks(d):
+            chunks.append(chunk)
+            assert decimal.getcontext().prec == 3
+    assert _labels("".join(chunks)) == [(str(x), str(y)) for x, y in d.vertices]

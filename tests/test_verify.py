@@ -170,3 +170,20 @@ def test_a_passing_grid_builds_no_fraction_per_point(monkeypatch):
         counts.append((report.points, built))
     assert counts[0][0] == 1 and counts[1][0] == 24
     assert counts[0][1] == counts[1][1] > 0
+
+
+def test_a_raising_slab_sum_fails_its_check_and_skips_only_the_checks_that_read_it(monkeypatch):
+    def raising(q, n, k):
+        raise ZeroDivisionError("division by zero")
+
+    general = areas.ROUTES["general"]
+    monkeypatch.setitem(areas.ROUTES, "general", general._replace(twice_area=raising))
+    report = run_grid_verification(q_max=2, n_max=1, k_max=2)
+    assert report.tally["general_vs_shoelace"] == len(report.failures) == 8
+    raised = "general raised ZeroDivisionError: division by zero"
+    assert {f.detail for f in report.failures} == {raised}
+    assert report.tally["reduced_denominator"] == report.tally["scaling_in_n"] == 0
+    # the other routes and the structural checks still run everywhere they apply
+    assert report.tally["closed_vs_shoelace"] == 8 and report.tally["pick_vs_shoelace"] == 4
+    assert report.tally["vertex_count"] == 4
+    assert report.golden_problems == tuple(f"q={q}: {raised}" for q in (2, 3, 4, 5, 6, 16))
