@@ -21,7 +21,10 @@ in its own accumulators: it walks the cycle once, forward, holding O(1)
 vertices, and takes the closing edge from the first vertices it kept, so
 memory stays flat in k when the cycle is regenerated (as build_diagram's
 is) rather than stored.  cross_check takes it once per diagram for both
-oracles.
+oracles.  Each Route states the least q it applies to (Pick's is 2, as a
+q = 1 diagram has no interior): cross_check compares that int and skips
+the route, and route_refusal forms the text that route_area and
+lattice_counts raise from it.
 
 Each O(k) route evaluates an exact identity:
 
@@ -293,33 +296,39 @@ def _pick_area(walk: _CycleSums) -> int:
 
 
 class Route(NamedTuple):
-    """An area route: whether it reads the diagram, and its twice-area function.
+    """An area route: whether it reads the diagram, its twice-area function, and its least q.
 
     `twice_area` gives 2A, an int, from a validated polynomial's ints (q, n, k) or,
     when `reads_diagram`, one walk of its diagram's cycle (from route_area or cross_check).
+    The route applies to every q >= `least_q`.
     """
 
     reads_diagram: bool
     twice_area: Callable[..., int]
+    least_q: int = 1
 
 
-# Every route, in the order documents list them.
+# Every route, in the order documents list them.  Pick needs q >= 2: a q = 1
+# diagram has no interior.
 ROUTES: dict[str, Route] = {
     "closed": Route(False, _closed_form),
     "general": Route(False, _slab_sum),
     "shoelace": Route(True, _shoelace_area),
-    "pick": Route(True, _pick_area),
+    "pick": Route(True, _pick_area, 2),
 }
 
 
 def route_refusal(name: str, p: SpecialPolynomial) -> str | None:
     """Why route `name` does not apply to p, or None when it does.
 
-    Every route applies except Pick, which needs q >= 2 (a q = 1 diagram has
-    no interior).  route_area and lattice_counts raise it; cross_check skips it.
+    A route applies from its Route.least_q on; only Pick's is above 1, as a
+    q = 1 diagram has no interior.  route_area and lattice_counts raise this
+    text; cross_check compares Route.least_q itself and skips the route.
     """
-    if name == "pick" and p.q < 2:
-        return f"route 'pick' needs q >= 2 (a q = 1 diagram has no interior), got q = {p.q}"
+    least_q = ROUTES[name].least_q
+    if p.q < least_q:
+        return (f"route {name!r} needs q >= {least_q} (a q = 1 diagram has no interior), "
+                f"got q = {p.q}")
     return None
 
 
@@ -354,7 +363,7 @@ def cross_check(
     """Compute twice the area by every route that applies, as exact ints, and compare them.
 
     `names` are the routes to run, in order, every one in ROUTES by default;
-    a route that does not apply (route_refusal) is skipped.  Each route
+    a route that does not apply, p.q below its least_q, is skipped.  Each route
     reads p's ints or one walk, shared by the diagram routes and taken only
     when one of them runs, of the cycle of `d`, p's diagram when the caller
     has already built it.  Disagreement is reported in the record, never
@@ -363,16 +372,15 @@ def cross_check(
     twice_areas: dict[str, int] = {}
     raised: dict[str, str] = {}
     walk = None
+    q, n, k = p.q, p.n, p.k
     for name in ROUTES if names is None else names:
-        route = ROUTES[name]
-        if route_refusal(name, p) is not None:
+        reads_diagram, twice_area, least_q = ROUTES[name]
+        if q < least_q:
             continue
-        if route.reads_diagram and walk is None:
+        if reads_diagram and walk is None:
             walk = _walk_cycle((build_diagram(p) if d is None else d).vertices)
         try:
-            twice_areas[name] = (
-                route.twice_area(walk) if route.reads_diagram else route.twice_area(p.q, p.n, p.k)
-            )
+            twice_areas[name] = twice_area(walk) if reads_diagram else twice_area(q, n, k)
         except Exception as exc:  # any raise is a failed route, reported like a disagreement
             raised[name] = f"{type(exc).__name__}: {exc}"
     return AreaCrossCheck(twice_areas, raised)

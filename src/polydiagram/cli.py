@@ -3,8 +3,10 @@
 Data documents go to stdout so they can be piped; warnings and failure
 diagnostics go to stderr.  Exit status is 0 for success, 1 for a
 verification or cross-check failure, a route that raises (`area` and
-`verify` run every route through `cross_check`, which records the raise)
-or an SVG that `render --out` cannot write, and 2 for a usage error.
+`verify` run every route through `cross_check`, which records the raise;
+`table` and `diff` stop at the RouteRaised of `twice_area_sequence`, which
+names the route and q) or an SVG that `render --out` cannot write, and 2
+for a usage error.
 Identical invocations produce byte-identical documents.  A JSON document's
 `params` block is built from the parsed arguments, so each flag is
 declared once, in `build_parser`.
@@ -36,7 +38,8 @@ from .formats import (
     table_document,
 )
 from .render import RenderSpec, diagram_svg
-from .sequences import check_order, check_range, differences, ratio_pairs, twice_area_sequence
+from .sequences import (RouteRaised, check_order, check_range, differences, ratio_pairs,
+                        twice_area_sequence)
 from .verify import CheckFailure, run_grid_verification
 
 __all__ = ["main", "build_parser"]
@@ -293,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         if "digits" in vars(args):  # area, table, diff: refuse before any work
             _check_digits(args.digits)
         return args.func(args)
+    except RouteRaised as exc:  # table, diff: a route's fault, not a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

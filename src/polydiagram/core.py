@@ -12,7 +12,10 @@ memory stays flat in k although the x reach q^(n+k).  Every reader of the
 cycle (the structural checks here, the area routes, the renderer) walks it
 once, forward, holding O(1) vertices, and takes the closing edge from the
 first vertices it kept.  The structural checks share that one walk: the
-slope and convexity checks both read the one turn it forms per vertex.
+slope and convexity checks both read the one turn it forms per vertex,
+and validate_diagram reports them as a DiagramDiagnostics NamedTuple.  A
+PolynomialDiagram may instead hold its cycle as a tuple of pairs, as the
+verify sweep does to regenerate each small cycle once for its two readers.
 
 Everything here is exact integer arithmetic: slope and turn tests use
 cross products, never division, so no rounding can occur even when
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "SpecialPolynomial",
@@ -78,12 +81,18 @@ class VertexCycle:
     (x0 q^i, k - i) for i = 0..k, each x one product by q from the last.
     The products run in `itertools.accumulate` and the pairs are made by
     `zip`, so a pass runs no bytecode per vertex.  Only q, k and x0 = q^n
-    are stored, and cycles are equal when those are.
+    are stored, and cycles are equal when those are.  len() is k + 2, so
+    tuple() allocates its result once at its final size: a tuple resized
+    from a guessed size is kept on CPython's free list for its new size
+    when freed, and a sweep that makes one per point grows those lists.
     """
 
     q: int
     k: int
     x0: int
+
+    def __len__(self) -> int:
+        return self.k + 2
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         x0 = self.x0
@@ -112,9 +121,11 @@ class PolynomialDiagram:
         return self.source.degenerate
 
 
-@dataclass(frozen=True)
-class DiagramDiagnostics:
-    """Exact structural findings for a diagram; reported, never raised."""
+class DiagramDiagnostics(NamedTuple):
+    """Exact structural findings for a diagram; reported, never raised.
+
+    A NamedTuple: immutable and hashable, read by name or unpacked in field order.
+    """
 
     vertex_count: int
     degenerate: bool
@@ -158,14 +169,8 @@ def validate_diagram(d: PolynomialDiagram) -> DiagramDiagnostics:
     """
     vertex_count, simple, slopes_increasing, unit_steps, convex = _walk_shape(d.vertices)
     flat = d.degenerate
-    return DiagramDiagnostics(
-        vertex_count=vertex_count,
-        degenerate=flat,
-        simple=simple and not flat,
-        chain_slopes_increasing=slopes_increasing and not flat,
-        chain_unit_steps=unit_steps,
-        convex=convex and not flat,
-    )
+    return DiagramDiagnostics(vertex_count, flat, simple and not flat,
+                              slopes_increasing and not flat, unit_steps, convex and not flat)
 
 
 def _walk_shape(vertices: Iterable[tuple[int, int]]) -> tuple[int, bool, bool, bool, bool]:

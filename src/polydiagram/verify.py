@@ -10,6 +10,11 @@ so a faulty route ends the sweep with a report, not an exception.  Points
 are visited in (q, n, k) order and failures recorded in that order, so
 reports are deterministic.  Every check that runs is counted by name in
 the report's tally.
+
+A point costs its checks and little else: its cycle is regenerated once,
+into a tuple that cross_check's walk and validate_diagram's walk both read;
+cross_check skips Pick at q = 1 by the route's least q, with no refusal
+text; and a CheckFailure and its detail are built only when a check fails.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .areas import ROUTES, area_general, cross_check
-from .core import SpecialPolynomial, build_diagram, validate_diagram
+from .core import PolynomialDiagram, SpecialPolynomial, build_diagram, validate_diagram
 
 __all__ = [
     "CHECKS",
@@ -133,62 +138,63 @@ def _verify_point(
     or when the slab sum raised there; returns this point's.  A route that
     raises fails its check against the shoelace oracle, and one the shoelace
     oracle raises fails every such check; the checks that read the slab sum
-    do not run where it raised.
+    do not run where it raised.  The cycle is regenerated once, into a tuple
+    that the cross-check walk and the structural walk both read, and held
+    only while the point is checked.
     """
-
-    def fail(check: str, detail: str) -> None:
-        failures.append(CheckFailure(q=q, n=n, k=k, check=check, detail=detail))
-
+    fail = failures.append
     p = SpecialPolynomial(q, n, k)
-    d = build_diagram(p)
+    d = PolynomialDiagram(tuple(build_diagram(p).vertices), p)
     routes = cross_check(p, d)
     twice_areas, raised = routes.twice_areas, routes.raised
     lace = twice_areas.get("shoelace")
     for name, check in _VS_SHOELACE.items():
-        if name not in twice_areas and name not in raised:
+        twice = twice_areas.get(name)
+        if twice is None and name not in raised:
             continue  # refused: Pick at q = 1
         tally[check] += 1
-        twice = twice_areas.get(name)
         if twice is None or lace is None:
-            fail(check, "; ".join(f"{route} raised {raised[route]}"
-                                  for route in (name, "shoelace") if route in raised))
+            fail(CheckFailure(q, n, k, check, "; ".join(
+                f"{route} raised {raised[route]}" for route in (name, "shoelace") if route in raised
+            )))
         elif twice != lace:
-            fail(check, f"{name}={Fraction(twice, 2)} shoelace={Fraction(lace, 2)}")
+            fail(CheckFailure(q, n, k, check,
+                              f"{name}={Fraction(twice, 2)} shoelace={Fraction(lace, 2)}"))
 
     # None when the general route raised, which general_vs_shoelace records
     general = twice_areas.get("general")
     if general is not None:
         tally["reduced_denominator"] += 1
         if general.denominator != 1:  # the area's is 1 or 2 exactly when 2A is an integer
-            fail("reduced_denominator", f"denominator={Fraction(general, 2).denominator}")
+            fail(CheckFailure(q, n, k, "reduced_denominator",
+                              f"denominator={Fraction(general, 2).denominator}"))
+        if below is not None:
+            tally["scaling_in_n"] += 1
+            if general != q * below:
+                fail(CheckFailure(q, n, k, "scaling_in_n", f"area(n)={Fraction(general, 2)} "
+                                  f"q*area(n-1)={Fraction(q * below, 2)}"))
 
-    if below is not None and general is not None:
-        tally["scaling_in_n"] += 1
-        if general != q * below:
-            fail("scaling_in_n",
-                 f"area(n)={Fraction(general, 2)} q*area(n-1)={Fraction(q * below, 2)}")
-
-    if d.degenerate:
+    if q == 1:  # degenerate: no structural check applies
         return general
 
-    diag = validate_diagram(d)
+    count, _, simple, slopes_increasing, unit_steps, convex = validate_diagram(d)
     tally["vertex_count"] += 1
-    if diag.vertex_count != k + 2:
-        fail("vertex_count", f"count={diag.vertex_count} expected={k + 2}")
+    if count != k + 2:
+        fail(CheckFailure(q, n, k, "vertex_count", f"count={count} expected={k + 2}"))
     tally["simple"] += 1
-    if not diag.simple:
-        fail("simple", "non-adjacent edges touch")
+    if not simple:
+        fail(CheckFailure(q, n, k, "simple", "non-adjacent edges touch"))
     tally["chain_slopes"] += 1
-    if not diag.chain_slopes_increasing:
-        fail("chain_slopes", "chain slopes not strictly increasing")
+    if not slopes_increasing:
+        fail(CheckFailure(q, n, k, "chain_slopes", "chain slopes not strictly increasing"))
     tally["convexity"] += 1
-    expected_convex = k == 1
-    if diag.convex != expected_convex:
-        fail("convexity", f"convex={diag.convex} expected={expected_convex}")
+    if convex != (k == 1):
+        fail(CheckFailure(q, n, k, "convexity", f"convex={convex} expected={k == 1}"))
     tally["chain_structure"] += 1
     # unit steps ending at 0 over k + 1 chain vertices: the chain runs k, k-1, ..., 0
-    if not (diag.chain_unit_steps and diag.vertex_count == k + 2):
-        fail("chain_structure", "x not strictly increasing or y not unit steps")
+    if not (unit_steps and count == k + 2):
+        fail(CheckFailure(q, n, k, "chain_structure",
+                          "x not strictly increasing or y not unit steps"))
     return general
 
 

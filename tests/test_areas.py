@@ -287,6 +287,22 @@ class TestCrossCheck:
         # a named route that does not apply is skipped, as it is by default
         assert cross_check(build_polynomial(1, 0, 3), names=("pick",)) == AreaCrossCheck({})
 
+    def test_a_route_applies_from_q_1_unless_it_says_otherwise(self):
+        assert areas.Route(False, area_closed_form).least_q == 1
+        assert {name: route.least_q for name, route in ROUTES.items()} == {
+            "closed": 1, "general": 1, "shoelace": 1, "pick": 2
+        }
+
+    def test_skips_a_route_by_its_least_q_without_forming_the_refusal(self, monkeypatch):
+        def refusal(name, p):
+            raise AssertionError("cross_check formed a refusal text")
+
+        monkeypatch.setattr(areas, "route_refusal", refusal)
+        check = cross_check(build_polynomial(1, 2, 3))
+        assert check.agree
+        assert check.twice_areas == dict.fromkeys(["closed", "general", "shoelace"], 0)
+        assert list(cross_check(build_polynomial(2, 0, 3)).twice_areas) == list(ROUTES)
+
     @pytest.mark.parametrize("name", ROUTES)
     def test_only_pick_is_refused_at_q_1(self, name):
         refusal = route_refusal(name, build_polynomial(1, 0, 2))

@@ -23,7 +23,7 @@ import polydiagram
 import polydiagram.areas as areas
 import polydiagram.cli as cli
 from polydiagram.cli import main
-from polydiagram.formats import rational_from_json
+from polydiagram.formats import CHUNK_ROWS, rational_from_json
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -298,6 +298,18 @@ def route_raising(name: str, error: Exception):
     return mock.patch.dict(areas.ROUTES, {name: areas.ROUTES[name]._replace(twice_area=raising)})
 
 
+def general_raising_at(at_q: int, error: Exception):
+    """ROUTES["general"] raising `error` at q = at_q, and exact at every other q."""
+    general = areas.ROUTES["general"]
+
+    def raising(q, n, k):
+        if q == at_q:
+            raise error
+        return general.twice_area(q, n, k)
+
+    return mock.patch.dict(areas.ROUTES, general=general._replace(twice_area=raising))
+
+
 @pytest.mark.parametrize("error", [ValueError("no"), ZeroDivisionError("division by zero")],
                          ids=["ValueError", "ZeroDivisionError"])
 class TestRaisingRoute:
@@ -342,6 +354,27 @@ class TestRaisingRoute:
         assert {f["detail"] for f in failures} == {raised}
         assert document["golden_quadratic"]["ok"] is (name != "general")
         assert err.startswith(f"error: verification failed at (q={expected[0][0]}, ")
+
+    @pytest.mark.parametrize("command", ["table", "diff"])
+    def test_table_and_diff_exit_1_naming_the_route_and_q(self, capsys, error, command):
+        with general_raising_at(5, error):
+            code, out, err = run_cli(capsys, command, "--q-to", "8")
+        assert code == 1
+        assert out == ""  # the route raises before the first chunk is complete
+        assert err == f"error: route 'general' raised {type(error).__name__}: {error} at q = 5\n"
+
+    def test_table_keeps_the_chunks_written_before_the_raise(self, capsys, error):
+        _, clean, _ = run_cli(capsys, "table", "--q-to", "600")
+        with general_raising_at(400, error):
+            code, out, err = run_cli(capsys, "table", "--q-to", "600")
+        assert code == 1
+        assert err == f"error: route 'general' raised {type(error).__name__}: {error} at q = 400\n"
+        # stdout holds the complete chunks written before the raise, a prefix of
+        # the clean document: the first CHUNK_ROWS lines, the header and q = 2..256
+        lines = out.splitlines()
+        assert clean.startswith(out)
+        assert len(lines) == CHUNK_ROWS
+        assert lines[-1].startswith("256,")
 
 
 @contextmanager

@@ -6,7 +6,13 @@ import enum
 
 import pytest
 
-from polydiagram import PolynomialDiagram, build_diagram, build_polynomial, validate_diagram
+from polydiagram import (
+    DiagramDiagnostics,
+    PolynomialDiagram,
+    build_diagram,
+    build_polynomial,
+    validate_diagram,
+)
 from polydiagram.core import _walk_shape
 from references import LatticePoint, simple_by_pairwise_test
 
@@ -133,7 +139,8 @@ class TestBuildDiagram:
 
     @pytest.mark.parametrize("q,n,k", [(2, 0, 1), (3, 4, 7), (50, 10, 12)])
     def test_vertex_count_is_k_plus_2(self, q, n, k):
-        assert len(tuple(build_diagram(build_polynomial(q, n, k)).vertices)) == k + 2
+        vertices = build_diagram(build_polynomial(q, n, k)).vertices
+        assert len(vertices) == len(tuple(vertices)) == k + 2
 
 
 class TestValidateDiagram:
@@ -153,6 +160,22 @@ class TestValidateDiagram:
         diag = validate_diagram(build_diagram(build_polynomial(1, 0, 2)))
         assert diag.degenerate
         assert not diag.simple
+
+    def test_diagnostics_are_an_immutable_named_tuple(self):
+        diag = validate_diagram(build_diagram(build_polynomial(2, 0, 2)))
+        assert DiagramDiagnostics._fields == (
+            "vertex_count", "degenerate", "simple", "chain_slopes_increasing",
+            "chain_unit_steps", "convex",
+        )
+        assert repr(diag) == (
+            "DiagramDiagnostics(vertex_count=4, degenerate=False, simple=True, "
+            "chain_slopes_increasing=True, chain_unit_steps=True, convex=False)"
+        )
+        again = validate_diagram(build_diagram(build_polynomial(2, 0, 2)))
+        assert again == diag and hash(again) == hash(diag)
+        assert tuple(diag) == (4, False, True, True, True, False)
+        with pytest.raises(AttributeError):
+            diag.simple = False
 
     @pytest.mark.parametrize("q", [2, 3, 10])
     @pytest.mark.parametrize("k", [2, 3, 5])

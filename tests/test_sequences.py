@@ -160,3 +160,20 @@ class TestConvergenceReport:
         assert report.ratios == (None, None)
         assert report.distance_to_limit is None
         assert not report.monotone_decreasing
+
+
+@pytest.mark.parametrize("at_q", [2, 4, 6])  # the first, an inner and the last q of the range
+def test_a_raising_route_is_named_with_the_q_it_raised_at(monkeypatch, at_q):
+    general = sequences.ROUTES["general"]
+
+    def raising(q, n, k):
+        if q == at_q:
+            raise ZeroDivisionError("division by zero")
+        return general.twice_area(q, n, k)
+
+    monkeypatch.setitem(sequences.ROUTES, "general", general._replace(twice_area=raising))
+    values = sequences.twice_area_sequence(2, 0, 2, 6)
+    expected = f"route 'general' raised ZeroDivisionError: division by zero at q = {at_q}"
+    with pytest.raises(sequences.RouteRaised, match=f"^{expected}$") as info:
+        list(values)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)

@@ -3,6 +3,8 @@ by name, failures in grid order."""
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -106,8 +108,9 @@ def test_failures_stay_in_grid_order_when_the_slab_sum_is_off(monkeypatch):
 
 
 def test_small_grid_walks_each_cycle_once_per_reader(monkeypatch):
-    # cross_check walks each cycle once for both the shoelace sum and Pick;
-    # q >= 2 points add validate_diagram's shape walk
+    # each point regenerates its cycle once, into a tuple that cross_check's
+    # walk (the shoelace sum and Pick) and, at q >= 2, validate_diagram's
+    # shape walk both read
     walks = 0
     original = core.VertexCycle.__iter__
 
@@ -119,7 +122,22 @@ def test_small_grid_walks_each_cycle_once_per_reader(monkeypatch):
     monkeypatch.setattr(core.VertexCycle, "__iter__", counting)
     report = run_grid_verification(q_max=4, n_max=1, k_max=3)
     assert report.passed
-    assert walks == 1 * 2 * 3 + 2 * (3 * 2 * 3) == 42
+    assert walks == report.points == 4 * 2 * 3 == 24
+
+
+def test_a_sweep_leaves_no_memory_behind():
+    # each point's cycle becomes a tuple of its exact size; a tuple resized
+    # from a guessed size went onto CPython's free list for its new size when
+    # freed, and those lists kept about 0.65 MB after one default sweep
+    gc.collect()  # a full collection empties the free lists
+    tracemalloc.start()
+    try:
+        report = run_grid_verification()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert kept < 64 * 1024
 
 
 def test_a_half_unit_fault_fails_its_check_at_every_point(monkeypatch):
@@ -187,3 +205,47 @@ def test_a_raising_slab_sum_fails_its_check_and_skips_only_the_checks_that_read_
     assert report.tally["closed_vs_shoelace"] == 8 and report.tally["pick_vs_shoelace"] == 4
     assert report.tally["vertex_count"] == 4
     assert report.golden_problems == tuple(f"q={q}: {raised}" for q in (2, 3, 4, 5, 6, 16))
+
+
+# every field of DiagramDiagnostics, in order, for building one by keyword
+FINDINGS = ("vertex_count", "degenerate", "simple", "chain_slopes_increasing",
+            "chain_unit_steps", "convex")
+CHAIN_STRUCTURE = "x not strictly increasing or y not unit steps"
+
+
+@pytest.mark.parametrize(
+    "finding, fault, details",
+    [
+        # the chain check also reads the vertex count, so a wrong count fails both
+        ("vertex_count", lambda count: count + 1,
+         {"vertex_count": lambda k: f"count={k + 3} expected={k + 2}",
+          "chain_structure": lambda k: CHAIN_STRUCTURE}),
+        ("simple", lambda _: False, {"simple": lambda k: "non-adjacent edges touch"}),
+        ("chain_slopes_increasing", lambda _: False,
+         {"chain_slopes": lambda k: "chain slopes not strictly increasing"}),
+        ("convex", lambda convex: not convex,
+         {"convexity": lambda k: f"convex={k != 1} expected={k == 1}"}),
+        ("chain_unit_steps", lambda _: False, {"chain_structure": lambda k: CHAIN_STRUCTURE}),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "",
+)
+def test_a_false_structural_finding_fails_its_check_at_every_point(
+    monkeypatch, finding, fault, details
+):
+    clean = run_grid_verification(q_max=3, n_max=1, k_max=3)
+    validate = verify.validate_diagram
+
+    def falsified(d):
+        diag = validate(d)
+        fields = {name: getattr(diag, name) for name in FINDINGS}
+        fields[finding] = fault(fields[finding])
+        return core.DiagramDiagnostics(**fields)
+
+    monkeypatch.setattr(verify, "validate_diagram", falsified)
+    report = run_grid_verification(q_max=3, n_max=1, k_max=3)
+    assert [(f.q, f.n, f.k, f.check, f.detail) for f in report.failures] == [
+        (q, n, k, check, details[check](k))
+        for q in (2, 3) for n in (0, 1) for k in (1, 2, 3)
+        for check in verify.CHECKS if check in details
+    ]
+    assert report.tally == clean.tally
