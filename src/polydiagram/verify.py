@@ -8,22 +8,24 @@ for the degree-2, n=0 family.  A route that raises fails its check against
 the shoelace oracle, and a golden row whose slab sum raises is a problem,
 so a faulty route ends the sweep with a report, not an exception.  Points
 are visited in (q, n, k) order and failures recorded in that order, so
-reports are deterministic.  Every check that runs is counted by name in
-the report's tally.
+reports are deterministic.
 
-A point costs its checks and little else: its cycle is regenerated once,
-into a tuple that cross_check's walk and validate_diagram's walk both read;
-cross_check skips Pick at q = 1 by the route's least q, with no refusal
-text; and a CheckFailure and its detail are built only when a check fails.
+Each check is one entry of _TABLE, from which CHECKS, the tally and every
+failure derive.  One comparison per input stands for all the checks that
+read it, so a passing point calls no finding and only counts its key; the
+tally is summed per key at the end.  Each point's cycle is regenerated once,
+into a tuple both walks read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
+from typing import Any, Callable, NamedTuple
 
-from .areas import ROUTES, area_general, cross_check
-from .core import PolynomialDiagram, SpecialPolynomial, build_diagram, validate_diagram
+from .areas import ROUTES, AreaCrossCheck, area_general, cross_check
+from .core import PolynomialDiagram, SpecialPolynomial, VertexCycle, validate_diagram
 
 __all__ = [
     "CHECKS",
@@ -58,12 +60,64 @@ class CheckFailure:
     detail: str
 
 
-# Every check a grid point can run, in the order it runs them; each route
-# other than shoelace is checked as "<route>_vs_shoelace".
-_VS_SHOELACE = {name: f"{name}_vs_shoelace" for name in ROUTES if name != "shoelace"}
-CHECKS: tuple[str, ...] = (*_VS_SHOELACE.values(), "reduced_denominator", "scaling_in_n",
-                           "vertex_count", "simple", "chain_slopes", "convexity",
-                           "chain_structure")
+# A point's inputs, by index: its AreaCrossCheck, the slab sum's twice-area, (2A(n),
+# q*2A(n-1)) from the slab sum and its DiagramDiagnostics, each None where absent.
+_ROUTES, _SLAB, _SCALING, _SHAPE = range(4)
+
+
+class _Check(NamedTuple):
+    """An entry of _TABLE: a check's name, input, route and finding(value, k)."""
+
+    name: str
+    reads: int
+    route: str | None
+    finding: Callable[[Any, int], str | None]
+
+
+def _half(twice: Any) -> object:
+    """A twice-area halved for a detail: exactly when rational, else as the route gave it."""
+    return Fraction(twice, 2) if isinstance(twice, Rational) else f"{twice!r}/2"
+
+
+def _vs_shoelace(route: str) -> _Check:
+    """Route `route` against the shoelace oracle; either one raising fails the check."""
+
+    def finding(routes: AreaCrossCheck, k: int) -> str | None:
+        twice, lace = routes.twice_areas.get(route), routes.twice_areas.get("shoelace")
+        if twice is None or lace is None:
+            return "; ".join(f"{name} raised {routes.raised[name]}"
+                             for name in (route, "shoelace") if name in routes.raised)
+        return None if twice == lace else f"{route}={_half(twice)} shoelace={_half(lace)}"
+
+    return _Check(f"{route}_vs_shoelace", _ROUTES, route, finding)
+
+
+def _denominator(twice: Any, k: int) -> str | None:
+    if not isinstance(twice, Rational):
+        return f"not an exact rational: {type(twice).__name__}"
+    # the area's denominator is 1 or 2 exactly when 2A is an integer
+    return None if twice.denominator == 1 else f"denominator={Fraction(twice, 2).denominator}"
+
+
+# Every check a grid point can run, in the order it runs them.
+_TABLE: tuple[_Check, ...] = (
+    *(_vs_shoelace(name) for name in ROUTES if name != "shoelace"),
+    _Check("reduced_denominator", _SLAB, None, _denominator),
+    _Check("scaling_in_n", _SCALING, None, lambda pair, k: None if pair[0] == pair[1] else
+           f"area(n)={_half(pair[0])} q*area(n-1)={_half(pair[1])}"),
+    _Check("vertex_count", _SHAPE, None, lambda s, k: None if s.vertex_count == k + 2 else
+           f"count={s.vertex_count} expected={k + 2}"),
+    _Check("simple", _SHAPE, None, lambda s, k: None if s.simple else "non-adjacent edges touch"),
+    _Check("chain_slopes", _SHAPE, None, lambda s, k: None if s.chain_slopes_increasing else
+           "chain slopes not strictly increasing"),
+    _Check("convexity", _SHAPE, None, lambda s, k: None if s.convex == (k == 1) else
+           f"convex={s.convex} expected={k == 1}"),
+    # unit steps ending at 0 over k + 1 chain vertices: the chain runs k, k-1, ..., 0
+    _Check("chain_structure", _SHAPE, None,
+           lambda s, k: None if s.chain_unit_steps and s.vertex_count == k + 2 else
+           "x not strictly increasing or y not unit steps"),
+)
+CHECKS: tuple[str, ...] = tuple(check.name for check in _TABLE)
 
 
 @dataclass(frozen=True)
@@ -87,7 +141,7 @@ class VerificationReport:
 
     @property
     def pick_checks(self) -> int:
-        return self.tally["pick_vs_shoelace"]
+        return sum(self.tally[check.name] for check in _TABLE if check.route == "pick")
 
     @property
     def passed(self) -> bool:
@@ -98,11 +152,7 @@ class VerificationReport:
         return self.failures[0] if self.failures else None
 
 
-def run_grid_verification(
-    q_max: int = 50,
-    n_max: int = 10,
-    k_max: int = 12,
-) -> VerificationReport:
+def run_grid_verification(q_max: int = 50, n_max: int = 10, k_max: int = 12) -> VerificationReport:
     """Sweep the grid and return the aggregated report."""
     if q_max < 1:
         raise ValueError(f"q_max must be a positive integer, got {q_max}")
@@ -110,92 +160,54 @@ def run_grid_verification(
         raise ValueError(f"n_max must be a non-negative integer, got {n_max}")
     if k_max < 1:
         raise ValueError(f"k_max must be a positive integer, got {k_max}")
-    tally = dict.fromkeys(CHECKS, 0)
+    seen: dict[tuple, int] = {}  # the points of each key (see _verify_point)
     failures: list[CheckFailure] = []
     for q in range(1, q_max + 1):
         # below[k]: twice the slab-sum area at (q, n - 1, k); None while n = 0.
         below: list[int | None] = [None] * (k_max + 1)
         for n in range(n_max + 1):
             for k in range(1, k_max + 1):
-                below[k] = _verify_point(q, n, k, below[k], tally, failures)
-    return VerificationReport(
-        q_max=q_max,
-        n_max=n_max,
-        k_max=k_max,
-        tally=tally,
-        failures=tuple(failures),
-        golden_problems=tuple(_golden_quadratic_problems()),
-    )
+                below[k] = _verify_point(q, n, k, below[k], seen, failures)
+    tally = dict.fromkeys(CHECKS, 0)
+    for key, points in seen.items():
+        for check in _applicable(key):
+            tally[check.name] += points
+    return VerificationReport(q_max=q_max, n_max=n_max, k_max=k_max, tally=tally,
+                              failures=tuple(failures),
+                              golden_problems=tuple(_golden_quadratic_problems()))
 
 
-def _verify_point(
-    q: int, n: int, k: int, below: int | None,
-    tally: dict[str, int], failures: list[CheckFailure],
-) -> int | None:
-    """Run every check at one grid point, counting each in `tally`.
+def _verify_point(q: int, n: int, k: int, below: int | None,
+                  seen: dict[tuple, int], failures: list[CheckFailure]) -> int | None:
+    """Run each check of _TABLE that applies at one point; return its slab sum's twice-area.
 
-    `below` is twice the slab-sum area at (q, n - 1, k), or None at n = 0
-    or when the slab sum raised there; returns this point's.  A route that
-    raises fails its check against the shoelace oracle, and one the shoelace
-    oracle raises fails every such check; the checks that read the slab sum
-    do not run where it raised.  The cycle is regenerated once, into a tuple
-    that the cross-check walk and the structural walk both read, and held
-    only while the point is checked.
+    `below` is that at (q, n - 1, k), None at n = 0 or where it raised; `seen` counts keys.
     """
-    fail = failures.append
     p = SpecialPolynomial(q, n, k)
-    d = PolynomialDiagram(tuple(build_diagram(p).vertices), p)
+    d = PolynomialDiagram(tuple(VertexCycle(q, k, q**n)), p)
     routes = cross_check(p, d)
-    twice_areas, raised = routes.twice_areas, routes.raised
-    lace = twice_areas.get("shoelace")
-    for name, check in _VS_SHOELACE.items():
-        twice = twice_areas.get(name)
-        if twice is None and name not in raised:
-            continue  # refused: Pick at q = 1
-        tally[check] += 1
-        if twice is None or lace is None:
-            fail(CheckFailure(q, n, k, check, "; ".join(
-                f"{route} raised {raised[route]}" for route in (name, "shoelace") if route in raised
-            )))
-        elif twice != lace:
-            fail(CheckFailure(q, n, k, check,
-                              f"{name}={Fraction(twice, 2)} shoelace={Fraction(lace, 2)}"))
+    slab = routes.twice_areas.get("general")
+    scaling = None if slab is None or below is None else (slab, q * below)
+    shape = None if q == 1 else validate_diagram(d)
+    key = (slab is None, scaling is None, shape is None, *routes.twice_areas, *routes.raised)
+    seen[key] = seen.get(key, 0) + 1
+    held = (routes.agree, type(slab) is int, scaling is None or scaling[0] == scaling[1],
+            shape is None or shape == (k + 2, False, True, True, True, k == 1))
+    if all(held):
+        return slab
+    inputs = (routes, slab, scaling, shape)
+    for name, reads, _, finding in _applicable(key):
+        if not held[reads]:
+            detail = finding(inputs[reads], k)
+            if detail is not None:
+                failures.append(CheckFailure(q, n, k, name, detail))
+    return slab
 
-    # None when the general route raised, which general_vs_shoelace records
-    general = twice_areas.get("general")
-    if general is not None:
-        tally["reduced_denominator"] += 1
-        if general.denominator != 1:  # the area's is 1 or 2 exactly when 2A is an integer
-            fail(CheckFailure(q, n, k, "reduced_denominator",
-                              f"denominator={Fraction(general, 2).denominator}"))
-        if below is not None:
-            tally["scaling_in_n"] += 1
-            if general != q * below:
-                fail(CheckFailure(q, n, k, "scaling_in_n", f"area(n)={Fraction(general, 2)} "
-                                  f"q*area(n-1)={Fraction(q * below, 2)}"))
 
-    if q == 1:  # degenerate: no structural check applies
-        return general
-
-    count, _, simple, slopes_increasing, unit_steps, convex = validate_diagram(d)
-    tally["vertex_count"] += 1
-    if count != k + 2:
-        fail(CheckFailure(q, n, k, "vertex_count", f"count={count} expected={k + 2}"))
-    tally["simple"] += 1
-    if not simple:
-        fail(CheckFailure(q, n, k, "simple", "non-adjacent edges touch"))
-    tally["chain_slopes"] += 1
-    if not slopes_increasing:
-        fail(CheckFailure(q, n, k, "chain_slopes", "chain slopes not strictly increasing"))
-    tally["convexity"] += 1
-    if convex != (k == 1):
-        fail(CheckFailure(q, n, k, "convexity", f"convex={convex} expected={k == 1}"))
-    tally["chain_structure"] += 1
-    # unit steps ending at 0 over k + 1 chain vertices: the chain runs k, k-1, ..., 0
-    if not (unit_steps and count == k + 2):
-        fail(CheckFailure(q, n, k, "chain_structure",
-                          "x not strictly increasing or y not unit steps"))
-    return general
+def _applicable(key: tuple) -> tuple[_Check, ...]:
+    """The checks that apply under `key`: a route's where it ran, any other where its input is."""
+    absent, ran = (False, *key[:3]), key[3:]
+    return tuple(c for c in _TABLE if not absent[c.reads] and (c.route is None or c.route in ran))
 
 
 def _golden_quadratic_problems() -> list[str]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -14,10 +15,13 @@ import polydiagram.core as core
 import polydiagram.verify as verify
 from polydiagram import (
     PolynomialDiagram,
+    build_diagram,
     build_polynomial,
+    cross_check,
     run_grid_verification,
     validate_diagram,
 )
+from polydiagram.cli import main
 from polydiagram.core import _walk_shape
 
 
@@ -166,6 +170,70 @@ def test_a_non_integer_twice_area_fails_reduced_denominator(monkeypatch):
         ("general_vs_shoelace", "general=1/6 shoelace=0"),
         ("reduced_denominator", "denominator=6"),
     ]
+
+
+@pytest.mark.parametrize(
+    "offset, failures",
+    [
+        # a float equal to the exact value agrees with shoelace, and is not exact
+        (0.0, [("reduced_denominator", "not an exact rational: float")]),
+        # one that differs is shown as the route gave it
+        (0.5, [("general_vs_shoelace", "general=0.5/2 shoelace=0"),
+               ("reduced_denominator", "not an exact rational: float")]),
+    ],
+)
+def test_a_non_rational_twice_area_fails_reduced_denominator_naming_its_type(
+    capsys, offset, failures
+):
+    general = areas.ROUTES["general"]
+    floating = general._replace(
+        twice_area=lambda q, n, k: float(general.twice_area(q, n, k)) + offset
+    )
+    with mock.patch.dict(areas.ROUTES, general=floating):
+        report = run_grid_verification(q_max=1, n_max=0, k_max=1)
+        assert main(["verify", "--q-max", "1", "--n-max", "0", "--k-max", "1"]) == 1
+    assert [(f.check, f.detail) for f in report.failures] == failures
+    # stderr names the first failure
+    assert "{}: {}".format(*failures[0]) in capsys.readouterr().err
+
+
+def test_a_grid_of_only_q_1_points_skips_pick_and_the_structural_checks():
+    report = run_grid_verification(q_max=1, n_max=2, k_max=3)
+    assert report.passed
+    assert tuple(report.tally) == verify.CHECKS
+    assert report.tally == {
+        "closed_vs_shoelace": 9,
+        "general_vs_shoelace": 9,
+        "pick_vs_shoelace": 0,
+        "reduced_denominator": 9,
+        "scaling_in_n": 6,  # n = 1 and 2
+        "vertex_count": 0,
+        "simple": 0,
+        "chain_slopes": 0,
+        "convexity": 0,
+        "chain_structure": 0,
+    }
+    assert (report.points, report.checks, report.pick_checks) == (9, 33, 0)
+
+
+def test_the_one_comparison_per_input_implies_every_finding_on_it_holds():
+    # a point whose inputs pass their comparisons calls no finding; each
+    # finding must then return None on such an input, or it would be skipped
+    table = verify._TABLE
+    for k in range(1, 65):
+        expected = core.DiagramDiagnostics(k + 2, False, True, True, True, k == 1)
+        assert validate_diagram(build_diagram(build_polynomial(3, 1, k))) == expected
+        assert [c.finding(expected, k) for c in table if c.reads == verify._SHAPE] == [None] * 5
+    for q, n, k in [(1, 0, 1), (1, 2, 5), (2, 0, 1), (2, 3, 4), (7, 1, 9)]:
+        routes = cross_check(build_polynomial(q, n, k))
+        assert routes.agree and ("pick" in routes.twice_areas) is (q >= 2)
+        findings = [c.finding(routes, k) for c in table
+                    if c.reads == verify._ROUTES and c.route in routes.twice_areas]
+        assert findings == [None] * (2 + (q >= 2))
+        twice = routes.twice_areas["general"]
+        [denominator] = [c for c in table if c.reads == verify._SLAB]
+        [scaling] = [c for c in table if c.reads == verify._SCALING]
+        assert denominator.finding(twice, k) is None and scaling.finding((twice, twice), k) is None
 
 
 def test_a_passing_grid_builds_no_fraction_per_point(monkeypatch):
