@@ -7,9 +7,10 @@ must all give the same twice-area 2A = 2I + B - 2, an exact int.  ROUTES
 holds each route's own function, once, in the order documents list them:
 the formula routes read (q, n, k) and the oracles one walk of the cycle.
 route_twice_area runs one route, and route_area, which each public area
-function runs, halves its int to a Fraction; AreaCrossCheck compares the
-ints, and records a route that raises as that route's failure.  The
-closed form costs O(1) big-integer operations and every other route O(k)
+function runs, halves its int to a Fraction, or raises NotAnInt for any
+other value; AreaCrossCheck compares the ints, and records a route that
+raises as that route's failure.
+The closed form costs O(1) big-integer operations and every other route O(k)
 of them: the slab sum joins k slab weights by binary splitting, and the
 shoelace sum and the lattice counts do at most one addition per
 vertex each, plus, in the shoelace sum, one product by a small factor
@@ -332,9 +333,16 @@ def route_refusal(name: str, p: SpecialPolynomial) -> str | None:
     return None
 
 
+class NotAnInt(TypeError):
+    """A route returned a twice-area that is not an int, such as a float."""
+
+
 def route_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> Fraction:
-    """Area of p by route `name`: route_twice_area halved."""
-    return Fraction(route_twice_area(name, p, d), 2)
+    """Area of p by route `name`: route_twice_area halved, or NotAnInt naming what it returned."""
+    twice = route_twice_area(name, p, d)
+    if type(twice) is not int:  # Fraction(float, 2) would raise, and blame no route
+        raise NotAnInt(f"{name} returned {type(twice).__name__}, not an int")
+    return Fraction(twice, 2)
 
 
 def half_pair(twice: int) -> tuple[int, int]:

@@ -3,10 +3,10 @@
 Data documents go to stdout so they can be piped; warnings and failure
 diagnostics go to stderr.  Exit status is 0 for success, 1 for a
 verification or cross-check failure, a route that raises (`area` and
-`verify` run every route through `cross_check`, which records the raise;
-`table` and `diff` stop at the RouteRaised of `twice_area_sequence`, which
-names the route and q) or an SVG that `render --out` cannot write, and 2
-for a usage error.
+`verify` run every route through `cross_check`, which records the raise,
+and `area` fails a non-int the same way; `table` and `diff` stop at the
+RouteRaised of `twice_area_sequence`, which names the route and q) or an
+SVG that `render --out` cannot write, and 2 for a usage error.
 Identical invocations produce byte-identical documents.  A JSON document's
 `params` block is built from the parsed arguments, so each flag is
 declared once, in `build_parser`.
@@ -17,8 +17,7 @@ and `diff` take their ratios and differences on the twice-areas.  Every
 document writer yields its text in chunks, and `table`, `diff` and
 `render` compute their rows as the chunks are taken, so the memory of a
 document stays flat in its length.  Each command raises every refusal
-before its first chunk, and the chunks are written inside `main`, while
-the int-to-str digit cap is lifted.
+before its first chunk, and writes under the caller's int digit cap.
 """
 
 from __future__ import annotations
@@ -86,16 +85,20 @@ def cmd_area(args: argparse.Namespace) -> int:
     if p.degenerate:
         _warn("q = 1 produces a degenerate diagram; every area is 0")
 
-    rows = [(name, half_pair(twice)) for name, twice in check.twice_areas.items()]
-    _emit(records_document(
-        args.format, ("method", "area"), rows, _params(args), args.digits, "results",
-        agree=check.agree,
-    ))
-    for name, text in check.raised.items():
-        print(f"error: route {name!r} raised {text}", file=sys.stderr)
-    if len(set(check.twice_areas.values())) > 1:
+    # a route that returns anything but an int fails like one that raises
+    failed = {name: f"raised {text}" for name, text in check.raised.items()}
+    failed.update((name, f"returned {type(twice).__name__}, not an int")
+                  for name, twice in check.twice_areas.items() if type(twice) is not int)
+    twice_areas = {name: t for name, t in check.twice_areas.items() if name not in failed}
+    agree = not failed and len(set(twice_areas.values())) <= 1
+    rows = [(name, half_pair(twice)) for name, twice in twice_areas.items()]
+    _emit(records_document(args.format, ("method", "area"), rows, _params(args), args.digits,
+                           "results", agree=agree))
+    for name, text in failed.items():
+        print(f"error: route {name!r} {text}", file=sys.stderr)
+    if len(set(twice_areas.values())) > 1:
         print("error: area methods disagree", file=sys.stderr)
-    return 0 if check.agree else 1
+    return 0 if agree else 1
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -286,12 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Python >= 3.11 refuses int<->str conversions beyond 4300 digits; the
-    # documents print exact values of any size, so lift the cap per command.
-    capped = hasattr(sys, "set_int_max_str_digits")
-    if capped:
-        previous = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
     try:
         if "digits" in vars(args):  # area, table, diff: refuse before any work
             _check_digits(args.digits)
@@ -302,9 +299,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if capped:
-            sys.set_int_max_str_digits(previous)
 
 
 if __name__ == "__main__":

@@ -28,12 +28,13 @@ CSV and markdown writer, `verify`'s tables included.  The JSON frame
 around the rows is a few lines, written by `records_document` itself;
 `json_document`, verify's writer, is json.dumps with a two-space indent.
 
-Before Python 3.12, str() of an int takes time quadratic in its digits.
-`int_text` is str() below a measured crossover of about 16,000 digits, and
-above it splits the int on powers of two and joins the parts in `decimal`,
-the method of 3.12's own str().  A rational whose numerator or denominator
-reaches that size has its numerator, its denominator and its decimal's
-digits converted by it.
+Python 3.11+ caps the digits str() converts from an int, and a setting can
+lower the cap to 640 (sys.int_info.str_digits_check_threshold).  `int_text`
+gives an int's text under any cap: str() below 10**640 in magnitude, else a
+split on powers of two joined in `decimal`, as 3.12's str() does, which is
+faster than str() before 3.12 from about 10,000 digits on.  A rational whose
+numerator, denominator or rounded decimal may pass the bound has all three
+converted by it.
 """
 
 from __future__ import annotations
@@ -74,15 +75,11 @@ def format_decimal(value: Fraction, digits: int = DEFAULT_DIGITS) -> str:
 # are called directly, so no thread's current context changes.
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
-# From this many bits on, split_int_text is faster than str() before 3.12:
-# on 3.11 they cross at about 16,000 digits (15,000: 3.2 against 2.7 ms;
-# 10,000: 1.5 against 2.0 ms).  An int has fewer bits exactly when it lies
-# strictly between the two bounds.  Below _LEAF_BITS, Decimal(int) converts
-# a part directly.
-_SPLIT_BITS = 53_000
-_SPLIT_FROM = 1 << _SPLIT_BITS
-_SPLIT_BELOW = -_SPLIT_FROM
-_LEAF_BITS = 128
+# No setting of the int->str digit cap refuses str() of an int below this.
+_SPLIT_FROM = 10 ** getattr(sys.int_info, "str_digits_check_threshold", 640)
+# Below this many bits Decimal(int) converts a part directly.  On 3.11 a split then
+# takes 1.05-1.3x str()'s time to 6,000 digits, 0.7x from 10,000 (1.4-2x at 128 bits).
+_LEAF_BITS = 4096
 
 
 def split_int_text(value: int) -> str:
@@ -123,13 +120,9 @@ def split_int_text(value: int) -> str:
     return "-" + text if value < 0 else text
 
 
-if sys.version_info >= (3, 12):
-    int_text = str  # str() splits a huge int itself
-else:
-
-    def int_text(value: int) -> str:
-        """str(value): str() below _SPLIT_BITS bits, split_int_text from there on."""
-        return str(value) if _SPLIT_BELOW < value < _SPLIT_FROM else split_int_text(value)
+def int_text(value: int) -> str:
+    """str(value) under any digit cap: str() below _SPLIT_FROM in magnitude, else split_int_text."""
+    return str(value) if abs(value) < _SPLIT_FROM else split_int_text(value)
 
 
 def rational_from_json(obj: object) -> Fraction:
@@ -300,13 +293,16 @@ def _rational_cells(
     text and its decimal, num/den rounded half to even at `digits` places
     with trailing zeros trimmed (num itself when den == 1).  10**digits and
     the templates are fixed here, once per document, and a rational equal
-    to the one rendered just before it reuses that one's cells.  An int is
-    converted by str(), or by int_text when the value holds one of
-    _SPLIT_BITS bits or more.
+    to the one rendered just before it reuses that one's cells.  The ints
+    are converted by str() while num, den and the scaled decimal all lie
+    below _SPLIT_FROM in magnitude, which |num| < _SPLIT_FROM // 10**digits
+    ensures, and by int_text otherwise.
     """
     if digits < 0:
         raise ValueError(f"digits must be non-negative, got {digits}")
     twice_unit = 2 * 10**digits
+    # |scaled| <= |num| * 10**digits / 2 + 1 when den >= 2: below _SPLIT_FROM when |num| is
+    num_from = _SPLIT_FROM // 10**digits
     width = digits + 1  # the scaled decimal's digits, zero-padded to at least one whole digit
     if as_json:
         missing = ("null", "null")
@@ -324,7 +320,7 @@ def _rational_cells(
         if value == last:
             return pair
         last = num, den = value
-        small = _SPLIT_BELOW < num < _SPLIT_FROM and den < _SPLIT_FROM
+        small = abs(num) < num_from and den < _SPLIT_FROM
         text = str if small else int_text
         if den == 1:
             decimal = text(num)

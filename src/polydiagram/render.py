@@ -15,10 +15,10 @@ A label's x is exact text, and str() of an int takes time quadratic in its
 digits before Python 3.12.  So an x that is q times the x before it is
 labelled by a running Decimal product, one exact product by q per vertex,
 whose text costs time linear in its digits; any other x, such as the anchor
-or an x of a stored cycle that breaks the chain, is labelled by str() and
-starts a new product.  `render --q 3 --k 20000`, whose labels reach 9543
-digits, took 10 s with str() of every label and takes under 1 s this way,
-as a process on Python 3.11 on a 2-core host.
+or an x of a stored cycle that breaks the chain, starts a new product from
+int_text, exact under any int digit cap.  `render --q 3 --k 20000`, whose
+labels reach 9543 digits, took 10 s with str() of every label and takes
+under 1 s this way, as a process on Python 3.11 on a 2-core host.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import starmap
 from typing import Iterable, Iterator
 
 from .core import PolynomialDiagram
-from .formats import EXACT, batched
+from .formats import EXACT, batched, int_text
 
 __all__ = ["RenderSpec", "diagram_svg"]
 
@@ -69,23 +69,20 @@ def _plotted(d: PolynomialDiagram, spec: RenderSpec) -> Iterator[tuple[int, int,
 def _labeled(
     plotted: Iterable[tuple[int, int, int]], q: int
 ) -> Iterator[tuple[int, str, int]]:
-    """(abscissa, str(x), y) per (abscissa, x, y), as they are read.
+    """(abscissa, text of x, y) per (abscissa, x, y), as they are read.
 
-    An x that is q times the x before it is the text of a running Decimal
-    product, exact in the EXACT context; any other x is str(x), which starts
-    a new product.
+    The text is that of an exact Decimal: for an x that is q times the x
+    before it, a running product in the EXACT context, and for any other x,
+    one read from int_text(x), which starts a new product.
     """
-    factor = Decimal(q)
     last = label = None  # the x before, and it as an exact Decimal
     for position, x, y in plotted:
         if label is not None and x == last * q:
-            label = EXACT.multiply(label, factor)
-            text = str(label)
+            label = EXACT.multiply(label, q)
         else:
-            text = str(x)
-            label = Decimal(text)
+            label = Decimal(int_text(x))
         last = x
-        yield position, text, y
+        yield position, str(label), y
 
 
 # A vertex's marker and its label; the label's x is already text.

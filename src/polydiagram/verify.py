@@ -5,10 +5,10 @@ each point checks every area route against the shoelace oracle, the
 n-1 -> n scaling law, the reduced denominators, and (for q >= 2) the
 diagram's structural invariants.  It also replays the frozen golden rows
 for the degree-2, n=0 family.  A route that raises fails its check against
-the shoelace oracle, and a golden row whose slab sum raises is a problem,
-so a faulty route ends the sweep with a report, not an exception.  Points
-are visited in (q, n, k) order and failures recorded in that order, so
-reports are deterministic.
+the shoelace oracle, and a golden row whose slab sum raises or returns a
+non-int is a problem, so a faulty route ends the sweep with a report, not
+an exception.  Points are visited in (q, n, k) order and failures recorded
+in that order, so reports are deterministic; details write ints by int_text.
 
 Each check is one entry of _TABLE, from which CHECKS, the tally and every
 failure derive.  One comparison per input stands for all the checks that
@@ -24,8 +24,9 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Any, Callable, NamedTuple
 
-from .areas import ROUTES, AreaCrossCheck, area_general, cross_check
+from .areas import ROUTES, AreaCrossCheck, NotAnInt, area_general, cross_check
 from .core import PolynomialDiagram, SpecialPolynomial, VertexCycle, validate_diagram
+from .formats import int_text
 
 __all__ = [
     "CHECKS",
@@ -74,9 +75,15 @@ class _Check(NamedTuple):
     finding: Callable[[Any, int], str | None]
 
 
-def _half(twice: Any) -> object:
+def _text(value: Rational) -> str:
+    """str(value), "3" or "5/2", under any int digit cap."""
+    num, den = int_text(value.numerator), int_text(value.denominator)
+    return num if den == "1" else f"{num}/{den}"
+
+
+def _half(twice: Any) -> str:
     """A twice-area halved for a detail: exactly when rational, else as the route gave it."""
-    return Fraction(twice, 2) if isinstance(twice, Rational) else f"{twice!r}/2"
+    return _text(Fraction(twice, 2)) if isinstance(twice, Rational) else f"{twice!r}/2"
 
 
 def _vs_shoelace(route: str) -> _Check:
@@ -95,8 +102,8 @@ def _vs_shoelace(route: str) -> _Check:
 def _denominator(twice: Any, k: int) -> str | None:
     if not isinstance(twice, Rational):
         return f"not an exact rational: {type(twice).__name__}"
-    # the area's denominator is 1 or 2 exactly when 2A is an integer
-    return None if twice.denominator == 1 else f"denominator={Fraction(twice, 2).denominator}"
+    half = Fraction(twice, 2)  # the area: its denominator is 1 or 2 exactly when 2A is an int
+    return None if half.denominator <= 2 else f"denominator={_text(half.denominator)}"
 
 
 # Every check a grid point can run, in the order it runs them.
@@ -216,13 +223,14 @@ def _golden_quadratic_problems() -> list[str]:
     for q, expected_area, ratio_text in GOLDEN_QUADRATIC_ROWS:
         try:
             area, after = (area_general(SpecialPolynomial(r, 0, 2)) for r in (q, q + 1))
-        except Exception as exc:  # a raising slab sum is a problem, like a wrong area
-            problems.append(f"q={q}: general raised {type(exc).__name__}: {exc}")
+        except Exception as exc:  # a slab sum that raises, or returns a non-int, is a problem
+            fault = exc if type(exc) is NotAnInt else f"general raised {type(exc).__name__}: {exc}"
+            problems.append(f"q={q}: {fault}")
             continue
         if area != expected_area:
-            problems.append(f"q={q}: area {area} != {expected_area}")
+            problems.append(f"q={q}: area {_text(area)} != {expected_area}")
             continue
         ratio = after / area
         if abs(ratio - Fraction(ratio_text)) > _GOLDEN_RATIO_TOLERANCE:
-            problems.append(f"q={q}: ratio {ratio} not within 0.05 of {ratio_text}")
+            problems.append(f"q={q}: ratio {_text(ratio)} not within 0.05 of {ratio_text}")
     return problems

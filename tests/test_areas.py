@@ -240,6 +240,18 @@ class TestRouteGate:
         assert cross_check(p).areas[name] == 0
 
 
+    @pytest.mark.parametrize("returned", [7.5, Fraction(15, 1)], ids=["float", "Fraction"])
+    def test_a_route_that_returns_a_non_int_is_named_not_halved(self, returned, monkeypatch):
+        # a float would make Fraction(twice, 2) raise, blaming no route
+        monkeypatch.setitem(ROUTES, "general",
+                            ROUTES["general"]._replace(twice_area=lambda q, n, k: returned))
+        name = type(returned).__name__
+        with pytest.raises(areas.NotAnInt, match=f"^general returned {name}, not an int$"):
+            area_general(build_polynomial(2, 0, 3))
+        # cross_check records what the route returned, as it is
+        assert cross_check(build_polynomial(2, 0, 3)).twice_areas["general"] is returned
+
+
 class TestCrossCheck:
     def test_quadratic_all_routes_agree(self):
         check = cross_check(build_polynomial(4, 0, 2))

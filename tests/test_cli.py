@@ -377,6 +377,22 @@ class TestRaisingRoute:
         assert lines[-1].startswith("256,")
 
 
+@pytest.mark.parametrize("offset", [0.0, 0.5], ids=["equal", "unequal"])
+def test_area_fails_a_route_that_returns_a_float_like_one_that_raises(capsys, offset):
+    general = areas.ROUTES["general"]
+    floating = general._replace(
+        twice_area=lambda q, n, k: float(general.twice_area(q, n, k)) + offset
+    )
+    with mock.patch.dict(areas.ROUTES, general=floating):
+        code, out, err = run_cli(capsys, "area", "--q", "5", "--k", "3", "--format", "json")
+    assert code == 1
+    document = json.loads(out)
+    assert [row["method"] for row in document["results"]] == ["closed", "shoelace", "pick"]
+    assert document["agree"] is False
+    # no row for it, and no disagreement: the routes that returned ints agree
+    assert err == "error: route 'general' returned float, not an int\n"
+
+
 @contextmanager
 def unlimited_int_digits():
     """Lift the int<->str digit cap (Python >= 3.11) while comparing huge values."""
@@ -417,8 +433,8 @@ class TestHugeValues:
             polydiagram.build_polynomial(3, 9500, 2))
 
     def test_streamed_rows_beyond_the_int_digit_cap_read_back(self, capsys):
-        # rows of 4516 and 7158 digits, streamed chunk by chunk: a chunk written
-        # outside main's lifted digit cap would raise on Python 3.11+
+        # rows of 4516 and 7158 digits, streamed chunk by chunk under the
+        # interpreter's own digit cap, which main leaves as it is
         capped = hasattr(sys, "get_int_max_str_digits")
         previous = sys.get_int_max_str_digits() if capped else None
         k = 15000
@@ -457,6 +473,24 @@ class TestHugeValues:
             assert sys.get_int_max_str_digits() == 5000
         finally:
             sys.set_int_max_str_digits(previous)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int digit cap before 3.11"
+    )
+    def test_main_leaves_the_int_digit_cap_alone_while_a_command_runs(self, capsys, digit_cap):
+        seen = []
+        closed = areas.ROUTES["closed"]
+
+        def recording(q, n, k):
+            seen.append(sys.get_int_max_str_digits())
+            return closed.twice_area(q, n, k)
+
+        with mock.patch.dict(areas.ROUTES, closed=closed._replace(twice_area=recording)):
+            with digit_cap(640):
+                code, out, _ = run_cli(capsys, "area", "--q", "3", "--n", "1400", "--k", "2")
+        assert code == 0 and seen == [640]
+        # a 670-digit area, written under that cap
+        assert len(out.splitlines()[1].split(",")[1]) > 670
 
 
 DIGIT_COMMANDS = {

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import polydiagram.areas as areas
 import polydiagram.cli as cli
 import polydiagram.formats as formats
+from polydiagram import area_general, build_polynomial
 from polydiagram.formats import (
     CHUNK_ROWS,
     format_decimal,
@@ -422,18 +424,29 @@ def test_split_int_text_is_str(value):
         assert split_int_text(value) == str(value)
 
 
+def test_int_text_splits_from_the_lowest_digit_cap():
+    # 640 digits is the lowest cap any setting allows, so no cap refuses str() below the bound
+    threshold = getattr(sys.int_info, "str_digits_check_threshold", 640)
+    assert threshold == 640
+    assert formats._SPLIT_FROM == 10**threshold
+
+
 @pytest.mark.parametrize(
     "value",
-    [formats._SPLIT_FROM - 1, formats._SPLIT_FROM, -formats._SPLIT_FROM, 3**40000, -(7**30001)],
-    ids=["below", "at", "negative_at", "3^40000", "-7^30001"],
+    [formats._SPLIT_FROM - 1, formats._SPLIT_FROM, -formats._SPLIT_FROM + 1, -formats._SPLIT_FROM,
+     3**40000, -(7**30001)],
+    ids=["below", "at", "negative_below", "negative_at", "3^40000", "-7^30001"],
 )
-def test_int_text_is_str_around_the_crossover(value):
-    with unlimited_int_digits():
-        assert int_text(value) == str(value)
+def test_int_text_is_str_around_the_crossover(digit_cap, value):
+    # the crossover is the 640-digit bound, and int_text runs under a cap that low
+    with digit_cap(0):
+        expected = str(value)
+    with digit_cap(640):
+        assert int_text(value) == expected
 
 
 def test_huge_rationals_are_converted_by_int_text(monkeypatch):
-    # a numerator past the crossover goes through int_text, which splits it before 3.12
+    # a numerator past the bound goes through int_text, which splits it on every Python
     splits = []
     monkeypatch.setattr(formats, "split_int_text",
                         lambda value: splits.append(value) or split_int_text(value))
@@ -444,8 +457,33 @@ def test_huge_rationals_are_converted_by_int_text(monkeypatch):
             assert "".join(records_document(fmt, ["t", "v"], rows, {}, 3)) == (
                 records_document_by_rows(fmt, ["t", "v"], rows, {}, 3)
             )
-    if sys.version_info < (3, 12):
-        # each format: the integer's text once for its run, then -num/2's numerator and digits
-        assert [abs(v) for v in splits] == [num, num * 500, num] * 2
-    else:
-        assert splits == []
+    # each format: the integer's text once for its run, then -num/2's numerator and digits
+    assert [abs(v) for v in splits] == [num, num * 500, num] * 2
+
+
+def test_format_decimal_of_an_area_past_the_default_cap():
+    # a 6022-digit numerator, written outside the CLI under the interpreter's own cap
+    area = area_general(build_polynomial(2, 0, 20000))
+    text = format_decimal(area)
+    assert Fraction(Decimal(text)) == round(area, 4)
+    assert len(text) > 6000 and not text.endswith("0")
+
+
+@pytest.mark.parametrize(
+    "rows, digits",
+    [
+        # cells of 4534 and 9000 digits, past the default cap
+        ([("a", (3**9500, 1)), ("b", (-(3**9500), 2)), ("c", (1, 7**10650))], 4),
+        # 600-digit cells whose scaled decimals, at --digits 1000, cross the 640-digit bound
+        ([("a", (10**599 + 1, 7)), ("b", (-(10**599) - 3, 11)), ("c", (10**599, 1))], 1000),
+    ],
+    ids=["past_the_default_cap", "decimal_past_the_bound"],
+)
+def test_records_past_the_digit_cap_are_exact_under_the_lowest_cap(digit_cap, rows, digits):
+    with digit_cap(0):
+        expected = {fmt: records_document_by_rows(fmt, ["t", "v"], rows, {}, digits)
+                    for fmt in ("csv", "markdown", "json")}
+    with digit_cap(640):
+        got = {fmt: "".join(records_document(fmt, ["t", "v"], rows, {}, digits))
+               for fmt in expected}
+    assert got == expected

@@ -154,3 +154,13 @@ def test_labels_are_exact_under_any_decimal_context():
             chunks.append(chunk)
             assert decimal.getcontext().prec == 3
     assert _labels("".join(chunks)) == [(str(x), str(y)) for x, y in d.vertices]
+
+
+def test_an_anchor_past_the_default_cap_is_labelled_exactly(digit_cap):
+    # the anchor 3^10000 has 4772 digits; labels are written under the caller's digit cap
+    d = build_diagram(build_polynomial(3, 10000, 3))
+    with digit_cap(640):
+        svg = diagram_svg(d)
+    with digit_cap(0):
+        assert _labels(svg) == [(str(x), str(y)) for x, y in d.vertices]
+    assert len(_labels(svg)[0][0]) == 4772

@@ -172,6 +172,24 @@ def test_a_non_integer_twice_area_fails_reduced_denominator(monkeypatch):
     ]
 
 
+def test_a_denominator_past_640_digits_is_written_under_the_lowest_cap(monkeypatch, digit_cap):
+    general = areas.ROUTES["general"]
+    broken = general._replace(
+        twice_area=lambda q, n, k: general.twice_area(q, n, k) + Fraction(1, 10**700)
+    )
+    monkeypatch.setitem(areas.ROUTES, "general", broken)
+    with digit_cap(640):
+        report = run_grid_verification(q_max=1, n_max=0, k_max=1)
+    with digit_cap(0):
+        den = str(2 * 10**700)
+    assert [(f.check, f.detail) for f in report.failures] == [
+        ("general_vs_shoelace", f"general=1/{den} shoelace=0"),
+        ("reduced_denominator", f"denominator={den}"),
+    ]
+    # the golden rows name the Fraction the route returned
+    assert report.golden_problems[0] == "q=2: general returned Fraction, not an int"
+
+
 @pytest.mark.parametrize(
     "offset, failures",
     [
@@ -193,6 +211,10 @@ def test_a_non_rational_twice_area_fails_reduced_denominator_naming_its_type(
         report = run_grid_verification(q_max=1, n_max=0, k_max=1)
         assert main(["verify", "--q-max", "1", "--n-max", "0", "--k-max", "1"]) == 1
     assert [(f.check, f.detail) for f in report.failures] == failures
+    # the golden rows name what the route returned; it did not raise
+    assert report.golden_problems == tuple(
+        f"q={q}: general returned float, not an int" for q in (2, 3, 4, 5, 6, 16)
+    )
     # stderr names the first failure
     assert "{}: {}".format(*failures[0]) in capsys.readouterr().err
 
@@ -273,6 +295,27 @@ def test_a_raising_slab_sum_fails_its_check_and_skips_only_the_checks_that_read_
     assert report.tally["closed_vs_shoelace"] == 8 and report.tally["pick_vs_shoelace"] == 4
     assert report.tally["vertex_count"] == 4
     assert report.golden_problems == tuple(f"q={q}: {raised}" for q in (2, 3, 4, 5, 6, 16))
+
+
+def test_a_failure_detail_past_640_digits_is_exact_under_the_lowest_cap(digit_cap):
+    # the slab sum one unit off at (2, n_max, 1), where 2A = 2^n_max has 663 digits
+    general = areas.ROUTES["general"]
+    n_max = 2200
+
+    def off_at_the_top(q, n, k):
+        return general.twice_area(q, n, k) + (q == 2 and n == n_max)
+
+    with mock.patch.dict(areas.ROUTES, general=general._replace(twice_area=off_at_the_top)):
+        with digit_cap(640):
+            report = run_grid_verification(q_max=2, n_max=n_max, k_max=1)
+    half = 2 ** (n_max - 1)
+    with digit_cap(0):
+        assert [(f.q, f.n, f.k, f.check, f.detail) for f in report.failures] == [
+            (2, n_max, 1, "general_vs_shoelace", f"general={2 * half + 1}/2 shoelace={half}"),
+            (2, n_max, 1, "scaling_in_n", f"area(n)={2 * half + 1}/2 q*area(n-1)={half}"),
+        ]
+        assert len(str(2 * half + 1)) == 663
+    assert report.golden_problems == ()
 
 
 # every field of DiagramDiagnostics, in order, for building one by keyword
