@@ -5,37 +5,12 @@ Builds the lattice-polygon diagram of a geometric-coefficient polynomial
 analyzes the area sequences over q (ratios and finite differences), and
 renders diagrams as SVG.  No floating point enters any computation; floats
 appear only in rendered output.
-"""
 
-from .areas import (
-    ROUTES,
-    AreaCrossCheck,
-    area_closed_form,
-    area_general,
-    area_pick,
-    area_shoelace,
-    cross_check,
-    lattice_counts,
-)
-from .core import (
-    DiagramDiagnostics,
-    PolynomialDiagram,
-    SpecialPolynomial,
-    build_diagram,
-    build_polynomial,
-    validate_diagram,
-)
-from .formats import DEFAULT_DIGITS, format_decimal, rational_from_json
-from .render import RenderSpec, diagram_svg
-from .sequences import (
-    AreaSequence,
-    SequenceReport,
-    area_sequence,
-    convergence_report,
-    finite_difference,
-    ratio_sequence,
-)
-from .verify import CheckFailure, VerificationReport, run_grid_verification
+`import polydiagram` loads no submodule.  Each name of __all__ is imported
+from its module on first use, by the module __getattr__ (PEP 562), and kept
+here from then on, so a command or program pays only for the modules it
+reads.
+"""
 
 __version__ = "0.1.0"
 
@@ -70,3 +45,35 @@ __all__ = [
     "run_grid_verification",
     "validate_diagram",
 ]
+
+# The module that defines each exported name.
+_HOMES = {
+    name: module
+    for module, names in {
+        "areas": ("ROUTES", "AreaCrossCheck", "area_closed_form", "area_general", "area_pick",
+                  "area_shoelace", "cross_check", "lattice_counts"),
+        "core": ("DiagramDiagnostics", "PolynomialDiagram", "SpecialPolynomial", "build_diagram",
+                 "build_polynomial", "validate_diagram"),
+        "formats": ("DEFAULT_DIGITS", "format_decimal", "rational_from_json"),
+        "render": ("RenderSpec", "diagram_svg"),
+        "sequences": ("AreaSequence", "SequenceReport", "area_sequence", "convergence_report",
+                      "finite_difference", "ratio_sequence"),
+        "verify": ("CheckFailure", "VerificationReport", "run_grid_verification"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str) -> object:
+    module = _HOMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -55,12 +55,12 @@ the integer numerators for m = 0..k-1, and route_area halves the sum once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Callable, Iterable, NamedTuple
 
-from .core import PolynomialDiagram, SpecialPolynomial, build_diagram
+from .core import PolynomialDiagram, Record, SpecialPolynomial, build_diagram
+from .formats import int_text
 
 __all__ = [
     "ROUTES",
@@ -76,16 +76,21 @@ __all__ = [
     "cross_check",
 ]
 
-@dataclass(frozen=True)
-class AreaCrossCheck:
+class AreaCrossCheck(Record):
     """Twice the area, an int, by every route that applies, keyed by name in ROUTES order.
 
     A route that raised has no twice-area; `raised` holds its exception's
     type and text, "ZeroDivisionError: division by zero", under its name.
+    `raised` defaults to a new empty dict.  Unhashable, as it holds dicts.
     """
 
+    __slots__ = __match_args__ = ("twice_areas", "raised")
     twice_areas: dict[str, int]
-    raised: dict[str, str] = field(default_factory=dict)
+    raised: dict[str, str]
+
+    def __init__(self, twice_areas: dict[str, int], raised: dict[str, str] | None = None) -> None:
+        object.__setattr__(self, "twice_areas", twice_areas)
+        object.__setattr__(self, "raised", {} if raised is None else raised)
 
     @property
     def areas(self) -> dict[str, Fraction]:
@@ -280,7 +285,7 @@ def _lattice_counts(walk: _CycleSums) -> tuple[int, int]:
     if walk.kept < 2:
         raise ValueError("need a chain vertex after the anchor")
     if walk.bad_edge is not None:
-        a, b = walk.bad_edge
+        a, b = (f"({int_text(x)}, {int_text(y)})" for x, y in walk.bad_edge)
         raise ValueError(f"chain edge {a} -> {b} does not step right and down by one")
     return walk.interior, walk.boundary
 
@@ -335,6 +340,10 @@ def route_refusal(name: str, p: SpecialPolynomial) -> str | None:
 
 class NotAnInt(TypeError):
     """A route returned a twice-area that is not an int, such as a float."""
+
+
+class RouteRaised(Exception):
+    """A route raised or returned a non-int in a sequence; the text names the route and q."""
 
 
 def route_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> Fraction:

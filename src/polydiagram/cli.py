@@ -5,8 +5,9 @@ diagnostics go to stderr.  Exit status is 0 for success, 1 for a
 verification or cross-check failure, a route that raises (`area` and
 `verify` run every route through `cross_check`, which records the raise,
 and `area` fails a non-int the same way; `table` and `diff` stop at the
-RouteRaised of `twice_area_sequence`, which names the route and q) or an
-SVG that `render --out` cannot write, and 2 for a usage error.
+RouteRaised of `twice_area_sequence`, which names the route, its raise or
+the type it returned, and q) or an SVG that `render --out` cannot write,
+and 2 for a usage error.
 Identical invocations produce byte-identical documents.  A JSON document's
 `params` block is built from the parsed arguments, so each flag is
 declared once, in `build_parser`.
@@ -18,6 +19,12 @@ document writer yields its text in chunks, and `table`, `diff` and
 `render` compute their rows as the chunks are taken, so the memory of a
 document stays flat in its length.  Each command raises every refusal
 before its first chunk, and writes under the caller's int digit cap.
+
+Every call starts with an interpreter that imports this module and builds
+the parser, so the module imports only what `area` runs: `areas`, `core`
+and `formats`.  `table` and `diff` import `sequences`, `verify` imports
+`verify` and `render` imports `render`, each inside its command, and
+`main` catches RouteRaised from `areas`, where it is defined.
 """
 
 from __future__ import annotations
@@ -25,9 +32,9 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import count, tee
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .areas import ROUTES, cross_check, half_pair, route_refusal
+from .areas import ROUTES, RouteRaised, cross_check, half_pair, route_refusal
 from .core import build_diagram, build_polynomial
 from .formats import (
     DEFAULT_DIGITS,
@@ -36,10 +43,9 @@ from .formats import (
     records_document,
     table_document,
 )
-from .render import RenderSpec, diagram_svg
-from .sequences import (RouteRaised, check_order, check_range, differences, ratio_pairs,
-                        twice_area_sequence)
-from .verify import CheckFailure, run_grid_verification
+
+if TYPE_CHECKING:
+    from .verify import CheckFailure
 
 __all__ = ["main", "build_parser"]
 
@@ -102,6 +108,8 @@ def cmd_area(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from .sequences import check_range, ratio_pairs, twice_area_sequence
+
     check_range(args.k, args.n, args.q_from, args.q_to)
     if args.q_from == 1:
         _warn("q = 1 row is degenerate; its ratio is undefined")
@@ -115,6 +123,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
+    from .sequences import check_order, check_range, differences, twice_area_sequence
+
     check_range(args.k, args.n, args.q_from, args.q_to)  # refused before any route runs
     check_order(args.order, args.q_to - args.q_from + 1)
     twice = twice_area_sequence(args.k, args.n, args.q_from, args.q_to)
@@ -124,6 +134,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_grid_verification
+
     report = run_grid_verification(
         q_max=args.q_max,
         n_max=args.n_max,
@@ -156,7 +168,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _failure_record(failure: CheckFailure) -> dict[str, str]:
-    return {name: str(value) for name, value in vars(failure).items()}
+    return {name: str(getattr(failure, name)) for name in failure.__slots__}
 
 
 def _verify_rows(document: dict) -> list[list[str]]:
@@ -179,6 +191,8 @@ def _verify_rows(document: dict) -> list[list[str]]:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from .render import RenderSpec, diagram_svg
+
     p = build_polynomial(args.q, args.n, args.k)
     spec = RenderSpec(
         width_px=args.width,

@@ -17,6 +17,14 @@ and validate_diagram reports them as a DiagramDiagnostics NamedTuple.  A
 PolynomialDiagram may instead hold its cycle as a tuple of pairs, as the
 verify sweep does to regenerate each small cycle once for its two readers.
 
+The package's records (SpecialPolynomial, VertexCycle and
+PolynomialDiagram here, and those of the other modules) are slotted classes
+on Record, not frozen dataclasses: importing `dataclasses`, with `inspect`,
+took 6-11 ms of every CLI call's start on Python 3.11.  Each sets its
+fields once in its own __init__, and Record gives it a frozen dataclass's
+immutability, equality, hashing, repr and pickling.  DiagramDiagnostics is
+a NamedTuple.
+
 Everything here is exact integer arithmetic: slope and turn tests use
 cross products, never division, so no rounding can occur even when
 coordinates reach q^(n+k).  Building a diagram costs one power, and
@@ -25,7 +33,6 @@ validating it O(k) big-integer operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
@@ -41,8 +48,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpecialPolynomial:
+class Record:
+    """Base of the package's immutable records, whose fields are the subclass's __slots__.
+
+    Each subclass's own __init__ validates its arguments and sets each field
+    once, by object.__setattr__; from then on assigning or deleting any
+    attribute raises AttributeError.  A record equals another of the same
+    class whose fields are equal, hashes by its fields, shows as
+    Name(field=value, ...), and pickles and copies by calling its class
+    with its fields in order, which validates them again.  A subclass that
+    holds a dict is unhashable, as hashing the dict raises TypeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class SpecialPolynomial(Record):
     """Parameter triple for the polynomial sum of q^(n+i) * x^(k-i), i = 0..k.
 
     q >= 1 is the coefficient base, n >= 0 shifts every power of q, and
@@ -50,22 +95,25 @@ class SpecialPolynomial:
     downstream stays in Python's arbitrary-precision integers.
     """
 
+    __slots__ = __match_args__ = ("q", "n", "k")
     q: int
     n: int
     k: int
 
-    def __post_init__(self) -> None:
-        if not (type(self.q) is type(self.n) is type(self.k) is int):
-            for name in ("q", "n", "k"):
-                value = getattr(self, name)
+    def __init__(self, q: int, n: int, k: int) -> None:
+        if not (type(q) is type(n) is type(k) is int):
+            for name, value in (("q", q), ("n", n), ("k", k)):
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-        if self.q < 1:
-            raise ValueError(f"q must be a positive integer, got {self.q}")
-        if self.n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {self.n}")
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer (the degree), got {self.k}")
+        if q < 1:
+            raise ValueError(f"q must be a positive integer, got {q}")
+        if n < 0:
+            raise ValueError(f"n must be a non-negative integer, got {n}")
+        if k < 1:
+            raise ValueError(f"k must be a positive integer (the degree), got {k}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
 
     @property
     def degenerate(self) -> bool:
@@ -73,8 +121,7 @@ class SpecialPolynomial:
         return self.q == 1
 
 
-@dataclass(frozen=True, slots=True)
-class VertexCycle:
+class VertexCycle(Record):
     """A diagram's k+2 vertices, regenerated as (x, y) pairs on every iteration.
 
     Each pass yields the anchor (x0, 0), then the monomial points
@@ -87,9 +134,15 @@ class VertexCycle:
     when freed, and a sweep that makes one per point grows those lists.
     """
 
+    __slots__ = __match_args__ = ("q", "k", "x0")
     q: int
     k: int
     x0: int
+
+    def __init__(self, q: int, k: int, x0: int) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "x0", x0)
 
     def __len__(self) -> int:
         return self.k + 2
@@ -100,8 +153,7 @@ class VertexCycle:
         return chain(((x0, 0),), zip(xs, range(self.k, -1, -1)))
 
 
-@dataclass(frozen=True)
-class PolynomialDiagram:
+class PolynomialDiagram(Record):
     """Closed vertex cycle of the diagram polygon, anchor first.
 
     `vertices` is re-iterable, and each pass yields (x, y) pairs: the anchor
@@ -113,8 +165,13 @@ class PolynomialDiagram:
     the same way.  `degenerate` is the source's: q == 1.
     """
 
+    __slots__ = __match_args__ = ("vertices", "source")
     vertices: Iterable[tuple[int, int]]
     source: SpecialPolynomial
+
+    def __init__(self, vertices: Iterable[tuple[int, int]], source: SpecialPolynomial) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "source", source)
 
     @property
     def degenerate(self) -> bool:

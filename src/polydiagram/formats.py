@@ -27,6 +27,8 @@ cells, and CSV rows go through csv.writer.  `table_document` is the one
 CSV and markdown writer, `verify`'s tables included.  The JSON frame
 around the rows is a few lines, written by `records_document` itself;
 `json_document`, verify's writer, is json.dumps with a two-space indent.
+The `json` and `csv` modules are imported by the writers that use them, so
+importing this module, as every CLI call does, costs neither.
 
 Python 3.11+ caps the digits str() converts from an int, and a setting can
 lower the cap to 640 (sys.int_info.str_digits_check_threshold).  `int_text`
@@ -39,15 +41,12 @@ converted by it.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import re
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -179,6 +178,8 @@ def table_document(fmt: str, headers: list[str], rows: Iterable[Sequence[str]]) 
         for batch in batched(lines):
             yield "| " + " |\n| ".join(map(" | ".join, batch)) + " |\n"
         return
+    import csv
+
     for batch in batched(chain((headers,), rows)):
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(batch)
@@ -187,11 +188,15 @@ def table_document(fmt: str, headers: list[str], rows: Iterable[Sequence[str]]) 
 
 def json_document(payload: dict) -> str:
     """Stable two-space-indented JSON document (insertion key order), newline-terminated."""
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 
 def _indented_json(value: object) -> str:
     """json.dumps(value, indent=2) laid out as a member of a top-level object."""
+    import json
+
     return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
@@ -245,17 +250,19 @@ def records_document(
     if fmt != "json":
         yield from table_document(fmt, headers, chain.from_iterable(batches))
         return
+    from json.encoder import encode_basestring_ascii as quote
+
     fields_text = ",\n".join(
-        f"{_FIELD_PAD}{_quote(name).replace('%', '%%')}: %s" for name in headers
+        f"{_FIELD_PAD}{quote(name).replace('%', '%%')}: %s" for name in headers
     )
     row = f"{_ROW_PAD}{{\n{fields_text}\n{_ROW_PAD}}}"
-    yield f'{{\n  "params": {_indented_json(params)},\n  {_quote(key)}: ['
+    yield f'{{\n  "params": {_indented_json(params)},\n  {quote(key)}: ['
     separator = "\n"  # before the first row; ",\n" between rows
     for batch in batches:
         yield separator + ",\n".join(map(row.__mod__, batch))
         separator = ",\n"
     extra_text = "".join(
-        f",\n  {_quote(name)}: {_indented_json(value)}" for name, value in extra.items()
+        f",\n  {quote(name)}: {_indented_json(value)}" for name, value in extra.items()
     )
     yield ("]" if first is None else "\n  ]") + extra_text + "\n}\n"
 
@@ -274,13 +281,15 @@ def _row_batches(
     its two columns; zip rebuilds the rows.
     """
     rational = _rational_cells(as_json, digits)
+    if as_json:
+        from json.encoder import encode_basestring_ascii as quote
     for batch in batched(rows):
         columns: list[Iterable[str]] = []
         for text, column in zip(kinds, zip(*batch)):
             if not text:
                 columns += zip(*map(rational, column))
             else:
-                columns.append(map(_quote, column) if as_json else column)
+                columns.append(map(quote, column) if as_json else column)
         yield zip(*columns) if columns else [()] * len(batch)
 
 

@@ -23,33 +23,37 @@ under 1 s this way, as a process on Python 3.11 on a 2-core host.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import starmap
 from typing import Iterable, Iterator
 
-from .core import PolynomialDiagram
+from .core import PolynomialDiagram, Record
 from .formats import EXACT, batched, int_text
 
 __all__ = ["RenderSpec", "diagram_svg"]
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(Record):
     """Pixel geometry and axis mapping for an SVG rendering."""
 
-    width_px: int = 640
-    height_px: int = 480
-    margin_px: int = 48
-    log_x: bool = False
+    __slots__ = __match_args__ = ("width_px", "height_px", "margin_px", "log_x")
+    width_px: int
+    height_px: int
+    margin_px: int
+    log_x: bool
 
-    def __post_init__(self) -> None:
-        if self.width_px <= 0 or self.height_px <= 0:
+    def __init__(self, width_px: int = 640, height_px: int = 480, margin_px: int = 48,
+                 log_x: bool = False) -> None:
+        if width_px <= 0 or height_px <= 0:
             raise ValueError("width_px and height_px must be positive")
-        if self.margin_px < 0:
+        if margin_px < 0:
             raise ValueError("margin_px must be non-negative")
-        if 2 * self.margin_px >= min(self.width_px, self.height_px):
+        if 2 * margin_px >= min(width_px, height_px):
             raise ValueError("margins leave no drawing area")
+        object.__setattr__(self, "width_px", width_px)
+        object.__setattr__(self, "height_px", height_px)
+        object.__setattr__(self, "margin_px", margin_px)
+        object.__setattr__(self, "log_x", log_x)
 
 
 def _plotted(d: PolynomialDiagram, spec: RenderSpec) -> Iterator[tuple[int, int, int]]:

@@ -10,29 +10,28 @@ q(q+4) / ((q+3)(q-1)), which decreases strictly toward 1.
 Each operation has one implementation on exact ints, which `table` and
 `diff` run on the twice-areas as they are computed, with no Fraction per
 row: twice_area_sequence yields 2A for each q from ROUTES["general"] (a
-raise from the route comes out as RouteRaised, naming the route and q);
-ratio_pairs reduces each ratio of neighbours by one gcd (_ratio), as the
-halves cancel; differences takes `order` passes of integer subtraction, and
-the result is halved once.  The library functions keep their Fraction
-results, built from those same ints: area_sequence halves each twice-area
-by half_pair, ratio_sequence cross-multiplies each pair of neighbours into
-_ratio, and finite_difference puts the values on their least common
-denominator (2 for an area sequence) first.  Ratios with a zero predecessor
-(the q = 1 entry) are carried as None markers so indices stay aligned with
-q.
+raise from the route, or a value that is not an int, comes out as
+RouteRaised, naming the route and q); ratio_pairs reduces each ratio of
+neighbours by one gcd (_ratio), as the halves cancel; differences takes
+`order` passes of integer subtraction, and the result is halved once.  The
+library functions keep their Fraction results, built from those same ints:
+area_sequence halves each twice-area by half_pair, ratio_sequence
+cross-multiplies each pair of neighbours into _ratio, and finite_difference
+puts the values on their least common denominator (2 for an area sequence)
+first.  Ratios with a zero predecessor (the q = 1 entry) are carried as
+None markers so indices stay aligned with q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, pairwise, repeat
+from itertools import groupby, islice, pairwise, repeat
 from math import gcd, lcm
 from operator import length_hint, sub
 from typing import Iterable, Iterator
 
-from .areas import ROUTES, half_pair
-from .core import build_polynomial
+from .areas import ROUTES, RouteRaised, half_pair
+from .core import Record, build_polynomial
 
 __all__ = [
     "AreaSequence",
@@ -44,18 +43,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AreaSequence:
+class AreaSequence(Record):
     """Areas of the (k, n) family at q = q_start, q_start+1, ..."""
 
+    __slots__ = __match_args__ = ("k", "n", "q_start", "values")
     k: int
     n: int
     q_start: int
     values: tuple[Fraction, ...]
 
+    def __init__(self, k: int, n: int, q_start: int, values: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q_start", q_start)
+        object.__setattr__(self, "values", values)
 
-@dataclass(frozen=True)
-class SequenceReport:
+
+class SequenceReport(Record):
     """Ratio and difference diagnostics for an area sequence.
 
     monotone_decreasing holds only when at least two defined ratios exist
@@ -64,11 +68,22 @@ class SequenceReport:
     when no ratio is defined.
     """
 
+    __slots__ = __match_args__ = ("ratios", "differences", "difference_order",
+                                  "monotone_decreasing", "distance_to_limit")
     ratios: tuple[Fraction | None, ...]
     differences: tuple[Fraction, ...]
     difference_order: int
     monotone_decreasing: bool
     distance_to_limit: Fraction | None
+
+    def __init__(self, ratios: tuple[Fraction | None, ...], differences: tuple[Fraction, ...],
+                 difference_order: int, monotone_decreasing: bool,
+                 distance_to_limit: Fraction | None) -> None:
+        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "differences", differences)
+        object.__setattr__(self, "difference_order", difference_order)
+        object.__setattr__(self, "monotone_decreasing", monotone_decreasing)
+        object.__setattr__(self, "distance_to_limit", distance_to_limit)
 
 
 def area_sequence(k: int, n: int, q_from: int, q_to: int) -> AreaSequence:
@@ -78,35 +93,41 @@ def area_sequence(k: int, n: int, q_from: int, q_to: int) -> AreaSequence:
     return AreaSequence(k=k, n=n, q_start=q_from, values=values)
 
 
-class RouteRaised(Exception):
-    """A route raised where a sequence applied it; the text names the route, the raise and q."""
-
-
 def twice_area_sequence(k: int, n: int, q_from: int, q_to: int) -> Iterator[int]:
     """Twice the area at q = q_from..q_to, exact ints from ROUTES["general"], computed as read.
 
     The range is refused, if at all, by this call, before any route runs.  A
-    raise from the route is raised again as RouteRaised, at the q it raised at.
+    raise from the route, or a value that is not an int, is raised as
+    RouteRaised at the q it came from.
     """
     check_range(k, n, q_from, q_to)
     qs = iter(range(q_from, q_to + 1))
     values = map(ROUTES["general"].twice_area, qs, repeat(n), repeat(k))
-    return _naming_raises("general", values, qs, q_to)
+    return _naming_faults("general", values, qs, q_to)
 
 
-def _naming_raises(name: str, values: Iterator[int], qs: Iterator[int], q_to: int) -> Iterator[int]:
-    """Yield from `values`, route `name` applied to each q of `qs`; a raise becomes RouteRaised.
+def _naming_faults(name: str, values: Iterator[int], qs: Iterator[int], q_to: int) -> Iterator[int]:
+    """Yield from `values`, route `name` applied to each q of `qs`, while each is an int.
 
-    `yield from` passes each value through this one generator, with no
-    Python call per value (about 20 ns each on CPython 3.11).  `map` takes
-    each q from `qs` before it calls the route, so the q that raised is the
-    last one taken: q_to less the number still to come.
+    A raise, or the first value whose type is not int, becomes RouteRaised.
+    groupby passes the values on in runs of one type, in C, and `yield from`
+    passes each run through this one generator, so a value costs no Python
+    call (groupby adds about 17 ns to each on CPython 3.11).  `map` takes
+    each q from `qs` before it calls the route, so the q of the value last
+    read is the last one taken: q_to less the number still to come.
     """
     try:
-        yield from values
+        for kind, run in groupby(values, type):
+            if kind is not int:  # as `area` fails it: a float, a Fraction or a bool
+                break
+            yield from run
+        else:
+            return
     except Exception as exc:  # any raise is the route's fault, as in cross_check
         q = q_to - length_hint(qs)
         raise RouteRaised(f"route {name!r} raised {type(exc).__name__}: {exc} at q = {q}") from exc
+    q = q_to - length_hint(qs)
+    raise RouteRaised(f"route {name!r} returned {kind.__name__}, not an int at q = {q}")
 
 
 def check_range(k: int, n: int, q_from: int, q_to: int) -> None:

@@ -19,13 +19,12 @@ into a tuple both walks read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Any, Callable, NamedTuple
 
 from .areas import ROUTES, AreaCrossCheck, NotAnInt, area_general, cross_check
-from .core import PolynomialDiagram, SpecialPolynomial, VertexCycle, validate_diagram
+from .core import PolynomialDiagram, Record, SpecialPolynomial, VertexCycle, validate_diagram
 from .formats import int_text
 
 __all__ = [
@@ -50,15 +49,22 @@ GOLDEN_QUADRATIC_ROWS: tuple[tuple[int, Fraction, str], ...] = (
 _GOLDEN_RATIO_TOLERANCE = Fraction(5, 100)
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(Record):
     """One failed exact check, with both sides rendered in the detail."""
 
+    __slots__ = __match_args__ = ("q", "n", "k", "check", "detail")
     q: int
     n: int
     k: int
     check: str
     detail: str
+
+    def __init__(self, q: int, n: int, k: int, check: str, detail: str) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "detail", detail)
 
 
 # A point's inputs, by index: its AreaCrossCheck, the slab sum's twice-area, (2A(n),
@@ -127,16 +133,32 @@ _TABLE: tuple[_Check, ...] = (
 CHECKS: tuple[str, ...] = tuple(check.name for check in _TABLE)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Deterministic summary of a full grid sweep; `tally` counts the runs of each check."""
+class VerificationReport(Record):
+    """Deterministic summary of a full grid sweep; `tally` counts the runs of each check.
 
+    Its hash leaves out the tally, a dict, so a report is hashable.
+    """
+
+    __slots__ = __match_args__ = ("q_max", "n_max", "k_max", "tally", "failures",
+                                  "golden_problems")
     q_max: int
     n_max: int
     k_max: int
-    tally: dict[str, int] = field(hash=False)
+    tally: dict[str, int]
     failures: tuple[CheckFailure, ...]
     golden_problems: tuple[str, ...]
+
+    def __init__(self, q_max: int, n_max: int, k_max: int, tally: dict[str, int],
+                 failures: tuple[CheckFailure, ...], golden_problems: tuple[str, ...]) -> None:
+        object.__setattr__(self, "q_max", q_max)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "tally", tally)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "golden_problems", golden_problems)
+
+    def __hash__(self) -> int:
+        return hash((self.q_max, self.n_max, self.k_max, self.failures, self.golden_problems))
 
     @property
     def points(self) -> int:

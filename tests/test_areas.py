@@ -202,6 +202,15 @@ class TestPick:
         with pytest.raises(ValueError, match="down by one"):
             lattice_counts(d)
 
+    def test_a_huge_bad_edge_is_named_under_the_lowest_digit_cap(self, digit_cap):
+        x = 10**700
+        d = PolynomialDiagram(((x, 0), (x, 3), (x + 1, 1), (x + 5, 0)), build_polynomial(2, 0, 2))
+        with digit_cap(640):
+            raised = cross_check(d.source, d).raised
+        x_text = "1" + "0" * 700
+        assert raised == {"pick": f"ValueError: chain edge ({x_text}, 3) -> ({x_text[:-1]}1, 1) "
+                                  "does not step right and down by one"}
+
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -393,6 +393,35 @@ def test_area_fails_a_route_that_returns_a_float_like_one_that_raises(capsys, of
     assert err == "error: route 'general' returned float, not an int\n"
 
 
+def general_returning_float_from(from_q: int):
+    """ROUTES["general"] returning its exact value as a float from q = from_q on."""
+    general = areas.ROUTES["general"]
+
+    def floating(q, n, k):
+        twice = general.twice_area(q, n, k)
+        return float(twice) if q >= from_q else twice
+
+    return mock.patch.dict(areas.ROUTES, general=general._replace(twice_area=floating))
+
+
+@pytest.mark.parametrize("command", ["table", "diff"])
+def test_table_and_diff_fail_a_route_that_returns_a_float_naming_it_and_q(capsys, command):
+    with general_returning_float_from(5):
+        code, out, err = run_cli(capsys, command, "--q-to", "8")
+    assert (code, out) == (1, "")  # the float comes before the first chunk is complete
+    assert err == "error: route 'general' returned float, not an int at q = 5\n"
+
+
+def test_table_keeps_the_chunks_written_before_a_float(capsys):
+    _, clean, _ = run_cli(capsys, "table", "--q-to", "600")
+    with general_returning_float_from(400):
+        code, out, err = run_cli(capsys, "table", "--q-to", "600")
+    assert code == 1
+    assert err == "error: route 'general' returned float, not an int at q = 400\n"
+    assert clean.startswith(out)
+    assert len(out.splitlines()) == CHUNK_ROWS
+
+
 @contextmanager
 def unlimited_int_digits():
     """Lift the int<->str digit cap (Python >= 3.11) while comparing huge values."""
@@ -525,8 +554,9 @@ def test_digits_past_the_limit_are_refused_before_any_work(command, digits):
     out, err = io.StringIO(), io.StringIO()
     work = mock.Mock(side_effect=AssertionError("work started"))
     with contextlib.ExitStack() as stack:
-        for name in ("build_polynomial", "twice_area_sequence"):
-            stack.enter_context(mock.patch.object(cli, name, work))
+        stack.enter_context(mock.patch.object(cli, "build_polynomial", work))
+        # cli imports the sequences module's function inside the command that runs it
+        stack.enter_context(mock.patch("polydiagram.sequences.twice_area_sequence", work))
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
         code = main([*DIGIT_COMMANDS[command], "--digits", str(digits)])

@@ -54,3 +54,16 @@ def test_no_module_imports_a_private_name_of_another(path):
         if alias.name.startswith("_")
     ]
     assert imports == []
+
+
+def test_package_names_are_their_modules_objects_and_listed_by_dir():
+    # the package imports each name from the module that exports it, on first use
+    homes = {name: module for module in MODULES[1:]
+             for name in importlib.import_module(module).__all__}
+    for name in set(polydiagram.__all__) - {"__version__"}:
+        assert getattr(polydiagram, name) is getattr(importlib.import_module(homes[name]), name)
+    public = {name for name in dir(polydiagram) if not name.startswith("_")}
+    assert set(polydiagram.__all__) - public == {"__version__"}
+    assert public - set(polydiagram.__all__) <= {name.rpartition(".")[2] for name in MODULES}
+    with pytest.raises(AttributeError, match="has no attribute 'missing'"):
+        polydiagram.missing
