@@ -14,38 +14,6 @@ reads.
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "DEFAULT_DIGITS",
-    "ROUTES",
-    "AreaCrossCheck",
-    "AreaSequence",
-    "CheckFailure",
-    "DiagramDiagnostics",
-    "PolynomialDiagram",
-    "RenderSpec",
-    "SequenceReport",
-    "SpecialPolynomial",
-    "VerificationReport",
-    "area_closed_form",
-    "area_general",
-    "area_pick",
-    "area_sequence",
-    "area_shoelace",
-    "build_diagram",
-    "build_polynomial",
-    "convergence_report",
-    "cross_check",
-    "diagram_svg",
-    "finite_difference",
-    "format_decimal",
-    "lattice_counts",
-    "ratio_sequence",
-    "rational_from_json",
-    "run_grid_verification",
-    "validate_diagram",
-]
-
 # The module that defines each exported name.
 _HOMES = {
     name: module
@@ -62,6 +30,9 @@ _HOMES = {
     }.items()
     for name in names
 }
+
+# _HOMES's names, in that order, after __version__.
+__all__ = ["__version__", *_HOMES]
 
 
 def __getattr__(name: str) -> object:

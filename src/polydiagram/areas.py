@@ -6,10 +6,10 @@ cycle, and lattice-point counting through Pick's relation A = I + B/2 - 1)
 must all give the same twice-area 2A = 2I + B - 2, an exact int.  ROUTES
 holds each route's own function, once, in the order documents list them:
 the formula routes read (q, n, k) and the oracles one walk of the cycle.
-route_twice_area runs one route, and route_area, which each public area
-function runs, halves its int to a Fraction, or raises NotAnInt for any
-other value; AreaCrossCheck compares the ints, and records a route that
-raises as that route's failure.
+route_area, which each public area function runs, runs one route and
+halves its int to a Fraction, or raises NotAnInt for any other value;
+AreaCrossCheck compares the ints, records a route that raises as that
+route's failure, and agrees only when every route returned an int.
 The closed form costs O(1) big-integer operations and every other route O(k)
 of them: the slab sum joins k slab weights by binary splitting, and the
 shoelace sum and the lattice counts do at most one addition per
@@ -99,8 +99,9 @@ class AreaCrossCheck(Record):
 
     @property
     def agree(self) -> bool:
-        """No route raised, and every twice-area present is exactly equal."""
-        return not self.raised and len(set(self.twice_areas.values())) <= 1
+        """No route raised, and every twice-area present is an int, all exactly equal."""
+        twice = self.twice_areas.values()
+        return not self.raised and set(map(type, twice)) <= {int} and len(set(twice)) <= 1
 
 
 def area_closed_form(p: SpecialPolynomial) -> Fraction:
@@ -347,8 +348,20 @@ class RouteRaised(Exception):
 
 
 def route_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> Fraction:
-    """Area of p by route `name`: route_twice_area halved, or NotAnInt naming what it returned."""
-    twice = route_twice_area(name, p, d)
+    """Area of p by route `name`: ROUTES[name] on p's ints, or one walk of its diagram, halved.
+
+    A refused route raises route_refusal's text before any work, and a
+    twice-area that is not an int raises NotAnInt naming its type.  `d` is p's
+    diagram when the caller has built it, else built for a route that reads one.
+    """
+    refusal = route_refusal(name, p)
+    if refusal is not None:
+        raise ValueError(refusal)
+    reads_diagram, twice_area, _ = ROUTES[name]
+    if reads_diagram:
+        twice = twice_area(_walk_cycle((build_diagram(p) if d is None else d).vertices))
+    else:
+        twice = twice_area(p.q, p.n, p.k)
     if type(twice) is not int:  # Fraction(float, 2) would raise, and blame no route
         raise NotAnInt(f"{name} returned {type(twice).__name__}, not an int")
     return Fraction(twice, 2)
@@ -357,21 +370,6 @@ def route_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = No
 def half_pair(twice: int) -> tuple[int, int]:
     """Fraction(twice, 2) as the (num, den) pair of a document cell, in lowest terms, for an int."""
     return (twice, 2) if twice & 1 else (twice >> 1, 1)
-
-
-def route_twice_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> int:
-    """Twice the area of p by route `name`: ROUTES[name] on p's ints, or one walk of its diagram.
-
-    A refused route raises route_refusal's text before any work.  `d` is p's
-    diagram when the caller has built it, else built for a route that reads one.
-    """
-    refusal = route_refusal(name, p)
-    if refusal is not None:
-        raise ValueError(refusal)
-    route = ROUTES[name]
-    if not route.reads_diagram:
-        return route.twice_area(p.q, p.n, p.k)
-    return route.twice_area(_walk_cycle((build_diagram(p) if d is None else d).vertices))
 
 
 def cross_check(

@@ -96,15 +96,14 @@ def cmd_area(args: argparse.Namespace) -> int:
     failed.update((name, f"returned {type(twice).__name__}, not an int")
                   for name, twice in check.twice_areas.items() if type(twice) is not int)
     twice_areas = {name: t for name, t in check.twice_areas.items() if name not in failed}
-    agree = not failed and len(set(twice_areas.values())) <= 1
     rows = [(name, half_pair(twice)) for name, twice in twice_areas.items()]
     _emit(records_document(args.format, ("method", "area"), rows, _params(args), args.digits,
-                           "results", agree=agree))
+                           "results", agree=check.agree))
     for name, text in failed.items():
         print(f"error: route {name!r} {text}", file=sys.stderr)
     if len(set(twice_areas.values())) > 1:
         print("error: area methods disagree", file=sys.stderr)
-    return 0 if agree else 1
+    return 0 if check.agree else 1
 
 
 def cmd_table(args: argparse.Namespace) -> int:

@@ -4,11 +4,12 @@ run_grid_verification walks q = 1..q_max, n = 0..n_max, k = 1..k_max and at
 each point checks every area route against the shoelace oracle, the
 n-1 -> n scaling law, the reduced denominators, and (for q >= 2) the
 diagram's structural invariants.  It also replays the frozen golden rows
-for the degree-2, n=0 family.  A route that raises fails its check against
-the shoelace oracle, and a golden row whose slab sum raises or returns a
-non-int is a problem, so a faulty route ends the sweep with a report, not
-an exception.  Points are visited in (q, n, k) order and failures recorded
-in that order, so reports are deterministic; details write ints by int_text.
+for the degree-2, n=0 family.  A route that raises, or returns a non-int
+(even one equal to the oracle's), fails its check against the shoelace
+oracle, and a golden row whose slab sum raises or returns a non-int is a
+problem, so a faulty route ends the sweep with a report, not an exception.
+Points are visited in (q, n, k) order and failures recorded in that order,
+so reports are deterministic; details write ints by int_text.
 
 Each check is one entry of _TABLE, from which CHECKS, the tally and every
 failure derive.  One comparison per input stands for all the checks that
@@ -93,14 +94,18 @@ def _half(twice: Any) -> str:
 
 
 def _vs_shoelace(route: str) -> _Check:
-    """Route `route` against the shoelace oracle; either one raising fails the check."""
+    """Route `route` against the shoelace oracle; a raise or a non-int from either fails."""
 
     def finding(routes: AreaCrossCheck, k: int) -> str | None:
         twice, lace = routes.twice_areas.get(route), routes.twice_areas.get("shoelace")
         if twice is None or lace is None:
             return "; ".join(f"{name} raised {routes.raised[name]}"
                              for name in (route, "shoelace") if name in routes.raised)
-        return None if twice == lace else f"{route}={_half(twice)} shoelace={_half(lace)}"
+        if twice != lace:
+            return f"{route}={_half(twice)} shoelace={_half(lace)}"
+        return "; ".join(f"{name} returned {type(value).__name__}, not an int"
+                         for name, value in ((route, twice), ("shoelace", lace))
+                         if type(value) is not int) or None
 
     return _Check(f"{route}_vs_shoelace", _ROUTES, route, finding)
 

@@ -193,8 +193,9 @@ def test_a_denominator_past_640_digits_is_written_under_the_lowest_cap(monkeypat
 @pytest.mark.parametrize(
     "offset, failures",
     [
-        # a float equal to the exact value agrees with shoelace, and is not exact
-        (0.0, [("reduced_denominator", "not an exact rational: float")]),
+        # a float equal to the exact value is not an int, and not exact
+        (0.0, [("general_vs_shoelace", "general returned float, not an int"),
+               ("reduced_denominator", "not an exact rational: float")]),
         # one that differs is shown as the route gave it
         (0.5, [("general_vs_shoelace", "general=0.5/2 shoelace=0"),
                ("reduced_denominator", "not an exact rational: float")]),
@@ -217,6 +218,25 @@ def test_a_non_rational_twice_area_fails_reduced_denominator_naming_its_type(
     )
     # stderr names the first failure
     assert "{}: {}".format(*failures[0]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(areas.ROUTES))
+def test_a_route_returning_its_exact_value_as_a_float_fails_naming_it(capsys, name):
+    route = areas.ROUTES[name]
+    floating = route._replace(twice_area=lambda *args: float(route.twice_area(*args)))
+    with mock.patch.dict(areas.ROUTES, {name: floating}):
+        assert not cross_check(build_polynomial(3, 0, 2)).agree
+        report = run_grid_verification(q_max=5, n_max=1, k_max=4)
+        assert main(["verify", "--q-max", "5", "--n-max", "1", "--k-max", "4"]) == 1
+        assert main(["area", "--q", "3", "--k", "2"]) == 1
+    assert f"error: route {name!r} returned float, not an int\n" in capsys.readouterr().err
+    # every comparison the route takes part in fails at every point, naming it
+    checks = [f"{other}_vs_shoelace" for other in areas.ROUTES
+              if other != "shoelace" and name in (other, "shoelace")]
+    detail = f"{name} returned float, not an int"
+    vs_shoelace = [(f.check, f.detail) for f in report.failures if f.check.endswith("_vs_shoelace")]
+    assert set(vs_shoelace) == {(check, detail) for check in checks}
+    assert len(vs_shoelace) == sum(report.tally[check] for check in checks)
 
 
 def test_a_grid_of_only_q_1_points_skips_pick_and_the_structural_checks():
