@@ -6,10 +6,12 @@ cycle, and lattice-point counting through Pick's relation A = I + B/2 - 1)
 must all give the same twice-area 2A = 2I + B - 2, an exact int.  ROUTES
 holds each route's own function, once, in the order documents list them:
 the formula routes read (q, n, k) and the oracles one walk of the cycle.
+route_failure is the one rule for what a route gave: None for an int, else
+the failure text, `raised <Type>: <text>` or `returned <type>, not an int`.
 route_area, which each public area function runs, runs one route and
-halves its int to a Fraction, or raises NotAnInt for any other value;
-AreaCrossCheck compares the ints, records a route that raises as that
-route's failure, and agrees only when every route returned an int.
+halves its int to a Fraction, or raises NotAnInt with that text;
+AreaCrossCheck keeps the ints and each failure text, and agrees only when
+no route failed and every int is the same.
 The closed form costs O(1) big-integer operations and every other route O(k)
 of them: the slab sum joins k slab weights by binary splitting, and the
 shoelace sum and the lattice counts do at most one addition per
@@ -72,6 +74,7 @@ __all__ = [
     "lattice_counts",
     "area_pick",
     "route_refusal",
+    "route_failure",
     "route_area",
     "cross_check",
 ]
@@ -79,18 +82,19 @@ __all__ = [
 class AreaCrossCheck(Record):
     """Twice the area, an int, by every route that applies, keyed by name in ROUTES order.
 
-    A route that raised has no twice-area; `raised` holds its exception's
-    type and text, "ZeroDivisionError: division by zero", under its name.
-    `raised` defaults to a new empty dict.  Unhashable, as it holds dicts.
+    A route that failed has no twice-area; `failed` holds route_failure's
+    text under its name, "raised ZeroDivisionError: division by zero" or
+    "returned float, not an int".  `failed` defaults to a new empty dict.
+    Unhashable, as it holds dicts.
     """
 
-    __slots__ = __match_args__ = ("twice_areas", "raised")
+    __slots__ = __match_args__ = ("twice_areas", "failed")
     twice_areas: dict[str, int]
-    raised: dict[str, str]
+    failed: dict[str, str]
 
-    def __init__(self, twice_areas: dict[str, int], raised: dict[str, str] | None = None) -> None:
+    def __init__(self, twice_areas: dict[str, int], failed: dict[str, str] | None = None) -> None:
         object.__setattr__(self, "twice_areas", twice_areas)
-        object.__setattr__(self, "raised", {} if raised is None else raised)
+        object.__setattr__(self, "failed", {} if failed is None else failed)
 
     @property
     def areas(self) -> dict[str, Fraction]:
@@ -99,9 +103,8 @@ class AreaCrossCheck(Record):
 
     @property
     def agree(self) -> bool:
-        """No route raised, and every twice-area present is an int, all exactly equal."""
-        twice = self.twice_areas.values()
-        return not self.raised and set(map(type, twice)) <= {int} and len(set(twice)) <= 1
+        """No route failed, and the twice-areas hold one distinct value."""
+        return not self.failed and len(set(self.twice_areas.values())) <= 1
 
 
 def area_closed_form(p: SpecialPolynomial) -> Fraction:
@@ -339,31 +342,43 @@ def route_refusal(name: str, p: SpecialPolynomial) -> str | None:
     return None
 
 
+def route_failure(given: object, raised: bool = False) -> str | None:
+    """None when a route gave an int, else its failure text; `raised` when it raised `given`.
+
+    The text is "raised <Type>: <text>" for a raise, and "returned <type>, not
+    an int" for any value that is not an int: a bool, a float equal to the
+    exact value, or an exception object the route returned.  Each caller adds
+    the route's name, and q or the point where it has them.
+    """
+    if raised:
+        return f"raised {type(given).__name__}: {given}"
+    return None if type(given) is int else f"returned {type(given).__name__}, not an int"
+
+
 class NotAnInt(TypeError):
-    """A route returned a twice-area that is not an int, such as a float."""
+    """A route returned a non-int twice-area; the text is the route's name and route_failure's."""
 
 
 class RouteRaised(Exception):
-    """A route raised or returned a non-int in a sequence; the text names the route and q."""
+    """A route failed in a sequence; the text names the route, route_failure's text, and q."""
 
 
 def route_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> Fraction:
     """Area of p by route `name`: ROUTES[name] on p's ints, or one walk of its diagram, halved.
 
-    A refused route raises route_refusal's text before any work, and a
-    twice-area that is not an int raises NotAnInt naming its type.  `d` is p's
+    A refused route raises route_refusal's text before any work, a route that
+    raises raises on, and one that gives a non-int raises NotAnInt.  `d` is p's
     diagram when the caller has built it, else built for a route that reads one.
     """
     refusal = route_refusal(name, p)
     if refusal is not None:
         raise ValueError(refusal)
     reads_diagram, twice_area, _ = ROUTES[name]
-    if reads_diagram:
-        twice = twice_area(_walk_cycle((build_diagram(p) if d is None else d).vertices))
-    else:
-        twice = twice_area(p.q, p.n, p.k)
-    if type(twice) is not int:  # Fraction(float, 2) would raise, and blame no route
-        raise NotAnInt(f"{name} returned {type(twice).__name__}, not an int")
+    walk = _walk_cycle((build_diagram(p) if d is None else d).vertices) if reads_diagram else None
+    twice = twice_area(walk) if reads_diagram else twice_area(p.q, p.n, p.k)
+    failure = route_failure(twice)
+    if failure is not None:  # Fraction(float, 2) would raise, and blame no route
+        raise NotAnInt(f"{name} {failure}")
     return Fraction(twice, 2)
 
 
@@ -382,10 +397,11 @@ def cross_check(
     reads p's ints or one walk, shared by the diagram routes and taken only
     when one of them runs, of the cycle of `d`, p's diagram when the caller
     has already built it.  Disagreement is reported in the record, never
-    raised, and so is a route that raises: it is a fault of that route.
+    raised, and so is a route that raises or gives a non-int: it is a fault
+    of that route, kept in `failed` as route_failure's text.
     """
     twice_areas: dict[str, int] = {}
-    raised: dict[str, str] = {}
+    failed: dict[str, str] = {}
     walk = None
     q, n, k = p.q, p.n, p.k
     for name in ROUTES if names is None else names:
@@ -395,7 +411,12 @@ def cross_check(
         if reads_diagram and walk is None:
             walk = _walk_cycle((build_diagram(p) if d is None else d).vertices)
         try:
-            twice_areas[name] = twice_area(walk) if reads_diagram else twice_area(q, n, k)
+            twice = twice_area(walk) if reads_diagram else twice_area(q, n, k)
+            failure = route_failure(twice)
         except Exception as exc:  # any raise is a failed route, reported like a disagreement
-            raised[name] = f"{type(exc).__name__}: {exc}"
-    return AreaCrossCheck(twice_areas, raised)
+            failure = route_failure(exc, raised=True)
+        if failure is None:
+            twice_areas[name] = twice
+        else:
+            failed[name] = failure
+    return AreaCrossCheck(twice_areas, failed)

@@ -2,12 +2,13 @@
 
 Data documents go to stdout so they can be piped; warnings and failure
 diagnostics go to stderr.  Exit status is 0 for success, 1 for a
-verification or cross-check failure, a route that raises (`area` and
-`verify` run every route through `cross_check`, which records the raise,
-and `area` fails a non-int the same way; `table` and `diff` stop at the
-RouteRaised of `twice_area_sequence`, which names the route, its raise or
-the type it returned, and q) or an SVG that `render --out` cannot write,
-and 2 for a usage error.
+verification or cross-check failure, a failed route (by the one rule of
+areas.route_failure, stated in the README's CLI section: `area` and
+`verify` read it from `cross_check`, and `table` and `diff` stop at the
+RouteRaised of `twice_area_sequence`) or an SVG that `render --out` cannot
+write, 2 for a usage error, and 141 (128 + SIGPIPE, as a shell reports for
+a writer that SIGPIPE ends) when the reader of stdout stops early, as
+`head` does, with nothing on stderr.
 Identical invocations produce byte-identical documents.  A JSON document's
 `params` block is built from the parsed arguments, so each flag is
 declared once, in `build_parser`.
@@ -30,6 +31,7 @@ and `formats`.  `table` and `diff` import `sequences`, `verify` imports
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import count, tee
 from typing import TYPE_CHECKING, Iterable
@@ -55,8 +57,13 @@ def _warn(message: str) -> None:
 
 
 def _emit(chunks: Iterable[str]) -> None:
-    """Write a document to stdout chunk by chunk, as the writer yields them."""
+    """Write a document to stdout chunk by chunk, as the writer yields them, and flush it.
+
+    The flush makes a reader that stopped early raise BrokenPipeError here,
+    for `main` to catch, and not at the interpreter's exit.
+    """
     sys.stdout.writelines(chunks)
+    sys.stdout.flush()
 
 
 def _check_digits(digits: int) -> None:
@@ -91,17 +98,12 @@ def cmd_area(args: argparse.Namespace) -> int:
     if p.degenerate:
         _warn("q = 1 produces a degenerate diagram; every area is 0")
 
-    # a route that returns anything but an int fails like one that raises
-    failed = {name: f"raised {text}" for name, text in check.raised.items()}
-    failed.update((name, f"returned {type(twice).__name__}, not an int")
-                  for name, twice in check.twice_areas.items() if type(twice) is not int)
-    twice_areas = {name: t for name, t in check.twice_areas.items() if name not in failed}
-    rows = [(name, half_pair(twice)) for name, twice in twice_areas.items()]
+    rows = [(name, half_pair(twice)) for name, twice in check.twice_areas.items()]
     _emit(records_document(args.format, ("method", "area"), rows, _params(args), args.digits,
                            "results", agree=check.agree))
-    for name, text in failed.items():
+    for name, text in check.failed.items():
         print(f"error: route {name!r} {text}", file=sys.stderr)
-    if len(set(twice_areas.values())) > 1:
+    if len(set(check.twice_areas.values())) > 1:
         print("error: area methods disagree", file=sys.stderr)
     return 0 if check.agree else 1
 
@@ -306,12 +308,14 @@ def main(argv: list[str] | None = None) -> int:
         if "digits" in vars(args):  # area, table, diff: refuse before any work
             _check_digits(args.digits)
         return args.func(args)
-    except RouteRaised as exc:  # table, diff: a route's fault, not a usage error
+    except BrokenPipeError:  # the reader stopped early, as `head` does: not a failed check
+        # stdout's buffer still holds text, so point its descriptor at os.devnull
+        # for the interpreter's final flush, and exit as SIGPIPE would end a writer
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (RouteRaised, ValueError) as exc:  # a route's fault in table or diff, or a usage error
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, RouteRaised) else 2
 
 
 if __name__ == "__main__":

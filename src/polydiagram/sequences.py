@@ -11,15 +11,16 @@ Each operation has one implementation on exact ints, which `table` and
 `diff` run on the twice-areas as they are computed, with no Fraction per
 row: twice_area_sequence yields 2A for each q from ROUTES["general"] (a
 raise from the route, or a value that is not an int, comes out as
-RouteRaised, naming the route and q); ratio_pairs reduces each ratio of
-neighbours by one gcd (_ratio), as the halves cancel; differences takes
-`order` passes of integer subtraction, and the result is halved once.  The
-library functions keep their Fraction results, built from those same ints:
-area_sequence halves each twice-area by half_pair, ratio_sequence
-cross-multiplies each pair of neighbours into _ratio, and finite_difference
-puts the values on their least common denominator (2 for an area sequence)
-first.  Ratios with a zero predecessor (the q = 1 entry) are carried as
-None markers so indices stay aligned with q.
+RouteRaised with areas.route_failure's text, naming the route and q);
+ratio_pairs reduces each ratio of neighbours by one gcd (_ratio), as the
+halves cancel; differences takes `order` passes of integer subtraction, and
+the result is halved once.  The library functions keep their Fraction
+results, built from those same ints: area_sequence halves each twice-area
+by half_pair, ratio_sequence cross-multiplies each pair of neighbours into
+_ratio, and finite_difference puts the values on their least common
+denominator (2 for an area sequence) first.  Ratios with a zero predecessor
+(the q = 1 entry) are carried as None markers so indices stay aligned with
+q.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import gcd, lcm
 from operator import length_hint, sub
 from typing import Iterable, Iterator
 
-from .areas import ROUTES, RouteRaised, half_pair
+from .areas import ROUTES, RouteRaised, half_pair, route_failure
 from .core import Record, build_polynomial
 
 __all__ = [
@@ -109,25 +110,28 @@ def twice_area_sequence(k: int, n: int, q_from: int, q_to: int) -> Iterator[int]
 def _naming_faults(name: str, values: Iterator[int], qs: Iterator[int], q_to: int) -> Iterator[int]:
     """Yield from `values`, route `name` applied to each q of `qs`, while each is an int.
 
-    A raise, or the first value whose type is not int, becomes RouteRaised.
-    groupby passes the values on in runs of one type, in C, and `yield from`
-    passes each run through this one generator, so a value costs no Python
-    call (groupby adds about 17 ns to each on CPython 3.11).  `map` takes
-    each q from `qs` before it calls the route, so the q of the value last
-    read is the last one taken: q_to less the number still to come.
+    A raise, or the first value route_failure fails, becomes RouteRaised with
+    its text.  groupby passes the values on in runs of one type, in C;
+    route_failure reads the first value of each run, and `yield from` passes
+    the rest through this one generator, so a value costs no Python call
+    (groupby adds about 17 ns to each on CPython 3.11).  `map` takes each q
+    from `qs` before it calls the route, so the q of the value last read is
+    the last one taken: q_to less the number still to come.
     """
+    cause = None
     try:
-        for kind, run in groupby(values, type):
-            if kind is not int:  # as `area` fails it: a float, a Fraction or a bool
+        for _, run in groupby(values, type):
+            failure = route_failure(first := next(run))
+            if failure is not None:
                 break
+            yield first
             yield from run
         else:
             return
     except Exception as exc:  # any raise is the route's fault, as in cross_check
-        q = q_to - length_hint(qs)
-        raise RouteRaised(f"route {name!r} raised {type(exc).__name__}: {exc} at q = {q}") from exc
+        failure, cause = route_failure(exc, raised=True), exc
     q = q_to - length_hint(qs)
-    raise RouteRaised(f"route {name!r} returned {kind.__name__}, not an int at q = {q}")
+    raise RouteRaised(f"route {name!r} {failure} at q = {q}") from cause
 
 
 def check_range(k: int, n: int, q_from: int, q_to: int) -> None:

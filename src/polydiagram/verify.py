@@ -4,10 +4,10 @@ run_grid_verification walks q = 1..q_max, n = 0..n_max, k = 1..k_max and at
 each point checks every area route against the shoelace oracle, the
 n-1 -> n scaling law, the reduced denominators, and (for q >= 2) the
 diagram's structural invariants.  It also replays the frozen golden rows
-for the degree-2, n=0 family.  A route that raises, or returns a non-int
-(even one equal to the oracle's), fails its check against the shoelace
-oracle, and a golden row whose slab sum raises or returns a non-int is a
-problem, so a faulty route ends the sweep with a report, not an exception.
+for the degree-2, n=0 family.  A route that cross_check records as failed
+(see areas.route_failure) fails its check against the shoelace oracle with
+that text, and a golden row whose slab sum fails is a problem, so a faulty
+route ends the sweep with a report, not an exception.
 Points are visited in (q, n, k) order and failures recorded in that order,
 so reports are deterministic; details write ints by int_text.
 
@@ -21,10 +21,9 @@ into a tuple both walks read.
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
 from typing import Any, Callable, NamedTuple
 
-from .areas import ROUTES, AreaCrossCheck, NotAnInt, area_general, cross_check
+from .areas import ROUTES, AreaCrossCheck, NotAnInt, area_general, cross_check, route_failure
 from .core import PolynomialDiagram, Record, SpecialPolynomial, VertexCycle, validate_diagram
 from .formats import int_text
 
@@ -82,45 +81,37 @@ class _Check(NamedTuple):
     finding: Callable[[Any, int], str | None]
 
 
-def _text(value: Rational) -> str:
+def _text(value: Fraction) -> str:
     """str(value), "3" or "5/2", under any int digit cap."""
     num, den = int_text(value.numerator), int_text(value.denominator)
     return num if den == "1" else f"{num}/{den}"
 
 
-def _half(twice: Any) -> str:
-    """A twice-area halved for a detail: exactly when rational, else as the route gave it."""
-    return _text(Fraction(twice, 2)) if isinstance(twice, Rational) else f"{twice!r}/2"
+def _half(twice: int) -> str:
+    """A twice-area halved for a detail."""
+    return _text(Fraction(twice, 2))
 
 
 def _vs_shoelace(route: str) -> _Check:
-    """Route `route` against the shoelace oracle; a raise or a non-int from either fails."""
+    """Route `route` against the shoelace oracle; a failure of either is named with its text."""
 
     def finding(routes: AreaCrossCheck, k: int) -> str | None:
+        failed = [f"{name} {routes.failed[name]}" for name in (route, "shoelace")
+                  if name in routes.failed]
         twice, lace = routes.twice_areas.get(route), routes.twice_areas.get("shoelace")
-        if twice is None or lace is None:
-            return "; ".join(f"{name} raised {routes.raised[name]}"
-                             for name in (route, "shoelace") if name in routes.raised)
-        if twice != lace:
-            return f"{route}={_half(twice)} shoelace={_half(lace)}"
-        return "; ".join(f"{name} returned {type(value).__name__}, not an int"
-                         for name, value in ((route, twice), ("shoelace", lace))
-                         if type(value) is not int) or None
+        return "; ".join(failed) or (
+            None if twice == lace else f"{route}={_half(twice)} shoelace={_half(lace)}")
 
     return _Check(f"{route}_vs_shoelace", _ROUTES, route, finding)
-
-
-def _denominator(twice: Any, k: int) -> str | None:
-    if not isinstance(twice, Rational):
-        return f"not an exact rational: {type(twice).__name__}"
-    half = Fraction(twice, 2)  # the area: its denominator is 1 or 2 exactly when 2A is an int
-    return None if half.denominator <= 2 else f"denominator={_text(half.denominator)}"
 
 
 # Every check a grid point can run, in the order it runs them.
 _TABLE: tuple[_Check, ...] = (
     *(_vs_shoelace(name) for name in ROUTES if name != "shoelace"),
-    _Check("reduced_denominator", _SLAB, None, _denominator),
+    # the area's denominator is 1 or 2 exactly when 2A is an int, so this check cannot
+    # fail while cross_check keeps only int twice-areas (a non-int fails its route's check)
+    _Check("reduced_denominator", _SLAB, None, lambda twice, k: None if
+           (den := Fraction(twice, 2).denominator) <= 2 else f"denominator={int_text(den)}"),
     _Check("scaling_in_n", _SCALING, None, lambda pair, k: None if pair[0] == pair[1] else
            f"area(n)={_half(pair[0])} q*area(n-1)={_half(pair[1])}"),
     _Check("vertex_count", _SHAPE, None, lambda s, k: None if s.vertex_count == k + 2 else
@@ -215,7 +206,7 @@ def _verify_point(q: int, n: int, k: int, below: int | None,
                   seen: dict[tuple, int], failures: list[CheckFailure]) -> int | None:
     """Run each check of _TABLE that applies at one point; return its slab sum's twice-area.
 
-    `below` is that at (q, n - 1, k), None at n = 0 or where it raised; `seen` counts keys.
+    `below` is that at (q, n - 1, k), None at n = 0 or where it failed; `seen` counts keys.
     """
     p = SpecialPolynomial(q, n, k)
     d = PolynomialDiagram(tuple(VertexCycle(q, k, q**n)), p)
@@ -223,9 +214,10 @@ def _verify_point(q: int, n: int, k: int, below: int | None,
     slab = routes.twice_areas.get("general")
     scaling = None if slab is None or below is None else (slab, q * below)
     shape = None if q == 1 else validate_diagram(d)
-    key = (slab is None, scaling is None, shape is None, *routes.twice_areas, *routes.raised)
+    key = (slab is None, scaling is None, shape is None, *routes.twice_areas, *routes.failed)
     seen[key] = seen.get(key, 0) + 1
-    held = (routes.agree, type(slab) is int, scaling is None or scaling[0] == scaling[1],
+    # reduced_denominator holds for every int twice-area (see _TABLE)
+    held = (routes.agree, True, scaling is None or scaling[0] == scaling[1],
             shape is None or shape == (k + 2, False, True, True, True, k == 1))
     if all(held):
         return slab
@@ -251,7 +243,7 @@ def _golden_quadratic_problems() -> list[str]:
         try:
             area, after = (area_general(SpecialPolynomial(r, 0, 2)) for r in (q, q + 1))
         except Exception as exc:  # a slab sum that raises, or returns a non-int, is a problem
-            fault = exc if type(exc) is NotAnInt else f"general raised {type(exc).__name__}: {exc}"
+            fault = exc if type(exc) is NotAnInt else f"general {route_failure(exc, raised=True)}"
             problems.append(f"q={q}: {fault}")
             continue
         if area != expected_area:

@@ -24,7 +24,7 @@ from polydiagram import (
     lattice_counts,
     validate_diagram,
 )
-from polydiagram.areas import route_area, route_refusal
+from polydiagram.areas import route_area, route_failure, route_refusal
 from references import (
     LatticePoint,
     area_closed_form_k2,
@@ -206,10 +206,10 @@ class TestPick:
         x = 10**700
         d = PolynomialDiagram(((x, 0), (x, 3), (x + 1, 1), (x + 5, 0)), build_polynomial(2, 0, 2))
         with digit_cap(640):
-            raised = cross_check(d.source, d).raised
+            failed = cross_check(d.source, d).failed
         x_text = "1" + "0" * 700
-        assert raised == {"pick": f"ValueError: chain edge ({x_text}, 3) -> ({x_text[:-1]}1, 1) "
-                                  "does not step right and down by one"}
+        edge = f"chain edge ({x_text}, 3) -> ({x_text[:-1]}1, 1)"
+        assert failed == {"pick": f"raised ValueError: {edge} does not step right and down by one"}
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     @pytest.mark.parametrize("n", [0, 1, 2])
@@ -257,8 +257,31 @@ class TestRouteGate:
         name = type(returned).__name__
         with pytest.raises(areas.NotAnInt, match=f"^general returned {name}, not an int$"):
             area_general(build_polynomial(2, 0, 3))
-        # cross_check records what the route returned, as it is
-        assert cross_check(build_polynomial(2, 0, 3)).twice_areas["general"] is returned
+        # cross_check records the route's failure, and keeps no twice-area for it
+        check = cross_check(build_polynomial(2, 0, 3))
+        assert check.failed == {"general": f"returned {name}, not an int"}
+        assert "general" not in check.twice_areas and not check.agree
+
+
+@pytest.mark.parametrize(
+    "given, raised, text",
+    [
+        (180, False, None),
+        (-(10**700), False, None),
+        (180.0, False, "returned float, not an int"),
+        (Fraction(180), False, "returned Fraction, not an int"),
+        (True, False, "returned bool, not an int"),
+        (None, False, "returned NoneType, not an int"),
+        (ValueError("no"), False, "returned ValueError, not an int"),
+        (ValueError("no"), True, "raised ValueError: no"),
+        (ZeroDivisionError("by zero"), True, "raised ZeroDivisionError: by zero"),
+    ],
+    ids=["int", "huge-int", "float", "Fraction", "bool", "None", "returned-ValueError",
+         "raised-ValueError", "raised-ZeroDivisionError"],
+)
+def test_route_failure_names_any_result_but_an_int(given, raised, text):
+    # an exception the route returned is a value like any other; only a raise says "raised"
+    assert route_failure(given, raised=raised) == text
 
 
 class TestCrossCheck:
@@ -294,7 +317,7 @@ class TestCrossCheck:
 
         monkeypatch.setitem(ROUTES, "pick", ROUTES["pick"]._replace(twice_area=raising))
         check = cross_check(build_polynomial(5, 0, 3))
-        assert check.raised == {"pick": f"{type(error).__name__}: {error}"}
+        assert check.failed == {"pick": f"raised {type(error).__name__}: {error}"}
         assert check.twice_areas == dict.fromkeys(["closed", "general", "shoelace"], 180)
         assert not check.agree
 

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import polydiagram
 import polydiagram.areas as areas
 import polydiagram.cli as cli
+import polydiagram.sequences as sequences
 from polydiagram.cli import main
 from polydiagram.formats import CHUNK_ROWS, rational_from_json
 
@@ -422,6 +423,68 @@ def test_table_keeps_the_chunks_written_before_a_float(capsys):
     assert len(out.splitlines()) == CHUNK_ROWS
 
 
+def _raising(error: Exception):
+    def raising(q, n, k):
+        raise error
+
+    return raising
+
+
+_GENERAL = areas.ROUTES["general"].twice_area
+
+# Each kind of fault a route can have, as the general route's function, with
+# areas.route_failure's text for it.
+ROUTE_FAULTS = {
+    "raise-ValueError": (_raising(ValueError("no")), "raised ValueError: no"),
+    "raise-ZeroDivisionError": (_raising(ZeroDivisionError("division by zero")),
+                                "raised ZeroDivisionError: division by zero"),
+    "float": (lambda q, n, k: float(_GENERAL(q, n, k)), "returned float, not an int"),
+    "Fraction": (lambda q, n, k: Fraction(_GENERAL(q, n, k)), "returned Fraction, not an int"),
+    "bool": (lambda q, n, k: True, "returned bool, not an int"),
+    "None": (lambda q, n, k: None, "returned NoneType, not an int"),
+    "str": (lambda q, n, k: str(_GENERAL(q, n, k)), "returned str, not an int"),
+    # an exception the route returns is a value, not a raise
+    "returned-ValueError": (lambda q, n, k: ValueError("no"), "returned ValueError, not an int"),
+}
+
+FAULT_COMMANDS = {
+    "area": ("area", "--q", "5", "--k", "3"),
+    "verify": ("verify", "--q-max", "2", "--n-max", "1", "--k-max", "2"),
+    "table": ("table", "--q-to", "8"),
+    "diff": ("diff", "--q-to", "8"),
+}
+
+
+@pytest.mark.parametrize("command", list(FAULT_COMMANDS))
+@pytest.mark.parametrize("fault", list(ROUTE_FAULTS))
+def test_a_route_fault_fails_each_command_with_its_text(capsys, fault, command):
+    twice_area, text = ROUTE_FAULTS[fault]
+    general = areas.ROUTES["general"]._replace(twice_area=twice_area)
+    with mock.patch.dict(areas.ROUTES, general=general):
+        code, out, err = run_cli(capsys, *FAULT_COMMANDS[command])
+    assert code == 1
+    if command == "verify":
+        document = json.loads(out)
+        assert {f["detail"] for f in document["failures"]} == {f"general {text}"}
+        assert document["golden_quadratic"]["problems"] == [
+            f"q={q}: general {text}" for q in (2, 3, 4, 5, 6, 16)
+        ]
+        first = "error: verification failed at (q=1, n=0, k=1): general_vs_shoelace: general "
+        assert err.startswith(f"{first}{text}\n")
+    else:  # area names the route; table and diff add the first q of their range
+        assert err == f"error: route 'general' {text}{'' if command == 'area' else ' at q = 2'}\n"
+
+
+@pytest.mark.parametrize("command", ["table", "diff"])
+def test_a_passing_table_or_diff_reads_the_route_failure_rule_once(monkeypatch, capsys, command):
+    # once for the one run of ints, not once per row
+    calls = []
+    monkeypatch.setattr(sequences, "route_failure",
+                        lambda *args: calls.append(args) or areas.route_failure(*args))
+    assert run_cli(capsys, command, "--q-to", "1000")[0] == 0
+    assert len(calls) == 1
+
+
 @contextmanager
 def unlimited_int_digits():
     """Lift the int<->str digit cap (Python >= 3.11) while comparing huge values."""
@@ -718,3 +781,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "general,16/1,16" in proc.stdout
+
+
+def test_a_reader_that_stops_early_ends_the_command_with_status_141():
+    # 128 + SIGPIPE, the status a shell reports for a writer that SIGPIPE ends,
+    # and no traceback: the reader, not a check, stopped the document
+    package_root = str(Path(polydiagram.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "polydiagram", "table", "--q-to", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    ) as proc:
+        assert proc.stdout.readline() == b"q,area,area_decimal,ratio,ratio_decimal\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""

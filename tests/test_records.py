@@ -35,10 +35,10 @@ RECORDS = {
         "source=SpecialPolynomial(q=2, n=0, k=3))",
     ),
     "AreaCrossCheck": (
-        lambda: AreaCrossCheck({"closed": 15, "pick": 15}, {"general": "ValueError: no"}),
-        ("twice_areas", "raised"),
+        lambda: AreaCrossCheck({"closed": 15, "pick": 15}, {"general": "raised ValueError: no"}),
+        ("twice_areas", "failed"),
         "AreaCrossCheck(twice_areas={'closed': 15, 'pick': 15}, "
-        "raised={'general': 'ValueError: no'})",
+        "failed={'general': 'raised ValueError: no'})",
     ),
     "AreaSequence": (
         lambda: AreaSequence(k=2, n=0, q_start=2, values=(Fraction(5, 2), Fraction(6))),
@@ -160,9 +160,9 @@ def test_validation_texts(make, error, text):
     assert str(info.value) == text
 
 
-def test_a_cross_check_defaults_to_a_new_empty_raised_dict():
+def test_a_cross_check_defaults_to_a_new_empty_failed_dict():
     first, second = AreaCrossCheck({"closed": 15}), AreaCrossCheck({"closed": 15})
-    assert first.raised == {} and first.raised is not second.raised
+    assert first.failed == {} and first.failed is not second.failed
 
 
 def test_a_reports_hash_leaves_out_its_tally():

@@ -159,65 +159,49 @@ def test_a_half_unit_fault_fails_its_check_at_every_point(monkeypatch):
     assert "reduced_denominator" not in {f.check for f in report.failures}
 
 
-def test_a_non_integer_twice_area_fails_reduced_denominator(monkeypatch):
+@pytest.mark.parametrize(
+    "offset",
+    [
+        0.0,  # a float equal to the exact value is not an int
+        0.5,  # and one that differs is named the same way, not compared
+        Fraction(1, 3),  # nor is an exact rational that is not an int
+    ],
+    ids=["float-equal", "float-unequal", "Fraction"],
+)
+def test_a_non_int_twice_area_fails_only_its_check_against_shoelace(capsys, offset):
     general = areas.ROUTES["general"]
-    broken = general._replace(
-        twice_area=lambda q, n, k: general.twice_area(q, n, k) + Fraction(1, 3)
+    convert = float if type(offset) is float else Fraction
+    returning = general._replace(
+        twice_area=lambda q, n, k: convert(general.twice_area(q, n, k)) + offset
     )
-    monkeypatch.setitem(areas.ROUTES, "general", broken)
-    report = run_grid_verification(q_max=1, n_max=0, k_max=1)
-    assert [(f.check, f.detail) for f in report.failures] == [
-        ("general_vs_shoelace", "general=1/6 shoelace=0"),
-        ("reduced_denominator", "denominator=6"),
-    ]
+    fault = f"general returned {type(offset).__name__}, not an int"
+    with mock.patch.dict(areas.ROUTES, general=returning):
+        report = run_grid_verification(q_max=1, n_max=0, k_max=1)
+        assert main(["verify", "--q-max", "1", "--n-max", "0", "--k-max", "1"]) == 1
+    # cross_check keeps no twice-area for it, so the checks that read one do not run
+    assert [(f.check, f.detail) for f in report.failures] == [("general_vs_shoelace", fault)]
+    assert report.tally["reduced_denominator"] == 0
+    # the golden rows name what the route returned; it did not raise
+    assert report.golden_problems == tuple(f"q={q}: {fault}" for q in (2, 3, 4, 5, 6, 16))
+    # stderr names the first failure
+    assert f"general_vs_shoelace: {fault}" in capsys.readouterr().err
 
 
-def test_a_denominator_past_640_digits_is_written_under_the_lowest_cap(monkeypatch, digit_cap):
+def test_a_value_past_640_digits_is_written_under_the_lowest_cap(monkeypatch, digit_cap):
+    # an int route off by 10^700 at every point: the detail and the golden
+    # problem each write an area of 700 digits through int_text
     general = areas.ROUTES["general"]
-    broken = general._replace(
-        twice_area=lambda q, n, k: general.twice_area(q, n, k) + Fraction(1, 10**700)
-    )
+    broken = general._replace(twice_area=lambda q, n, k: general.twice_area(q, n, k) + 10**700)
     monkeypatch.setitem(areas.ROUTES, "general", broken)
     with digit_cap(640):
         report = run_grid_verification(q_max=1, n_max=0, k_max=1)
     with digit_cap(0):
-        den = str(2 * 10**700)
+        half = str(10**700 // 2)
+        golden = str(10**700 + 5) + "/2"  # 2A at q = 2, k = 2 is 5
     assert [(f.check, f.detail) for f in report.failures] == [
-        ("general_vs_shoelace", f"general=1/{den} shoelace=0"),
-        ("reduced_denominator", f"denominator={den}"),
+        ("general_vs_shoelace", f"general={half} shoelace=0"),
     ]
-    # the golden rows name the Fraction the route returned
-    assert report.golden_problems[0] == "q=2: general returned Fraction, not an int"
-
-
-@pytest.mark.parametrize(
-    "offset, failures",
-    [
-        # a float equal to the exact value is not an int, and not exact
-        (0.0, [("general_vs_shoelace", "general returned float, not an int"),
-               ("reduced_denominator", "not an exact rational: float")]),
-        # one that differs is shown as the route gave it
-        (0.5, [("general_vs_shoelace", "general=0.5/2 shoelace=0"),
-               ("reduced_denominator", "not an exact rational: float")]),
-    ],
-)
-def test_a_non_rational_twice_area_fails_reduced_denominator_naming_its_type(
-    capsys, offset, failures
-):
-    general = areas.ROUTES["general"]
-    floating = general._replace(
-        twice_area=lambda q, n, k: float(general.twice_area(q, n, k)) + offset
-    )
-    with mock.patch.dict(areas.ROUTES, general=floating):
-        report = run_grid_verification(q_max=1, n_max=0, k_max=1)
-        assert main(["verify", "--q-max", "1", "--n-max", "0", "--k-max", "1"]) == 1
-    assert [(f.check, f.detail) for f in report.failures] == failures
-    # the golden rows name what the route returned; it did not raise
-    assert report.golden_problems == tuple(
-        f"q={q}: general returned float, not an int" for q in (2, 3, 4, 5, 6, 16)
-    )
-    # stderr names the first failure
-    assert "{}: {}".format(*failures[0]) in capsys.readouterr().err
+    assert report.golden_problems[0] == f"q=2: area {golden} != 5/2"
 
 
 @pytest.mark.parametrize("name", list(areas.ROUTES))
@@ -298,6 +282,18 @@ def test_a_passing_grid_builds_no_fraction_per_point(monkeypatch):
         counts.append((report.points, built))
     assert counts[0][0] == 1 and counts[1][0] == 24
     assert counts[0][1] == counts[1][1] > 0
+
+
+def test_a_passing_grid_reads_the_route_failure_rule_once_per_route_run(monkeypatch):
+    original, calls = areas.route_failure, []
+    monkeypatch.setattr(areas, "route_failure",
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    report = run_grid_verification(q_max=3, n_max=1, k_max=4)
+    assert report.passed
+    # closed, general and shoelace at every point, Pick at q >= 2, and two
+    # slab sums for each golden row
+    golden = 2 * len(verify.GOLDEN_QUADRATIC_ROWS)
+    assert len(calls) == 3 * report.points + report.pick_checks + golden
 
 
 def test_a_raising_slab_sum_fails_its_check_and_skips_only_the_checks_that_read_it(monkeypatch):
