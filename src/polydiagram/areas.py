@@ -79,7 +79,7 @@ __all__ = [
     "cross_check",
 ]
 
-class AreaCrossCheck(Record):
+class AreaCrossCheck(Record, defaults={"failed": dict}):
     """Twice the area, an int, by every route that applies, keyed by name in ROUTES order.
 
     A route that failed has no twice-area; `failed` holds route_failure's
@@ -91,10 +91,6 @@ class AreaCrossCheck(Record):
     __slots__ = __match_args__ = ("twice_areas", "failed")
     twice_areas: dict[str, int]
     failed: dict[str, str]
-
-    def __init__(self, twice_areas: dict[str, int], failed: dict[str, str] | None = None) -> None:
-        object.__setattr__(self, "twice_areas", twice_areas)
-        object.__setattr__(self, "failed", {} if failed is None else failed)
 
     @property
     def areas(self) -> dict[str, Fraction]:

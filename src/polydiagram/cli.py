@@ -8,7 +8,7 @@ areas.route_failure, stated in the README's CLI section: `area` and
 RouteRaised of `twice_area_sequence`) or an SVG that `render --out` cannot
 write, 2 for a usage error, and 141 (128 + SIGPIPE, as a shell reports for
 a writer that SIGPIPE ends) when the reader of stdout stops early, as
-`head` does, with nothing on stderr.
+`head` does, or is gone before --help is flushed, with nothing on stderr.
 Identical invocations produce byte-identical documents.  A JSON document's
 `params` block is built from the parsed arguments, so each flag is
 declared once, in `build_parser`.
@@ -303,8 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # after --help, whose text may still sit in stdout's buffer
+            sys.stdout.flush()
+            raise
         if "digits" in vars(args):  # area, table, diff: refuse before any work
             _check_digits(args.digits)
         return args.func(args)

@@ -20,8 +20,8 @@ verify sweep does to regenerate each small cycle once for its two readers.
 The package's records (SpecialPolynomial, VertexCycle and
 PolynomialDiagram here, and those of the other modules) are slotted classes
 on Record, not frozen dataclasses: importing `dataclasses`, with `inspect`,
-took 6-11 ms of every CLI call's start on Python 3.11.  Each sets its
-fields once in its own __init__, and Record gives it a frozen dataclass's
+took 6-11 ms of every CLI call's start on Python 3.11.  Record compiles
+each one's __init__ from its __slots__, and gives it a frozen dataclass's
 immutability, equality, hashing, repr and pickling.  DiagramDiagnostics is
 a NamedTuple.
 
@@ -51,16 +51,44 @@ __all__ = [
 class Record:
     """Base of the package's immutable records, whose fields are the subclass's __slots__.
 
-    Each subclass's own __init__ validates its arguments and sets each field
-    once, by object.__setattr__; from then on assigning or deleting any
-    attribute raises AttributeError.  A record equals another of the same
-    class whose fields are equal, hashes by its fields, shows as
-    Name(field=value, ...), and pickles and copies by calling its class
-    with its fields in order, which validates them again.  A subclass that
-    holds a dict is unhashable, as hashing the dict raises TypeError.
+    Each subclass gets an __init__ compiled from its __slots__ (see
+    __init_subclass__), which sets each field once; from then on assigning
+    or deleting any attribute raises AttributeError.  A record equals
+    another of the same class whose fields are equal, hashes by its fields,
+    shows as Name(field=value, ...), and pickles and copies by calling its
+    class with its fields in order, which validates them again.  A subclass
+    that holds a dict is unhashable, as hashing the dict raises TypeError.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, defaults: dict[str, object] | None = None, **kwargs: object) -> None:
+        """Compile cls.__init__(self, <each field of __slots__, in order>).
+
+        `defaults` maps the last fields to their defaults; a class given as
+        a default, such as dict, makes the parameter default to None, which
+        stands for a new instance of that class.  The __init__ first calls
+        the subclass's static _validate, if it has one, with every field,
+        and then stores each field through its slot's own setter, one
+        statement per field, bypassing Record.__setattr__.  Its def is
+        compiled inside a `class <Name>:` statement, so that its qualified
+        name, which a wrong argument count names, is <Name>.__init__.
+        """
+        super().__init_subclass__(**kwargs)
+        defaults, fields = defaults or {}, cls.__slots__
+        validate = getattr(cls, "_validate", None)
+        fresh = [name for name, value in defaults.items() if isinstance(value, type)]
+        params = ", ".join(f"{name}=None" if name in fresh else f"{name}=defaults[{name!r}]"
+                           if name in defaults else name for name in fields)
+        body = [*(f"{name} = defaults[{name!r}]() if {name} is None else {name}" for name in fresh),
+                *([f"validate({', '.join(fields)})"] if validate else []),
+                *(f"set_{name}(self, {name})" for name in fields)]
+        namespace = {"__name__": cls.__module__, "defaults": defaults, "validate": validate,
+                     **{f"set_{name}": getattr(cls, name).__set__ for name in fields}}
+        exec(f"class {cls.__name__}:\n def __init__(self, {params}):\n  " + "\n  ".join(body),
+             namespace)
+        cls.__init__ = namespace[cls.__name__].__init__
+        cls.__init__.__annotations__ = {**cls.__annotations__, "return": "None"}
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
@@ -100,7 +128,8 @@ class SpecialPolynomial(Record):
     n: int
     k: int
 
-    def __init__(self, q: int, n: int, k: int) -> None:
+    @staticmethod
+    def _validate(q: int, n: int, k: int) -> None:
         if not (type(q) is type(n) is type(k) is int):
             for name, value in (("q", q), ("n", n), ("k", k)):
                 if isinstance(value, bool) or not isinstance(value, int):
@@ -111,9 +140,6 @@ class SpecialPolynomial(Record):
             raise ValueError(f"n must be a non-negative integer, got {n}")
         if k < 1:
             raise ValueError(f"k must be a positive integer (the degree), got {k}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
 
     @property
     def degenerate(self) -> bool:
@@ -139,11 +165,6 @@ class VertexCycle(Record):
     k: int
     x0: int
 
-    def __init__(self, q: int, k: int, x0: int) -> None:
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "x0", x0)
-
     def __len__(self) -> int:
         return self.k + 2
 
@@ -168,10 +189,6 @@ class PolynomialDiagram(Record):
     __slots__ = __match_args__ = ("vertices", "source")
     vertices: Iterable[tuple[int, int]]
     source: SpecialPolynomial
-
-    def __init__(self, vertices: Iterable[tuple[int, int]], source: SpecialPolynomial) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "source", source)
 
     @property
     def degenerate(self) -> bool:

@@ -33,7 +33,8 @@ from .formats import EXACT, batched, int_text
 __all__ = ["RenderSpec", "diagram_svg"]
 
 
-class RenderSpec(Record):
+class RenderSpec(Record, defaults={"width_px": 640, "height_px": 480, "margin_px": 48,
+                                   "log_x": False}):
     """Pixel geometry and axis mapping for an SVG rendering."""
 
     __slots__ = __match_args__ = ("width_px", "height_px", "margin_px", "log_x")
@@ -42,18 +43,14 @@ class RenderSpec(Record):
     margin_px: int
     log_x: bool
 
-    def __init__(self, width_px: int = 640, height_px: int = 480, margin_px: int = 48,
-                 log_x: bool = False) -> None:
+    @staticmethod
+    def _validate(width_px: int, height_px: int, margin_px: int, log_x: bool) -> None:
         if width_px <= 0 or height_px <= 0:
             raise ValueError("width_px and height_px must be positive")
         if margin_px < 0:
             raise ValueError("margin_px must be non-negative")
         if 2 * margin_px >= min(width_px, height_px):
             raise ValueError("margins leave no drawing area")
-        object.__setattr__(self, "width_px", width_px)
-        object.__setattr__(self, "height_px", height_px)
-        object.__setattr__(self, "margin_px", margin_px)
-        object.__setattr__(self, "log_x", log_x)
 
 
 def _plotted(d: PolynomialDiagram, spec: RenderSpec) -> Iterator[tuple[int, int, int]]:

@@ -53,12 +53,6 @@ class AreaSequence(Record):
     q_start: int
     values: tuple[Fraction, ...]
 
-    def __init__(self, k: int, n: int, q_start: int, values: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q_start", q_start)
-        object.__setattr__(self, "values", values)
-
 
 class SequenceReport(Record):
     """Ratio and difference diagnostics for an area sequence.
@@ -76,15 +70,6 @@ class SequenceReport(Record):
     difference_order: int
     monotone_decreasing: bool
     distance_to_limit: Fraction | None
-
-    def __init__(self, ratios: tuple[Fraction | None, ...], differences: tuple[Fraction, ...],
-                 difference_order: int, monotone_decreasing: bool,
-                 distance_to_limit: Fraction | None) -> None:
-        object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "differences", differences)
-        object.__setattr__(self, "difference_order", difference_order)
-        object.__setattr__(self, "monotone_decreasing", monotone_decreasing)
-        object.__setattr__(self, "distance_to_limit", distance_to_limit)
 
 
 def area_sequence(k: int, n: int, q_from: int, q_to: int) -> AreaSequence:

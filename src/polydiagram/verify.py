@@ -2,9 +2,9 @@
 
 run_grid_verification walks q = 1..q_max, n = 0..n_max, k = 1..k_max and at
 each point checks every area route against the shoelace oracle, the
-n-1 -> n scaling law, the reduced denominators, and (for q >= 2) the
-diagram's structural invariants.  It also replays the frozen golden rows
-for the degree-2, n=0 family.  A route that cross_check records as failed
+n-1 -> n scaling law, and (for q >= 2) the diagram's structural
+invariants.  It also replays the frozen golden rows for the degree-2, n=0
+family.  A route that cross_check records as failed
 (see areas.route_failure) fails its check against the shoelace oracle with
 that text, and a golden row whose slab sum fails is a problem, so a faulty
 route ends the sweep with a report, not an exception.
@@ -59,17 +59,10 @@ class CheckFailure(Record):
     check: str
     detail: str
 
-    def __init__(self, q: int, n: int, k: int, check: str, detail: str) -> None:
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "detail", detail)
 
-
-# A point's inputs, by index: its AreaCrossCheck, the slab sum's twice-area, (2A(n),
-# q*2A(n-1)) from the slab sum and its DiagramDiagnostics, each None where absent.
-_ROUTES, _SLAB, _SCALING, _SHAPE = range(4)
+# A point's inputs, by index: its AreaCrossCheck, (2A(n), q*2A(n-1)) from the slab
+# sum and its DiagramDiagnostics, each None where absent.
+_ROUTES, _SCALING, _SHAPE = range(3)
 
 
 class _Check(NamedTuple):
@@ -108,10 +101,6 @@ def _vs_shoelace(route: str) -> _Check:
 # Every check a grid point can run, in the order it runs them.
 _TABLE: tuple[_Check, ...] = (
     *(_vs_shoelace(name) for name in ROUTES if name != "shoelace"),
-    # the area's denominator is 1 or 2 exactly when 2A is an int, so this check cannot
-    # fail while cross_check keeps only int twice-areas (a non-int fails its route's check)
-    _Check("reduced_denominator", _SLAB, None, lambda twice, k: None if
-           (den := Fraction(twice, 2).denominator) <= 2 else f"denominator={int_text(den)}"),
     _Check("scaling_in_n", _SCALING, None, lambda pair, k: None if pair[0] == pair[1] else
            f"area(n)={_half(pair[0])} q*area(n-1)={_half(pair[1])}"),
     _Check("vertex_count", _SHAPE, None, lambda s, k: None if s.vertex_count == k + 2 else
@@ -143,15 +132,6 @@ class VerificationReport(Record):
     tally: dict[str, int]
     failures: tuple[CheckFailure, ...]
     golden_problems: tuple[str, ...]
-
-    def __init__(self, q_max: int, n_max: int, k_max: int, tally: dict[str, int],
-                 failures: tuple[CheckFailure, ...], golden_problems: tuple[str, ...]) -> None:
-        object.__setattr__(self, "q_max", q_max)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "tally", tally)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "golden_problems", golden_problems)
 
     def __hash__(self) -> int:
         return hash((self.q_max, self.n_max, self.k_max, self.failures, self.golden_problems))
@@ -214,14 +194,13 @@ def _verify_point(q: int, n: int, k: int, below: int | None,
     slab = routes.twice_areas.get("general")
     scaling = None if slab is None or below is None else (slab, q * below)
     shape = None if q == 1 else validate_diagram(d)
-    key = (slab is None, scaling is None, shape is None, *routes.twice_areas, *routes.failed)
+    key = (scaling is None, shape is None, *routes.twice_areas, *routes.failed)
     seen[key] = seen.get(key, 0) + 1
-    # reduced_denominator holds for every int twice-area (see _TABLE)
-    held = (routes.agree, True, scaling is None or scaling[0] == scaling[1],
+    held = (routes.agree, scaling is None or scaling[0] == scaling[1],
             shape is None or shape == (k + 2, False, True, True, True, k == 1))
     if all(held):
         return slab
-    inputs = (routes, slab, scaling, shape)
+    inputs = (routes, scaling, shape)
     for name, reads, _, finding in _applicable(key):
         if not held[reads]:
             detail = finding(inputs[reads], k)
@@ -232,7 +211,7 @@ def _verify_point(q: int, n: int, k: int, below: int | None,
 
 def _applicable(key: tuple) -> tuple[_Check, ...]:
     """The checks that apply under `key`: a route's where it ran, any other where its input is."""
-    absent, ran = (False, *key[:3]), key[3:]
+    absent, ran = (False, *key[:2]), key[2:]
     return tuple(c for c in _TABLE if not absent[c.reads] and (c.route is None or c.route in ran))
 
 

@@ -245,7 +245,7 @@ class TestVerify:
         assert doc["passed"] is True
         assert doc["points"] == 50 * 11 * 12
         assert doc["pick_checks"] == 49 * 11 * 12 == 6468
-        assert doc["checks"] == 64608
+        assert doc["checks"] == 58008
         assert "pick_budget" not in doc["params"]
 
     def test_invalid_bounds_are_usage_errors(self, capsys):
@@ -769,15 +769,19 @@ def test_unknown_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_module_entry_point():
-    # run the package these tests imported, installed or not
+def package_env() -> dict[str, str]:
+    """This environment, with the package these tests imported, installed or not, first on the path."""
     package_root = str(Path(polydiagram.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "polydiagram", "area", "--q", "5", "--k", "2"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=package_env(),
     )
     assert proc.returncode == 0
     assert "general,16/1,16" in proc.stdout
@@ -786,15 +790,35 @@ def test_module_entry_point():
 def test_a_reader_that_stops_early_ends_the_command_with_status_141():
     # 128 + SIGPIPE, the status a shell reports for a writer that SIGPIPE ends,
     # and no traceback: the reader, not a check, stopped the document
-    package_root = str(Path(polydiagram.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     with subprocess.Popen(
         [sys.executable, "-m", "polydiagram", "table", "--q-to", "200000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": path},
+        env=package_env(),
     ) as proc:
         assert proc.stdout.readline() == b"q,area,area_decimal,ratio,ratio_decimal\n"
         proc.stdout.close()
         assert proc.wait(timeout=60) == 141
         assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("argv, status", [(["--help"], 141), (["area", "--help"], 141),
+                                          (["nonsense"], 2)], ids=["help", "area-help", "usage"])
+def test_help_to_a_reader_that_has_gone_ends_with_status_141_from_a_buffered_stdout(argv, status):
+    # with PYTHONUNBUFFERED unset, as in a plain shell, argparse leaves the help
+    # in stdout's buffer; main flushes it, so the closed pipe ends the run there
+    # and not in the interpreter's final flush.  A usage error still exits 2
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: every write to the pipe fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "polydiagram", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == status
+    if status == 141:
+        assert proc.stderr == b""
+    else:
+        assert proc.stderr.startswith(b"usage: polydiagram")

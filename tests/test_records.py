@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -69,6 +70,11 @@ RECORDS = {
 }
 
 UNHASHABLE = {"AreaCrossCheck"}  # it holds dicts
+# The only parameters with defaults: None stands for a new empty dict
+DEFAULTS = {
+    "RenderSpec": {"width_px": 640, "height_px": 480, "margin_px": 48, "log_x": False},
+    "AreaCrossCheck": {"failed": None},
+}
 
 parametrize_records = pytest.mark.parametrize("name", sorted(RECORDS))
 
@@ -83,6 +89,27 @@ def test_fields_are_the_slots_and_the_match_args_in_order(name):
     record = make()
     assert type(record).__slots__ == type(record).__match_args__ == fields
     assert not hasattr(record, "__dict__")
+
+
+@parametrize_records
+def test_the_constructor_takes_the_fields_in_order_with_only_the_declared_defaults(name):
+    cls = type(RECORDS[name][0]())
+    parameters = inspect.signature(cls).parameters.values()
+    assert tuple(p.name for p in parameters) == cls.__slots__
+    assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    assert {p.name: p.default for p in parameters if p.default is not p.empty} == \
+        DEFAULTS.get(name, {})
+
+
+@parametrize_records
+def test_a_wrong_argument_count_names_the_class_constructor(name):
+    cls = type(RECORDS[name][0]())
+    count = len(cls.__slots__)
+    with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) takes .* but {count + 2} were given$"):
+        cls(*range(count + 1))
+    if name not in DEFAULTS:
+        with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) missing 1 required "):
+            cls(*range(count - 1))
 
 
 @parametrize_records

@@ -38,13 +38,12 @@ def test_default_grid_computes_each_slab_sum_once(monkeypatch):
     monkeypatch.setitem(areas.ROUTES, "general", general._replace(twice_area=counting))
     report = run_grid_verification()
     assert report.passed
-    # every point runs the route and denominator checks, n >= 1 the scaling
-    # law, and q >= 2 Pick and the five structural checks
+    # every point runs the route checks, n >= 1 the scaling law, and q >= 2
+    # Pick and the five structural checks
     assert report.tally == {
         "closed_vs_shoelace": 6600,
         "general_vs_shoelace": 6600,
         "pick_vs_shoelace": 6468,
-        "reduced_denominator": 6600,
         "scaling_in_n": 6000,
         "vertex_count": 6468,
         "simple": 6468,
@@ -53,7 +52,7 @@ def test_default_grid_computes_each_slab_sum_once(monkeypatch):
         "chain_structure": 6468,
     }
     assert list(report.tally) == list(verify.CHECKS)
-    assert (report.points, report.checks, report.pick_checks) == (6600, 64608, 6468)
+    assert (report.points, report.checks, report.pick_checks) == (6600, 58008, 6468)
     # one per point, and one per golden-row area or ratio term
     assert calls == 6600 + 12 == 6612
 
@@ -156,7 +155,6 @@ def test_a_half_unit_fault_fails_its_check_at_every_point(monkeypatch):
     assert details[1, 0, 1] == "general=1/2 shoelace=0"
     assert details[2, 0, 2] == "general=3 shoelace=5/2"
     assert details[3, 0, 2] == "general=13/2 shoelace=6"
-    assert "reduced_denominator" not in {f.check for f in report.failures}
 
 
 @pytest.mark.parametrize(
@@ -178,9 +176,8 @@ def test_a_non_int_twice_area_fails_only_its_check_against_shoelace(capsys, offs
     with mock.patch.dict(areas.ROUTES, general=returning):
         report = run_grid_verification(q_max=1, n_max=0, k_max=1)
         assert main(["verify", "--q-max", "1", "--n-max", "0", "--k-max", "1"]) == 1
-    # cross_check keeps no twice-area for it, so the checks that read one do not run
+    # cross_check keeps no twice-area for it, so only its check against shoelace fails
     assert [(f.check, f.detail) for f in report.failures] == [("general_vs_shoelace", fault)]
-    assert report.tally["reduced_denominator"] == 0
     # the golden rows name what the route returned; it did not raise
     assert report.golden_problems == tuple(f"q={q}: {fault}" for q in (2, 3, 4, 5, 6, 16))
     # stderr names the first failure
@@ -231,7 +228,6 @@ def test_a_grid_of_only_q_1_points_skips_pick_and_the_structural_checks():
         "closed_vs_shoelace": 9,
         "general_vs_shoelace": 9,
         "pick_vs_shoelace": 0,
-        "reduced_denominator": 9,
         "scaling_in_n": 6,  # n = 1 and 2
         "vertex_count": 0,
         "simple": 0,
@@ -239,7 +235,7 @@ def test_a_grid_of_only_q_1_points_skips_pick_and_the_structural_checks():
         "convexity": 0,
         "chain_structure": 0,
     }
-    assert (report.points, report.checks, report.pick_checks) == (9, 33, 0)
+    assert (report.points, report.checks, report.pick_checks) == (9, 24, 0)
 
 
 def test_the_one_comparison_per_input_implies_every_finding_on_it_holds():
@@ -257,9 +253,8 @@ def test_the_one_comparison_per_input_implies_every_finding_on_it_holds():
                     if c.reads == verify._ROUTES and c.route in routes.twice_areas]
         assert findings == [None] * (2 + (q >= 2))
         twice = routes.twice_areas["general"]
-        [denominator] = [c for c in table if c.reads == verify._SLAB]
         [scaling] = [c for c in table if c.reads == verify._SCALING]
-        assert denominator.finding(twice, k) is None and scaling.finding((twice, twice), k) is None
+        assert scaling.finding((twice, twice), k) is None
 
 
 def test_a_passing_grid_builds_no_fraction_per_point(monkeypatch):
@@ -306,7 +301,7 @@ def test_a_raising_slab_sum_fails_its_check_and_skips_only_the_checks_that_read_
     assert report.tally["general_vs_shoelace"] == len(report.failures) == 8
     raised = "general raised ZeroDivisionError: division by zero"
     assert {f.detail for f in report.failures} == {raised}
-    assert report.tally["reduced_denominator"] == report.tally["scaling_in_n"] == 0
+    assert report.tally["scaling_in_n"] == 0
     # the other routes and the structural checks still run everywhere they apply
     assert report.tally["closed_vs_shoelace"] == 8 and report.tally["pick_vs_shoelace"] == 4
     assert report.tally["vertex_count"] == 4
