@@ -9,6 +9,8 @@ RouteRaised of `twice_area_sequence`) or an SVG that `render --out` cannot
 write, 2 for a usage error, and 141 (128 + SIGPIPE, as a shell reports for
 a writer that SIGPIPE ends) when the reader of stdout stops early, as
 `head` does, or is gone before --help is flushed, with nothing on stderr.
+Every stderr line of this module goes through _stderr, and `main` flushes
+argparse's, so a reader of stderr that has gone changes no status.
 Identical invocations produce byte-identical documents.  A JSON document's
 `params` block is built from the parsed arguments, so each flag is
 declared once, in `build_parser`.
@@ -34,7 +36,7 @@ import argparse
 import os
 import sys
 from itertools import count, tee
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, TextIO
 
 from .areas import ROUTES, RouteRaised, cross_check, half_pair, route_refusal
 from .core import build_diagram, build_polynomial
@@ -52,8 +54,26 @@ if TYPE_CHECKING:
 __all__ = ["main", "build_parser"]
 
 
+def _devnull(stream: TextIO) -> None:
+    """Point `stream`'s descriptor at os.devnull, so the text its buffer still holds is dropped."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _stderr(text: str) -> None:
+    """Write `text` to stderr and flush it; if its reader has gone, fd 2 is pointed at os.devnull.
+
+    The command then goes on to its own status: a lost warning or error
+    line is not a failed check.
+    """
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except BrokenPipeError:
+        _devnull(sys.stderr)
+
+
 def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
+    _stderr(f"warning: {message}\n")
 
 
 def _emit(chunks: Iterable[str]) -> None:
@@ -102,9 +122,9 @@ def cmd_area(args: argparse.Namespace) -> int:
     _emit(records_document(args.format, ("method", "area"), rows, _params(args), args.digits,
                            "results", agree=check.agree))
     for name, text in check.failed.items():
-        print(f"error: route {name!r} {text}", file=sys.stderr)
+        _stderr(f"error: route {name!r} {text}\n")
     if len(set(check.twice_areas.values())) > 1:
-        print("error: area methods disagree", file=sys.stderr)
+        _stderr("error: area methods disagree\n")
     return 0 if check.agree else 1
 
 
@@ -162,9 +182,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(table_document(args.format, ["key", "value"], _verify_rows(document)))
     if document["first_failure"] is not None:
         message = "verification failed at (q={q}, n={n}, k={k}): {check}: {detail}"
-        print("error: " + message.format_map(document["first_failure"]), file=sys.stderr)
+        _stderr(f"error: {message.format_map(document['first_failure'])}\n")
     for problem in document["golden_quadratic"]["problems"]:
-        print(f"error: golden row mismatch: {problem}", file=sys.stderr)
+        _stderr(f"error: golden row mismatch: {problem}\n")
     return 0 if document["passed"] else 1
 
 
@@ -211,7 +231,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.writelines(diagram_svg(d, spec))
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        _stderr(f"error: cannot write {args.out}: {exc}\n")
         return 1
     return 0
 
@@ -306,19 +326,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-        except SystemExit:  # after --help, whose text may still sit in stdout's buffer
+        except SystemExit:  # after --help or a usage error, whose text may sit in a buffer
+            _stderr("")
             sys.stdout.flush()
             raise
         if "digits" in vars(args):  # area, table, diff: refuse before any work
             _check_digits(args.digits)
         return args.func(args)
-    except BrokenPipeError:  # the reader stopped early, as `head` does: not a failed check
-        # stdout's buffer still holds text, so point its descriptor at os.devnull
-        # for the interpreter's final flush, and exit as SIGPIPE would end a writer
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # stdout's reader stopped early, as `head` does: not a failed check
+        # stdout's buffer still holds text, so drop it for the interpreter's final
+        # flush, and exit as SIGPIPE would end a writer
+        _devnull(sys.stdout)
         return 141
     except (RouteRaised, ValueError) as exc:  # a route's fault in table or diff, or a usage error
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}\n")
         return 1 if isinstance(exc, RouteRaised) else 2
 
 

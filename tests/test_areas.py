@@ -25,6 +25,7 @@ from polydiagram import (
     validate_diagram,
 )
 from polydiagram.areas import route_area, route_failure, route_refusal
+import faults
 from references import (
     LatticePoint,
     area_closed_form_k2,
@@ -249,16 +250,14 @@ class TestRouteGate:
         assert cross_check(p).areas[name] == 0
 
 
-    @pytest.mark.parametrize("returned", [7.5, Fraction(15, 1)], ids=["float", "Fraction"])
-    def test_a_route_that_returns_a_non_int_is_named_not_halved(self, returned, monkeypatch):
+    @pytest.mark.parametrize("name", ["float", "Fraction"])
+    def test_a_route_that_returns_a_non_int_is_named_not_halved(self, name):
         # a float would make Fraction(twice, 2) raise, blaming no route
-        monkeypatch.setitem(ROUTES, "general",
-                            ROUTES["general"]._replace(twice_area=lambda q, n, k: returned))
-        name = type(returned).__name__
-        with pytest.raises(areas.NotAnInt, match=f"^general returned {name}, not an int$"):
-            area_general(build_polynomial(2, 0, 3))
-        # cross_check records the route's failure, and keeps no twice-area for it
-        check = cross_check(build_polynomial(2, 0, 3))
+        with faults.CATALOG[name].inject():
+            with pytest.raises(areas.NotAnInt, match=f"^general returned {name}, not an int$"):
+                area_general(build_polynomial(2, 0, 3))
+            # cross_check records the route's failure, and keeps no twice-area for it
+            check = cross_check(build_polynomial(2, 0, 3))
         assert check.failed == {"general": f"returned {name}, not an int"}
         assert "general" not in check.twice_areas and not check.agree
 
@@ -310,14 +309,12 @@ class TestCrossCheck:
         check = AreaCrossCheck({"general": 5, "shoelace": 6})
         assert not check.agree
 
-    @pytest.mark.parametrize("error", [ValueError("no"), ZeroDivisionError("division by zero")])
-    def test_a_raising_route_is_recorded_and_does_not_agree(self, error, monkeypatch):
-        def raising(walk):
-            raise error
-
-        monkeypatch.setitem(ROUTES, "pick", ROUTES["pick"]._replace(twice_area=raising))
-        check = cross_check(build_polynomial(5, 0, 3))
-        assert check.failed == {"pick": f"raised {type(error).__name__}: {error}"}
+    @pytest.mark.parametrize("error", [faults.CATALOG["raise-ValueError"],
+                                       faults.CATALOG["raise-ZeroDivisionError"]])
+    def test_a_raising_route_is_recorded_and_does_not_agree(self, error):
+        with error.inject(route="pick"):
+            check = cross_check(build_polynomial(5, 0, 3))
+        assert check.failed == {"pick": error.text}
         assert check.twice_areas == dict.fromkeys(["closed", "general", "shoelace"], 180)
         assert not check.agree
 

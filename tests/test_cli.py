@@ -26,6 +26,8 @@ import polydiagram.sequences as sequences
 from polydiagram.cli import main
 from polydiagram.formats import CHUNK_ROWS, rational_from_json
 
+import faults
+
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -260,88 +262,74 @@ class TestVerify:
         assert exc.value.code == 2
 
 
-def route_off_by_one(name: str):
-    """ROUTES[name]'s area one too large (its twice-area two too large): a
-    formula route at q = 3 only, as a constant offset cancels in diff's
-    differences; a diagram route, which reads no q, everywhere."""
-    route = areas.ROUTES[name]
-    if route.reads_diagram:
-        broken = route._replace(twice_area=lambda walk: route.twice_area(walk) + 2)
-    else:
-        broken = route._replace(twice_area=lambda q, n, k: route.twice_area(q, n, k) + 2 * (q == 3))
-    return mock.patch.dict(areas.ROUTES, {name: broken})
+@pytest.mark.parametrize("command", list(faults.COMMANDS))
+@pytest.mark.parametrize("fault", list(faults.CATALOG))
+def test_a_route_fault_fails_each_command_with_its_text(capsys, fault, command):
+    # each (fault, command) pair of the catalog gives its outcome; a non-int or a
+    # raise at `general` also writes its text in the command's frame, and stdout
+    # keeps only what that route did not touch
+    argv, frame = faults.COMMANDS[command]
+    injected = faults.CATALOG[fault]
+    _, clean, _ = run_cli(capsys, *argv)
+    with injected.inject():
+        code, out, err = run_cli(capsys, *argv)
+    expected = dict(zip(faults.COMMANDS, injected.outcomes))[command]
+    assert faults.outcome(injected, code, out == clean, err) == expected
+    if injected.text is not None:
+        assert err == frame.format(text=injected.text)
+        if command == "area":  # a row for each route that gave an int
+            assert out == "".join(line for line in clean.splitlines(keepends=True)
+                                  if not line.startswith("general,"))
+        elif command != "verify":  # the first q fails before the first chunk is complete
+            assert out == ""
 
 
 @pytest.mark.parametrize("name", areas.ROUTES)
-def test_a_fault_at_a_route_entry_reaches_every_command(capsys, name):
-    # argv, and its exit code with the fault
-    commands = [
-        (("area", "--q", "3", "--k", "3", "--method", name), 0),
-        (("area", "--q", "3", "--k", "3", "--method", "all"), 1),
-        (("verify", "--q-max", "3", "--n-max", "0", "--k-max", "2"), 1),
-    ]
-    if name == "general":
-        commands += [(("table", "--q-to", "5"), 0), (("diff", "--q-to", "6"), 0)]
-    for argv, faulted_code in commands:
-        code, clean, _ = run_cli(capsys, *argv)
-        with route_off_by_one(name):
-            faulted, out, _ = run_cli(capsys, *argv)
-        assert (code, faulted) == (0, faulted_code), argv
-        assert out != clean, argv
+def test_a_route_run_alone_prints_its_fault_unchecked(capsys, name):
+    # one method has nothing to agree with, so its wrong area exits 0
+    argv = ("area", "--q", "7", "--k", "3", "--method", name)
+    _, clean, _ = run_cli(capsys, *argv)
+    with faults.CATALOG[f"{name}-plus-2"].inject():
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out != clean
 
 
-def route_raising(name: str, error: Exception):
-    """ROUTES[name] raising `error` wherever it runs."""
-
-    def raising(*args):
-        raise error
-
-    return mock.patch.dict(areas.ROUTES, {name: areas.ROUTES[name]._replace(twice_area=raising)})
+def test_the_readme_prints_the_fault_matrix():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert faults.matrix() in readme.read_text(encoding="utf-8")
 
 
-def general_raising_at(at_q: int, error: Exception):
-    """ROUTES["general"] raising `error` at q = at_q, and exact at every other q."""
-    general = areas.ROUTES["general"]
-
-    def raising(q, n, k):
-        if q == at_q:
-            raise error
-        return general.twice_area(q, n, k)
-
-    return mock.patch.dict(areas.ROUTES, general=general._replace(twice_area=raising))
-
-
-@pytest.mark.parametrize("error", [ValueError("no"), ZeroDivisionError("division by zero")],
+@pytest.mark.parametrize("fault", [faults.CATALOG["raise-ValueError"],
+                                   faults.CATALOG["raise-ZeroDivisionError"]],
                          ids=["ValueError", "ZeroDivisionError"])
 class TestRaisingRoute:
     """A route that raises is a failure of that route (exit 1), not a usage error (exit 2)."""
 
-    def test_area_prints_the_routes_that_returned(self, capsys, error):
-        with route_raising("pick", error):
+    def test_area_prints_the_routes_that_returned(self, capsys, fault):
+        with fault.inject(route="pick"):
             code, out, err = run_cli(capsys, "area", "--q", "5", "--k", "3")
         assert code == 1
         assert out.splitlines() == [
             "method,area,area_decimal", "closed,90/1,90", "general,90/1,90", "shoelace,90/1,90"
         ]
-        assert err == f"error: route 'pick' raised {type(error).__name__}: {error}\n"
+        assert err == f"error: route 'pick' {fault.text}\n"
 
-    def test_area_of_the_raising_route_alone(self, capsys, error):
-        with route_raising("general", error):
+    def test_area_of_the_raising_route_alone(self, capsys, fault):
+        with fault.inject():
             code, out, err = run_cli(capsys, "area", "--q", "5", "--k", "3", "--method",
                                      "general", "--format", "json")
         assert code == 1
         document = json.loads(out)
         assert (document["results"], document["agree"]) == ([], False)
-        assert err == f"error: route 'general' raised {type(error).__name__}: {error}\n"
+        assert err == f"error: route 'general' {fault.text}\n"
 
     @pytest.mark.parametrize("name", ["pick", "shoelace", "general"])
-    def test_verify_fails_each_check_against_the_shoelace_oracle(self, capsys, error, name):
-        with route_raising(name, error):
+    def test_verify_fails_each_check_against_the_shoelace_oracle(self, capsys, fault, name):
+        with fault.inject(route=name):
             code, out, err = run_cli(capsys, "verify", "--q-max", "2", "--n-max", "1",
                                      "--k-max", "2")
         assert code == 1
         document = json.loads(out)
-        raised = f"{name} raised {type(error).__name__}: {error}"
         # every point runs closed and general, q = 2 adds Pick
         vs = {"pick": ["pick"], "general": ["general"],
               "shoelace": ["closed", "general", "pick"]}[name]
@@ -352,127 +340,30 @@ class TestRaisingRoute:
         ]
         failures = document["failures"]
         assert [(int(f["q"]), int(f["n"]), int(f["k"]), f["check"]) for f in failures] == expected
-        assert {f["detail"] for f in failures} == {raised}
+        assert {f["detail"] for f in failures} == {f"{name} {fault.text}"}
         assert document["golden_quadratic"]["ok"] is (name != "general")
         assert err.startswith(f"error: verification failed at (q={expected[0][0]}, ")
 
-    @pytest.mark.parametrize("command", ["table", "diff"])
-    def test_table_and_diff_exit_1_naming_the_route_and_q(self, capsys, error, command):
-        with general_raising_at(5, error):
-            code, out, err = run_cli(capsys, command, "--q-to", "8")
-        assert code == 1
-        assert out == ""  # the route raises before the first chunk is complete
-        assert err == f"error: route 'general' raised {type(error).__name__}: {error} at q = 5\n"
-
-    def test_table_keeps_the_chunks_written_before_the_raise(self, capsys, error):
-        _, clean, _ = run_cli(capsys, "table", "--q-to", "600")
-        with general_raising_at(400, error):
-            code, out, err = run_cli(capsys, "table", "--q-to", "600")
-        assert code == 1
-        assert err == f"error: route 'general' raised {type(error).__name__}: {error} at q = 400\n"
-        # stdout holds the complete chunks written before the raise, a prefix of
-        # the clean document: the first CHUNK_ROWS lines, the header and q = 2..256
-        lines = out.splitlines()
-        assert clean.startswith(out)
-        assert len(lines) == CHUNK_ROWS
-        assert lines[-1].startswith("256,")
-
-
-@pytest.mark.parametrize("offset", [0.0, 0.5], ids=["equal", "unequal"])
-def test_area_fails_a_route_that_returns_a_float_like_one_that_raises(capsys, offset):
-    general = areas.ROUTES["general"]
-    floating = general._replace(
-        twice_area=lambda q, n, k: float(general.twice_area(q, n, k)) + offset
-    )
-    with mock.patch.dict(areas.ROUTES, general=floating):
-        code, out, err = run_cli(capsys, "area", "--q", "5", "--k", "3", "--format", "json")
-    assert code == 1
-    document = json.loads(out)
-    assert [row["method"] for row in document["results"]] == ["closed", "shoelace", "pick"]
-    assert document["agree"] is False
-    # no row for it, and no disagreement: the routes that returned ints agree
-    assert err == "error: route 'general' returned float, not an int\n"
-
-
-def general_returning_float_from(from_q: int):
-    """ROUTES["general"] returning its exact value as a float from q = from_q on."""
-    general = areas.ROUTES["general"]
-
-    def floating(q, n, k):
-        twice = general.twice_area(q, n, k)
-        return float(twice) if q >= from_q else twice
-
-    return mock.patch.dict(areas.ROUTES, general=general._replace(twice_area=floating))
-
-
-@pytest.mark.parametrize("command", ["table", "diff"])
-def test_table_and_diff_fail_a_route_that_returns_a_float_naming_it_and_q(capsys, command):
-    with general_returning_float_from(5):
-        code, out, err = run_cli(capsys, command, "--q-to", "8")
-    assert (code, out) == (1, "")  # the float comes before the first chunk is complete
-    assert err == "error: route 'general' returned float, not an int at q = 5\n"
+    def test_table_keeps_the_chunks_written_before_the_raise(self, capsys, fault):
+        assert_table_keeps_the_chunks_written_before(capsys, fault)
 
 
 def test_table_keeps_the_chunks_written_before_a_float(capsys):
+    assert_table_keeps_the_chunks_written_before(capsys, faults.CATALOG["float"])
+
+
+def assert_table_keeps_the_chunks_written_before(capsys, fault: faults.Fault) -> None:
+    """`table` with `fault` from q = 400 on exits 1 naming it, after its complete chunks."""
     _, clean, _ = run_cli(capsys, "table", "--q-to", "600")
-    with general_returning_float_from(400):
+    with fault.inject(from_q=400):
         code, out, err = run_cli(capsys, "table", "--q-to", "600")
-    assert code == 1
-    assert err == "error: route 'general' returned float, not an int at q = 400\n"
+    assert (code, err) == (1, f"error: route 'general' {fault.text} at q = 400\n")
+    # stdout holds the complete chunks written before the fault, a prefix of
+    # the clean document: the first CHUNK_ROWS lines, the header and q = 2..256
+    lines = out.splitlines()
     assert clean.startswith(out)
-    assert len(out.splitlines()) == CHUNK_ROWS
-
-
-def _raising(error: Exception):
-    def raising(q, n, k):
-        raise error
-
-    return raising
-
-
-_GENERAL = areas.ROUTES["general"].twice_area
-
-# Each kind of fault a route can have, as the general route's function, with
-# areas.route_failure's text for it.
-ROUTE_FAULTS = {
-    "raise-ValueError": (_raising(ValueError("no")), "raised ValueError: no"),
-    "raise-ZeroDivisionError": (_raising(ZeroDivisionError("division by zero")),
-                                "raised ZeroDivisionError: division by zero"),
-    "float": (lambda q, n, k: float(_GENERAL(q, n, k)), "returned float, not an int"),
-    "Fraction": (lambda q, n, k: Fraction(_GENERAL(q, n, k)), "returned Fraction, not an int"),
-    "bool": (lambda q, n, k: True, "returned bool, not an int"),
-    "None": (lambda q, n, k: None, "returned NoneType, not an int"),
-    "str": (lambda q, n, k: str(_GENERAL(q, n, k)), "returned str, not an int"),
-    # an exception the route returns is a value, not a raise
-    "returned-ValueError": (lambda q, n, k: ValueError("no"), "returned ValueError, not an int"),
-}
-
-FAULT_COMMANDS = {
-    "area": ("area", "--q", "5", "--k", "3"),
-    "verify": ("verify", "--q-max", "2", "--n-max", "1", "--k-max", "2"),
-    "table": ("table", "--q-to", "8"),
-    "diff": ("diff", "--q-to", "8"),
-}
-
-
-@pytest.mark.parametrize("command", list(FAULT_COMMANDS))
-@pytest.mark.parametrize("fault", list(ROUTE_FAULTS))
-def test_a_route_fault_fails_each_command_with_its_text(capsys, fault, command):
-    twice_area, text = ROUTE_FAULTS[fault]
-    general = areas.ROUTES["general"]._replace(twice_area=twice_area)
-    with mock.patch.dict(areas.ROUTES, general=general):
-        code, out, err = run_cli(capsys, *FAULT_COMMANDS[command])
-    assert code == 1
-    if command == "verify":
-        document = json.loads(out)
-        assert {f["detail"] for f in document["failures"]} == {f"general {text}"}
-        assert document["golden_quadratic"]["problems"] == [
-            f"q={q}: general {text}" for q in (2, 3, 4, 5, 6, 16)
-        ]
-        first = "error: verification failed at (q=1, n=0, k=1): general_vs_shoelace: general "
-        assert err.startswith(f"{first}{text}\n")
-    else:  # area names the route; table and diff add the first q of their range
-        assert err == f"error: route 'general' {text}{'' if command == 'area' else ' at q = 2'}\n"
+    assert len(lines) == CHUNK_ROWS
+    assert lines[-1].startswith("256,")
 
 
 @pytest.mark.parametrize("command", ["table", "diff"])
@@ -802,23 +693,41 @@ def test_a_reader_that_stops_early_ends_the_command_with_status_141():
         assert proc.stderr.read() == b""
 
 
+def run_with_a_gone_reader(argv: list[str], stream: str, buffered: bool) -> subprocess.CompletedProcess:
+    """Run the CLI with `stream` ("stdout" or "stderr") a pipe whose reader has gone.
+
+    The other stream is captured.  A `buffered` run has PYTHONUNBUFFERED
+    empty, which Python reads as unset, as in a plain shell.
+    """
+    env = {**package_env(), "PYTHONUNBUFFERED": "" if buffered else "1"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: every write to the pipe fails with EPIPE
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end}
+    try:
+        return subprocess.run([sys.executable, "-m", "polydiagram", *argv], env=env, timeout=60, **pipes)
+    finally:
+        os.close(write_end)
+
+
 @pytest.mark.parametrize("argv, status", [(["--help"], 141), (["area", "--help"], 141),
                                           (["nonsense"], 2)], ids=["help", "area-help", "usage"])
 def test_help_to_a_reader_that_has_gone_ends_with_status_141_from_a_buffered_stdout(argv, status):
-    # with PYTHONUNBUFFERED unset, as in a plain shell, argparse leaves the help
-    # in stdout's buffer; main flushes it, so the closed pipe ends the run there
-    # and not in the interpreter's final flush.  A usage error still exits 2
-    env = package_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # no reader: every write to the pipe fails with EPIPE
-    try:
-        proc = subprocess.run([sys.executable, "-m", "polydiagram", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, env=env, timeout=60)
-    finally:
-        os.close(write_end)
+    # argparse leaves the help in a buffered stdout; main flushes it, so the
+    # closed pipe ends the run there and not in the interpreter's final flush.
+    # A usage error still exits 2
+    proc = run_with_a_gone_reader(argv, "stdout", buffered=True)
     assert proc.returncode == status
     if status == 141:
         assert proc.stderr == b""
     else:
         assert proc.stderr.startswith(b"usage: polydiagram")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command, status", [
+    ("bogus", 2), ("area --q x --k 2", 2), ("area --q 0 --k 2", 2), ("diff --order 0", 2),
+    ("area --q 1 --k 2", 0), ("table --q-from 1 --q-to 3", 0)])  # the last two warn
+def test_a_reader_of_stderr_that_has_gone_changes_no_status(command, status, buffered):
+    # the usage error or warning is lost, and the command keeps its own status:
+    # 141 is for a reader of stdout that has gone
+    assert run_with_a_gone_reader(command.split(), "stderr", buffered).returncode == status

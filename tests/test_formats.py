@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import polydiagram.areas as areas
 import polydiagram.cli as cli
 import polydiagram.formats as formats
 from polydiagram import area_general, build_polynomial
@@ -26,6 +25,7 @@ from polydiagram.formats import (
     split_int_text,
     table_document,
 )
+import faults
 from references import (
     decimal_by_fraction_round,
     format_rational,
@@ -154,12 +154,8 @@ class TestDocuments:
     def test_json_document_of_an_injected_verify_failure(self, monkeypatch):
         payloads = []
         monkeypatch.setattr(cli, "json_document", lambda payload: payloads.append(payload) or "")
-        general = areas.ROUTES["general"]
-        broken = general._replace(
-            twice_area=lambda q, n, k: general.twice_area(q, n, k) + 2 * (n == 1)
-        )
-        monkeypatch.setitem(areas.ROUTES, "general", broken)
-        assert cli.main(["verify", "--q-max", "2", "--n-max", "1", "--k-max", "2"]) == 1
+        with faults.CATALOG["general-plus-2-at-n-1"].inject():
+            assert cli.main(["verify", "--q-max", "2", "--n-max", "1", "--k-max", "2"]) == 1
         (payload,) = payloads
         assert payload["failures"] and isinstance(payload["first_failure"], dict)
         assert payload["passed"] is False

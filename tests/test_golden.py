@@ -4,8 +4,7 @@ Each case's stdout is stored in `golden/<name>.out`, and its stderr, when not
 empty, in `golden/<name>.err`.  To refreeze after an intended change of
 output, run `python tests/test_golden.py` from the repository root with the
 trusted sources on the path and review the diff.  A case listed in FAULTS runs,
-and is frozen, with that fault injected into the package at an `areas.ROUTES`
-entry, the one way into each area route.
+and is frozen, with those faults of the catalog in `faults.py` injected.
 """
 
 from __future__ import annotations
@@ -14,13 +13,12 @@ import contextlib
 import io
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
-import polydiagram.areas as areas
-import polydiagram.verify as verify
 from polydiagram.cli import main
+
+import faults
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -92,36 +90,19 @@ CASES.update(
 )
 
 
-@contextlib.contextmanager
-def _broken_slab_sum_and_golden_row():
-    """The slab sum off by one at n = 1, and the q = 16 golden row's area off by one."""
-    general = areas.ROUTES["general"]
-    broken = general._replace(twice_area=lambda q, n, k: general.twice_area(q, n, k) + 2 * (n == 1))
-    rows = tuple((q, area + (q == 16), ratio) for q, area, ratio in verify.GOLDEN_QUADRATIC_ROWS)
-    with mock.patch.dict(areas.ROUTES, general=broken):
-        with mock.patch.object(verify, "GOLDEN_QUADRATIC_ROWS", rows):
-            yield
-
-
-def _pick_off_by_one():
-    """Pick's area one too large, so `area --method all` renders two distinct values."""
-    pick = areas.ROUTES["pick"]
-    return mock.patch.dict(
-        areas.ROUTES, pick=pick._replace(twice_area=lambda walk: pick.twice_area(walk) + 2)
-    )
-
-
-# name -> fault injected while the case runs
-FAULTS = {
-    **{f"verify_failure_{fmt}": _broken_slab_sum_and_golden_row
-       for fmt in ("csv", "json", "markdown")},
-    **{f"area_pick_off_by_one_{fmt}": _pick_off_by_one for fmt in ("csv", "json")},
-}
+# name -> the catalog faults injected while the case runs: for verify, the slab
+# sum off by one at n = 1 and the q = 16 golden row's area off by one; for area,
+# Pick's area one too large, so `area --method all` renders two distinct values
+FAULTS = {f"verify_failure_{fmt}": ("general-plus-2-at-n-1", "golden-row-16-off")
+          for fmt in ("csv", "json", "markdown")}
+FAULTS.update({f"area_pick_off_by_one_{fmt}": ("pick-plus-2",) for fmt in ("csv", "json")})
 
 
 def run(name: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with FAULTS.get(name, contextlib.nullcontext)():
+    with contextlib.ExitStack() as stack:
+        for fault in FAULTS.get(name, ()):
+            stack.enter_context(faults.CATALOG[fault].inject())
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(list(CASES[name][0]))
     return code, out.getvalue(), err.getvalue()

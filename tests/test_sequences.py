@@ -16,6 +16,8 @@ from polydiagram import (
     ratio_sequence,
 )
 
+import faults
+
 
 def test_quadratic_family_values():
     seq = area_sequence(2, 0, 2, 6)
@@ -163,17 +165,10 @@ class TestConvergenceReport:
 
 
 @pytest.mark.parametrize("at_q", [2, 4, 6])  # the first, an inner and the last q of the range
-def test_a_raising_route_is_named_with_the_q_it_raised_at(monkeypatch, at_q):
-    general = sequences.ROUTES["general"]
-
-    def raising(q, n, k):
-        if q == at_q:
-            raise ZeroDivisionError("division by zero")
-        return general.twice_area(q, n, k)
-
-    monkeypatch.setitem(sequences.ROUTES, "general", general._replace(twice_area=raising))
-    values = sequences.twice_area_sequence(2, 0, 2, 6)
+def test_a_raising_route_is_named_with_the_q_it_raised_at(at_q):
     expected = f"route 'general' raised ZeroDivisionError: division by zero at q = {at_q}"
-    with pytest.raises(sequences.RouteRaised, match=f"^{expected}$") as info:
-        list(values)
+    with faults.CATALOG["raise-ZeroDivisionError"].inject(from_q=at_q):
+        values = sequences.twice_area_sequence(2, 0, 2, 6)
+        with pytest.raises(sequences.RouteRaised, match=f"^{expected}$") as info:
+            list(values)
     assert isinstance(info.value.__cause__, ZeroDivisionError)

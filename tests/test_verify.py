@@ -6,7 +6,6 @@ from __future__ import annotations
 import gc
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 
@@ -23,6 +22,8 @@ from polydiagram import (
 )
 from polydiagram.cli import main
 from polydiagram.core import _walk_shape
+
+import faults
 
 
 def test_default_grid_computes_each_slab_sum_once(monkeypatch):
@@ -77,13 +78,10 @@ def test_chain_structure_check_walks_the_cycle_once(cycle, k, holds):
     assert (unit_steps and count == k + 2) is holds
 
 
-def test_a_broken_route_fails_only_its_own_check(monkeypatch):
+def test_a_broken_route_fails_only_its_own_check():
     clean = run_grid_verification(q_max=4, n_max=1, k_max=3)
-    pick = areas.ROUTES["pick"]
-    # Pick's area one too large: its twice-area two too large
-    broken = pick._replace(twice_area=lambda walk: pick.twice_area(walk) + 2)
-    monkeypatch.setitem(areas.ROUTES, "pick", broken)
-    report = run_grid_verification(q_max=4, n_max=1, k_max=3)
+    with faults.CATALOG["pick-plus-2"].inject():
+        report = run_grid_verification(q_max=4, n_max=1, k_max=3)
     assert {f.check for f in report.failures} == {"pick_vs_shoelace"}
     assert len(report.failures) == report.pick_checks == 3 * 2 * 3
     assert report.tally == clean.tally
@@ -91,11 +89,9 @@ def test_a_broken_route_fails_only_its_own_check(monkeypatch):
     assert isinstance(hash(report), int)  # the tally leaves a report hashable
 
 
-def test_failures_stay_in_grid_order_when_the_slab_sum_is_off(monkeypatch):
-    general = areas.ROUTES["general"]
-    broken = general._replace(twice_area=lambda q, n, k: general.twice_area(q, n, k) + 2 * (n == 1))
-    monkeypatch.setitem(areas.ROUTES, "general", broken)
-    report = run_grid_verification(q_max=2, n_max=2, k_max=2)
+def test_failures_stay_in_grid_order_when_the_slab_sum_is_off():
+    with faults.CATALOG["general-plus-2-at-n-1"].inject():
+        report = run_grid_verification(q_max=2, n_max=2, k_max=2)
     at_q = [
         ((1, 1), "general_vs_shoelace"),
         ((1, 1), "scaling_in_n"),
@@ -143,12 +139,10 @@ def test_a_sweep_leaves_no_memory_behind():
     assert kept < 64 * 1024
 
 
-def test_a_half_unit_fault_fails_its_check_at_every_point(monkeypatch):
+def test_a_half_unit_fault_fails_its_check_at_every_point():
     # a twice-area one too large is an area off by 1/2, and the detail shows the halves
-    general = areas.ROUTES["general"]
-    broken = general._replace(twice_area=lambda q, n, k: general.twice_area(q, n, k) + 1)
-    monkeypatch.setitem(areas.ROUTES, "general", broken)
-    report = run_grid_verification(q_max=3, n_max=1, k_max=2)
+    with faults.CATALOG["general-plus-1"].inject():
+        report = run_grid_verification(q_max=3, n_max=1, k_max=2)
     details = {(f.q, f.n, f.k): f.detail for f in report.failures
                if f.check == "general_vs_shoelace"}
     assert len(details) == report.tally["general_vs_shoelace"] == 3 * 2 * 2
@@ -158,39 +152,28 @@ def test_a_half_unit_fault_fails_its_check_at_every_point(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "offset",
+    "name",
     [
-        0.0,  # a float equal to the exact value is not an int
-        0.5,  # and one that differs is named the same way, not compared
-        Fraction(1, 3),  # nor is an exact rational that is not an int
+        "float",  # a float equal to the exact value is not an int
+        "float-unequal",  # and one that differs is named the same way, not compared
+        "Fraction",  # nor is an exact rational
     ],
     ids=["float-equal", "float-unequal", "Fraction"],
 )
-def test_a_non_int_twice_area_fails_only_its_check_against_shoelace(capsys, offset):
-    general = areas.ROUTES["general"]
-    convert = float if type(offset) is float else Fraction
-    returning = general._replace(
-        twice_area=lambda q, n, k: convert(general.twice_area(q, n, k)) + offset
-    )
-    fault = f"general returned {type(offset).__name__}, not an int"
-    with mock.patch.dict(areas.ROUTES, general=returning):
+def test_a_non_int_twice_area_fails_only_its_check_against_shoelace(name):
+    # the CLI's exit 1, and its stderr with each golden row's problem, are cells
+    # of the fault matrix
+    fault = f"general {faults.CATALOG[name].text}"
+    with faults.CATALOG[name].inject():
         report = run_grid_verification(q_max=1, n_max=0, k_max=1)
-        assert main(["verify", "--q-max", "1", "--n-max", "0", "--k-max", "1"]) == 1
     # cross_check keeps no twice-area for it, so only its check against shoelace fails
     assert [(f.check, f.detail) for f in report.failures] == [("general_vs_shoelace", fault)]
-    # the golden rows name what the route returned; it did not raise
-    assert report.golden_problems == tuple(f"q={q}: {fault}" for q in (2, 3, 4, 5, 6, 16))
-    # stderr names the first failure
-    assert f"general_vs_shoelace: {fault}" in capsys.readouterr().err
 
 
-def test_a_value_past_640_digits_is_written_under_the_lowest_cap(monkeypatch, digit_cap):
+def test_a_value_past_640_digits_is_written_under_the_lowest_cap(digit_cap):
     # an int route off by 10^700 at every point: the detail and the golden
     # problem each write an area of 700 digits through int_text
-    general = areas.ROUTES["general"]
-    broken = general._replace(twice_area=lambda q, n, k: general.twice_area(q, n, k) + 10**700)
-    monkeypatch.setitem(areas.ROUTES, "general", broken)
-    with digit_cap(640):
+    with faults.CATALOG["general-plus-10^700"].inject(), digit_cap(640):
         report = run_grid_verification(q_max=1, n_max=0, k_max=1)
     with digit_cap(0):
         half = str(10**700 // 2)
@@ -203,12 +186,9 @@ def test_a_value_past_640_digits_is_written_under_the_lowest_cap(monkeypatch, di
 
 @pytest.mark.parametrize("name", list(areas.ROUTES))
 def test_a_route_returning_its_exact_value_as_a_float_fails_naming_it(capsys, name):
-    route = areas.ROUTES[name]
-    floating = route._replace(twice_area=lambda *args: float(route.twice_area(*args)))
-    with mock.patch.dict(areas.ROUTES, {name: floating}):
+    with faults.CATALOG["float"].inject(route=name):
         assert not cross_check(build_polynomial(3, 0, 2)).agree
         report = run_grid_verification(q_max=5, n_max=1, k_max=4)
-        assert main(["verify", "--q-max", "5", "--n-max", "1", "--k-max", "4"]) == 1
         assert main(["area", "--q", "3", "--k", "2"]) == 1
     assert f"error: route {name!r} returned float, not an int\n" in capsys.readouterr().err
     # every comparison the route takes part in fails at every point, naming it
@@ -291,13 +271,9 @@ def test_a_passing_grid_reads_the_route_failure_rule_once_per_route_run(monkeypa
     assert len(calls) == 3 * report.points + report.pick_checks + golden
 
 
-def test_a_raising_slab_sum_fails_its_check_and_skips_only_the_checks_that_read_it(monkeypatch):
-    def raising(q, n, k):
-        raise ZeroDivisionError("division by zero")
-
-    general = areas.ROUTES["general"]
-    monkeypatch.setitem(areas.ROUTES, "general", general._replace(twice_area=raising))
-    report = run_grid_verification(q_max=2, n_max=1, k_max=2)
+def test_a_raising_slab_sum_fails_its_check_and_skips_only_the_checks_that_read_it():
+    with faults.CATALOG["raise-ZeroDivisionError"].inject():
+        report = run_grid_verification(q_max=2, n_max=1, k_max=2)
     assert report.tally["general_vs_shoelace"] == len(report.failures) == 8
     raised = "general raised ZeroDivisionError: division by zero"
     assert {f.detail for f in report.failures} == {raised}
@@ -305,20 +281,13 @@ def test_a_raising_slab_sum_fails_its_check_and_skips_only_the_checks_that_read_
     # the other routes and the structural checks still run everywhere they apply
     assert report.tally["closed_vs_shoelace"] == 8 and report.tally["pick_vs_shoelace"] == 4
     assert report.tally["vertex_count"] == 4
-    assert report.golden_problems == tuple(f"q={q}: {raised}" for q in (2, 3, 4, 5, 6, 16))
 
 
 def test_a_failure_detail_past_640_digits_is_exact_under_the_lowest_cap(digit_cap):
     # the slab sum one unit off at (2, n_max, 1), where 2A = 2^n_max has 663 digits
-    general = areas.ROUTES["general"]
     n_max = 2200
-
-    def off_at_the_top(q, n, k):
-        return general.twice_area(q, n, k) + (q == 2 and n == n_max)
-
-    with mock.patch.dict(areas.ROUTES, general=general._replace(twice_area=off_at_the_top)):
-        with digit_cap(640):
-            report = run_grid_verification(q_max=2, n_max=n_max, k_max=1)
+    with faults.CATALOG["general-plus-1-at-q-2-n-2200"].inject(), digit_cap(640):
+        report = run_grid_verification(q_max=2, n_max=n_max, k_max=1)
     half = 2 ** (n_max - 1)
     with digit_cap(0):
         assert [(f.q, f.n, f.k, f.check, f.detail) for f in report.failures] == [
@@ -329,42 +298,31 @@ def test_a_failure_detail_past_640_digits_is_exact_under_the_lowest_cap(digit_ca
     assert report.golden_problems == ()
 
 
-# every field of DiagramDiagnostics, in order, for building one by keyword
-FINDINGS = ("vertex_count", "degenerate", "simple", "chain_slopes_increasing",
-            "chain_unit_steps", "convex")
 CHAIN_STRUCTURE = "x not strictly increasing or y not unit steps"
+
+
+# each false finding's failed checks, and their details at k
+FALSE_FINDINGS = {
+    # the chain check also reads the vertex count, so a wrong count fails both
+    "vertex_count": {"vertex_count": lambda k: f"count={k + 3} expected={k + 2}",
+                     "chain_structure": lambda k: CHAIN_STRUCTURE},
+    "simple": {"simple": lambda k: "non-adjacent edges touch"},
+    "chain_slopes_increasing": {"chain_slopes": lambda k: "chain slopes not strictly increasing"},
+    "convex": {"convexity": lambda k: f"convex={k != 1} expected={k == 1}"},
+    "chain_unit_steps": {"chain_structure": lambda k: CHAIN_STRUCTURE},
+}
 
 
 @pytest.mark.parametrize(
     "finding, fault, details",
-    [
-        # the chain check also reads the vertex count, so a wrong count fails both
-        ("vertex_count", lambda count: count + 1,
-         {"vertex_count": lambda k: f"count={k + 3} expected={k + 2}",
-          "chain_structure": lambda k: CHAIN_STRUCTURE}),
-        ("simple", lambda _: False, {"simple": lambda k: "non-adjacent edges touch"}),
-        ("chain_slopes_increasing", lambda _: False,
-         {"chain_slopes": lambda k: "chain slopes not strictly increasing"}),
-        ("convex", lambda convex: not convex,
-         {"convexity": lambda k: f"convex={k != 1} expected={k == 1}"}),
-        ("chain_unit_steps", lambda _: False, {"chain_structure": lambda k: CHAIN_STRUCTURE}),
-    ],
+    [(finding, faults.CATALOG[f"false-{finding}"], details)
+     for finding, details in FALSE_FINDINGS.items()],
     ids=lambda value: value if isinstance(value, str) else "",
 )
-def test_a_false_structural_finding_fails_its_check_at_every_point(
-    monkeypatch, finding, fault, details
-):
+def test_a_false_structural_finding_fails_its_check_at_every_point(finding, fault, details):
     clean = run_grid_verification(q_max=3, n_max=1, k_max=3)
-    validate = verify.validate_diagram
-
-    def falsified(d):
-        diag = validate(d)
-        fields = {name: getattr(diag, name) for name in FINDINGS}
-        fields[finding] = fault(fields[finding])
-        return core.DiagramDiagnostics(**fields)
-
-    monkeypatch.setattr(verify, "validate_diagram", falsified)
-    report = run_grid_verification(q_max=3, n_max=1, k_max=3)
+    with fault.inject():
+        report = run_grid_verification(q_max=3, n_max=1, k_max=3)
     assert [(f.q, f.n, f.k, f.check, f.detail) for f in report.failures] == [
         (q, n, k, check, details[check](k))
         for q in (2, 3) for n in (0, 1) for k in (1, 2, 3)
