@@ -344,8 +344,40 @@ class TestRaisingRoute:
         assert document["golden_quadratic"]["ok"] is (name != "general")
         assert err.startswith(f"error: verification failed at (q={expected[0][0]}, ")
 
+    @pytest.mark.parametrize("command", ["table", "diff"])
+    def test_table_and_diff_exit_1_naming_the_route_and_q(self, capsys, fault, command):
+        assert_table_and_diff_fail_before_the_first_chunk(capsys, fault, command)
+
     def test_table_keeps_the_chunks_written_before_the_raise(self, capsys, fault):
         assert_table_keeps_the_chunks_written_before(capsys, fault)
+
+
+@pytest.mark.parametrize("fault", [faults.CATALOG["float"], faults.CATALOG["float-unequal"]],
+                         ids=["equal", "unequal"])
+def test_area_fails_a_route_that_returns_a_float_like_one_that_raises(capsys, fault):
+    with fault.inject():
+        code, out, err = run_cli(capsys, "area", "--q", "5", "--k", "3", "--format", "json")
+    assert code == 1
+    document = json.loads(out)
+    assert [row["method"] for row in document["results"]] == ["closed", "shoelace", "pick"]
+    assert document["agree"] is False
+    # no row for it, and no disagreement: the routes that returned ints agree
+    assert err == "error: route 'general' returned float, not an int\n"
+
+
+@pytest.mark.parametrize("command", ["table", "diff"])
+def test_table_and_diff_fail_a_route_that_returns_a_float_naming_it_and_q(capsys, command):
+    assert_table_and_diff_fail_before_the_first_chunk(capsys, faults.CATALOG["float"], command)
+
+
+def assert_table_and_diff_fail_before_the_first_chunk(capsys, fault: faults.Fault,
+                                                      command: str) -> None:
+    """`command` with `fault` from q = 5 on exits 1 naming it, with nothing on stdout."""
+    with fault.inject(from_q=5):
+        code, out, err = run_cli(capsys, command, "--q-to", "8")
+    # the fault comes before the first chunk is complete
+    assert (code, out) == (1, "")
+    assert err == f"error: route 'general' {fault.text} at q = 5\n"
 
 
 def test_table_keeps_the_chunks_written_before_a_float(capsys):
