@@ -13,7 +13,7 @@ and `sequences.twice_area_sequence`, which `table` and `diff` read.
 `cross_check` reads the entry.)
 
 An outcome is an exit status and one fact (see `outcome`): on exit 1,
-whether stderr names a route the fault is at; on exit 0, whether stdout is
+whether stderr blames a route the fault is at; on exit 0, whether stdout is
 byte-identical to the clean run.  A non-int or a raise is at `general`
 from the first q; its `inject` also takes another route, and a later first
 q for a formula route, for the tests of where such a failure is named.
@@ -72,11 +72,15 @@ def outcome(fault: Fault, code: int, same: bool, err: str) -> str:
     """The outcome observed for `fault`: exit `code`, a stdout the `same` as the clean run's.
 
     A failure changes stdout: exit 1 with the clean run's stdout is "1, same",
-    which no fault expects.
+    which no fault expects.  Stderr blames a route as `route '<route>'`, as
+    the failed check `<route>_vs_shoelace`, or as `<route> returned` or
+    `raised`; a mismatch's `shoelace=<area>` does not blame the oracle.
     """
     if code == 0 or same:
         return f"{code}, same" if same else WRONG
-    named = code == 1 and any(re.search(rf"\b{name}\b", err) for name in fault.routes)
+    named = code == 1 and any(
+        re.search(rf"route '{name}'|\b{name}(_vs_shoelace:| returned | raised )", err)
+        for name in fault.routes)
     return NAMED if named else str(code)  # UNNAMED for exit 1
 
 
@@ -171,9 +175,11 @@ def _golden_row_16_off() -> ContextManager:
 
 
 CATALOG: dict[str, Fault] = {
-    # every route reaches area and verify; table and diff read `general` alone
+    # every route reaches area and verify; table and diff read `general` alone;
+    # verify blames the route checked against shoelace, never the oracle itself
     **{f"{name}-plus-2": _offset("one route everywhere", "+2 everywhere", (name,), lambda *_: 2,
-                                 (UNNAMED, NAMED, WRONG if name == "general" else SAME, SAME))
+                                 (UNNAMED, UNNAMED if name == "shoelace" else NAMED,
+                                  WRONG if name == "general" else SAME, SAME))
        for name in areas.ROUTES},
     "general-plus-1": _offset("one route everywhere", "+1 everywhere (a half-unit area)",
                               ("general",), lambda *_: 1, (UNNAMED, NAMED, WRONG, SAME)),

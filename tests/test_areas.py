@@ -393,17 +393,11 @@ class TestCrossCheck:
         # the shoelace sum and Pick's counts come from one walk of the cycle
         p = build_polynomial(q, n, k)
         expected = cross_check(p)
-        walks = 0
-        original = core.VertexCycle.__iter__
-
-        def counting(cycle):
-            nonlocal walks
-            walks += 1
-            return original(cycle)
-
-        monkeypatch.setattr(core.VertexCycle, "__iter__", counting)
+        walks, original = [], core.VertexCycle.__iter__
+        monkeypatch.setattr(core.VertexCycle, "__iter__",
+                            lambda cycle: walks.append(cycle) or original(cycle))
         assert cross_check(p, build_diagram(p)) == expected
-        assert walks == 1
+        assert len(walks) == 1
         once = PolynomialDiagram(iter(build_diagram(p).vertices), p)
         assert cross_check(p, once) == expected and list(expected.areas) == list(ROUTES)
 

@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -25,6 +24,7 @@ import polydiagram.cli as cli
 import polydiagram.sequences as sequences
 from polydiagram.cli import main
 from polydiagram.formats import CHUNK_ROWS, rational_from_json
+from polydiagram.verify import GOLDEN_QUADRATIC_ROWS
 
 import faults
 
@@ -280,7 +280,12 @@ def test_a_route_fault_fails_each_command_with_its_text(capsys, fault, command):
         if command == "area":  # a row for each route that gave an int
             assert out == "".join(line for line in clean.splitlines(keepends=True)
                                   if not line.startswith("general,"))
-        elif command != "verify":  # the first q fails before the first chunk is complete
+        elif command == "verify":  # every failure of the grid is that route's
+            document = json.loads(out)
+            assert {f["detail"] for f in document["failures"]} == {f"general {injected.text}"}
+            assert document["golden_quadratic"]["problems"] == [
+                f"q={row[0]}: general {injected.text}" for row in GOLDEN_QUADRATIC_ROWS]
+        else:  # the first q fails before the first chunk is complete
             assert out == ""
 
 
@@ -408,21 +413,8 @@ def test_a_passing_table_or_diff_reads_the_route_failure_rule_once(monkeypatch, 
     assert len(calls) == 1
 
 
-@contextmanager
-def unlimited_int_digits():
-    """Lift the int<->str digit cap (Python >= 3.11) while comparing huge values."""
-    previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if previous is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if previous is not None:
-            sys.set_int_max_str_digits(previous)
-
-
 class TestHugeValues:
-    def test_area_beyond_the_int_digit_cap_is_exact(self, capsys):
+    def test_area_beyond_the_int_digit_cap_is_exact(self, capsys, digit_cap):
         q, k = 3, 20000
         code, out, err = run_cli(capsys, "area", "--q", str(q), "--k", str(k), "--method", "all")
         assert code == 0
@@ -431,7 +423,7 @@ class TestHugeValues:
         expected = Fraction(q**k - (2 * k - 1) + 2 * (q**k - q) // (q - 1), 2)
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert [row[0] for row in rows] == ["closed", "general", "shoelace", "pick"]
-        with unlimited_int_digits():
+        with digit_cap(0):
             assert len(str(expected.numerator)) > 4300
             for _method, area, decimal in rows:
                 assert Fraction(area) == expected
@@ -480,14 +472,10 @@ class TestHugeValues:
         "argv", [("area", "--q", "3", "--k", "9000"), ("area", "--q", "0", "--k", "2")],
         ids=["success", "usage-error"],
     )
-    def test_main_restores_the_int_digit_cap(self, capsys, argv):
-        previous = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(5000)
-        try:
+    def test_main_restores_the_int_digit_cap(self, capsys, digit_cap, argv):
+        with digit_cap(5000):
             main(list(argv))
             assert sys.get_int_max_str_digits() == 5000
-        finally:
-            sys.set_int_max_str_digits(previous)
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no int digit cap before 3.11"
@@ -595,21 +583,15 @@ class TestRender:
 def test_rows_build_no_fraction(capsys, monkeypatch, command):
     # rows are written from exact ints: the Fractions a run builds, if any, do
     # not grow with the q range
-    built = 0
-    new = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        nonlocal built
-        built += 1
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting)
+    built, new = [], Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kwargs: built.append(cls) or new(cls, *args, **kwargs))
     counts = []
     for q_to in ("100", "2000"):
-        built = 0
+        built.clear()
         for fmt in ("csv", "json", "markdown"):
             assert main([command, "--q-to", q_to, "--format", fmt]) == 0
-        counts.append(built)
+        counts.append(len(built))
     capsys.readouterr()
     assert counts[0] == counts[1]
 

@@ -27,16 +27,10 @@ import faults
 
 
 def test_default_grid_computes_each_slab_sum_once(monkeypatch):
-    calls = 0
-    general = areas.ROUTES["general"]
-
-    def counting(q, n, k):
-        nonlocal calls
-        calls += 1
-        return general.twice_area(q, n, k)
-
+    calls, general = [], areas.ROUTES["general"]
     # the route table's slab sum, which the golden rows' area_general runs too
-    monkeypatch.setitem(areas.ROUTES, "general", general._replace(twice_area=counting))
+    monkeypatch.setitem(areas.ROUTES, "general", general._replace(
+        twice_area=lambda *args: calls.append(args) or general.twice_area(*args)))
     report = run_grid_verification()
     assert report.passed
     # every point runs the route checks, n >= 1 the scaling law, and q >= 2
@@ -55,7 +49,7 @@ def test_default_grid_computes_each_slab_sum_once(monkeypatch):
     assert list(report.tally) == list(verify.CHECKS)
     assert (report.points, report.checks, report.pick_checks) == (6600, 58008, 6468)
     # one per point, and one per golden-row area or ratio term
-    assert calls == 6600 + 12 == 6612
+    assert len(calls) == 6600 + 12 == 6612
 
 
 @pytest.mark.parametrize(
@@ -110,18 +104,12 @@ def test_small_grid_walks_each_cycle_once_per_reader(monkeypatch):
     # each point regenerates its cycle once, into a tuple that cross_check's
     # walk (the shoelace sum and Pick) and, at q >= 2, validate_diagram's
     # shape walk both read
-    walks = 0
-    original = core.VertexCycle.__iter__
-
-    def counting(cycle):
-        nonlocal walks
-        walks += 1
-        return original(cycle)
-
-    monkeypatch.setattr(core.VertexCycle, "__iter__", counting)
+    walks, original = [], core.VertexCycle.__iter__
+    monkeypatch.setattr(core.VertexCycle, "__iter__",
+                        lambda cycle: walks.append(cycle) or original(cycle))
     report = run_grid_verification(q_max=4, n_max=1, k_max=3)
     assert report.passed
-    assert walks == report.points == 4 * 2 * 3 == 24
+    assert len(walks) == report.points == 4 * 2 * 3 == 24
 
 
 def test_a_sweep_leaves_no_memory_behind():
@@ -189,6 +177,7 @@ def test_a_route_returning_its_exact_value_as_a_float_fails_naming_it(capsys, na
     with faults.CATALOG["float"].inject(route=name):
         assert not cross_check(build_polynomial(3, 0, 2)).agree
         report = run_grid_verification(q_max=5, n_max=1, k_max=4)
+        assert main(["verify", "--q-max", "5", "--n-max", "1", "--k-max", "4"]) == 1
         assert main(["area", "--q", "3", "--k", "2"]) == 1
     assert f"error: route {name!r} returned float, not an int\n" in capsys.readouterr().err
     # every comparison the route takes part in fails at every point, naming it
@@ -240,21 +229,15 @@ def test_the_one_comparison_per_input_implies_every_finding_on_it_holds():
 def test_a_passing_grid_builds_no_fraction_per_point(monkeypatch):
     # the checks compare int twice-areas; what Fractions a run builds (the
     # golden rows) do not grow with the grid
-    built = 0
-
-    def counting(*args):
-        nonlocal built
-        built += 1
-        return Fraction(*args)
-
-    monkeypatch.setattr(areas, "Fraction", counting)
-    monkeypatch.setattr(verify, "Fraction", counting)
+    built = []
+    for module in (areas, verify):
+        monkeypatch.setattr(module, "Fraction", lambda *args: built.append(args) or Fraction(*args))
     counts = []
     for q_max, n_max, k_max in [(1, 0, 1), (3, 1, 4)]:
-        built = 0
+        built.clear()
         report = run_grid_verification(q_max=q_max, n_max=n_max, k_max=k_max)
         assert report.passed
-        counts.append((report.points, built))
+        counts.append((report.points, len(built)))
     assert counts[0][0] == 1 and counts[1][0] == 24
     assert counts[0][1] == counts[1][1] > 0
 
@@ -301,7 +284,8 @@ def test_a_failure_detail_past_640_digits_is_exact_under_the_lowest_cap(digit_ca
 CHAIN_STRUCTURE = "x not strictly increasing or y not unit steps"
 
 
-# each false finding's failed checks, and their details at k
+# the failed checks, and their details at k, of each finding the catalog
+# falsifies (its `false-<finding>` entry)
 FALSE_FINDINGS = {
     # the chain check also reads the vertex count, so a wrong count fails both
     "vertex_count": {"vertex_count": lambda k: f"count={k + 3} expected={k + 2}",
@@ -315,8 +299,9 @@ FALSE_FINDINGS = {
 
 @pytest.mark.parametrize(
     "finding, fault, details",
-    [(finding, faults.CATALOG[f"false-{finding}"], details)
-     for finding, details in FALSE_FINDINGS.items()],
+    [(finding, fault, FALSE_FINDINGS[finding])
+     for name, fault in faults.CATALOG.items()
+     if (finding := name.removeprefix("false-")) != name],
     ids=lambda value: value if isinstance(value, str) else "",
 )
 def test_a_false_structural_finding_fails_its_check_at_every_point(finding, fault, details):
