@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, islice
 from typing import Callable, Iterable, NamedTuple
 
 from .core import PolynomialDiagram, Record, SpecialPolynomial, build_diagram
@@ -171,9 +170,9 @@ def _slab_weights(q: int, k: int, lo: int, hi: int, power: bool) -> tuple[int, i
 class _CycleSums(NamedTuple):
     """What one walk of a cycle gives each diagram oracle, kept apart.
 
-    `kept` is the number of leading vertices the walk kept, at most 3: the
-    shoelace sum needs 3 and the lattice counts 2.  `shoelace` is the
-    vertex-form shoelace sum, twice the signed area; `interior` and
+    `kept` is the cycle's vertex count, capped at 3: the shoelace sum needs
+    3 vertices and the lattice counts 2.  `shoelace` is the vertex-form
+    shoelace sum, twice the signed area; `interior` and
     `boundary` are Pick's lattice counts, and `bad_edge` the first chain
     edge that does not step right and down by one, or None.  A value whose
     oracle's precondition failed is meaningless; each oracle states its own
@@ -197,17 +196,20 @@ def _walk_cycle(vertices: Iterable[tuple[int, int]]) -> _CycleSums:
     recorded and never stops the walk, so the shoelace sum is the same
     whatever Pick finds.  The two wrap-around shoelace terms, at the last
     vertex and at the anchor, come from the first vertices the walk kept.
+    It takes the anchor and the first chain vertex with next() and loops
+    over the rest of the same iterator, so its set-up is the same for every
+    cycle; it kept a third vertex when that loop ran at least once.
     """
     walk = iter(vertices)
-    head = list(islice(walk, 3))
-    if len(head) < 2:
-        return _CycleSums(len(head), 0, 0, 0, None)
-    (anchor_x, anchor_y), (first_x, first_y) = head[:2]
+    anchor, first = next(walk, None), next(walk, None)
+    if first is None:
+        return _CycleSums(0 if anchor is None else 1, 0, 0, 0, None)
+    (anchor_x, anchor_y), (first_x, first_y) = anchor, first
     total = run = coefficient = 0  # shoelace; run: sum of x since the coefficient last changed
     count = 0  # Pick: sum of x over every chain vertex but the last
-    bad_edge = None
+    bad_edge = after_x = None  # after_x stays None unless a third vertex arrives
     before_y, here_x, here_y = anchor_y, first_x, first_y
-    for after_x, after_y in chain(head[2:], walk):
+    for after_x, after_y in walk:
         if (after_x <= here_x or after_y != here_y - 1) and bad_edge is None:
             bad_edge = (here_x, here_y), (after_x, after_y)
         count += here_x
@@ -224,7 +226,7 @@ def _walk_cycle(vertices: Iterable[tuple[int, int]]) -> _CycleSums:
     interior = count + last_x * last_y - first_x * first_y - edges - (last_y - 1)
     boundary = (edges + math.gcd(first_y - anchor_y, first_x - anchor_x)
                 + math.gcd(anchor_y - last_y, anchor_x - last_x))
-    return _CycleSums(len(head), total, interior, boundary, bad_edge)
+    return _CycleSums(2 if after_x is None else 3, total, interior, boundary, bad_edge)
 
 
 def area_shoelace(d: PolynomialDiagram) -> Fraction:

@@ -26,14 +26,15 @@ immutability, equality, hashing, repr and pickling.  DiagramDiagnostics is
 a NamedTuple.
 
 Everything here is exact integer arithmetic: slope and turn tests use
-cross products, never division, so no rounding can occur even when
-coordinates reach q^(n+k).  Building a diagram costs one power, and
-validating it O(k) big-integer operations.
+cross products, or comparisons where a cross product reduces to one, never
+division, so no rounding can occur even when coordinates reach q^(n+k).
+Building a diagram costs one power, and validating it O(k) big-integer
+operations, of which at most three are products.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
@@ -261,6 +262,10 @@ def _walk_shape(vertices: Iterable[tuple[int, int]]) -> tuple[int, bool, bool, b
 
     The turn at a vertex is the cross product dx*ey - dy*ex of the edge
     (dx, dy) into it and the edge (ex, ey) out of it, one per vertex.
+    Where both edges have the same y-step (ey == dy, as at every inner
+    chain vertex of a diagram) it equals dy*(dx - ex), so the walk takes
+    its sign from comparing dx with ex and from the sign of dy, and forms
+    no product; the turn it keeps is then dy, -dy or 0.
 
     Chain slopes increasing: every chain turn, between consecutive chain
     edges, is positive.  That is dy/dx < ey/ex cross-multiplied, which is
@@ -275,14 +280,16 @@ def _walk_shape(vertices: Iterable[tuple[int, int]]) -> tuple[int, bool, bool, b
     closing edge and at the anchor onto the first edge, which the walk
     keeps; for a diagram with k >= 2 the second turn already decides it.
 
-    Each edge's differences and each turn are formed once; a check once
-    decided is not computed again.
+    The walk takes the anchor and the first chain vertex with next() and
+    loops over the rest of the same iterator, so its set-up is the same
+    for every cycle.  Each edge's differences and each turn are formed
+    once; a check once decided is not computed again.
     """
     walk = iter(vertices)
-    head = list(islice(walk, 2))
-    if len(head) < 2:
-        return len(head), False, True, False, True
-    (ax, ay), (x, y) = head  # the anchor, then (x, y): the last vertex walked
+    anchor, first = next(walk, None), next(walk, None)
+    if first is None:
+        return 0 if anchor is None else 1, False, True, False, True
+    (ax, ay), (x, y) = anchor, first  # (x, y): the last vertex walked
     count = 2
     simple, increasing, steps, convex = x == ax, True, True, True
     dx, dy = fx, fy = x - ax, y - ay  # the edge into (x, y); (fx, fy) the first edge
@@ -292,7 +299,10 @@ def _walk_shape(vertices: Iterable[tuple[int, int]]) -> tuple[int, bool, bool, b
         simple = simple and ex > 0 and y > ay
         steps = steps and ey == -1 and ex > 0
         if increasing or convex:
-            turn = dx * ey - dy * ex
+            if ey == dy:  # dy * (dx - ex), signed by comparing dx with ex
+                turn = dy if dx > ex else 0 if dx == ex else -dy
+            else:
+                turn = dx * ey - dy * ex
             increasing = increasing and (count < 3 or turn > 0)  # from the 2nd chain vertex on
             if convex and turn:
                 signs.add(turn > 0)

@@ -220,6 +220,34 @@ class TestPick:
         assert area_pick(d) == area_shoelace(d)
 
 
+class TestShortCycles:
+    """Stored cycles of the first 0-3 vertices of p = (2, 0, 2): what each reader makes of them."""
+
+    P = build_polynomial(2, 0, 2)
+    CYCLE = ((1, 0), (1, 2), (2, 1), (4, 0))
+
+    def prefix(self, count):
+        return PolynomialDiagram(self.CYCLE[:count], self.P)
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_shoelace_needs_three_vertices(self, count):
+        with pytest.raises(ValueError, match=f"^need at least 3 vertices, got {count}$"):
+            area_shoelace(self.prefix(count))
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3])
+    def test_cross_check_fails_the_oracles_with_the_same_texts(self, count):
+        shoelace = f"raised ValueError: need at least 3 vertices, got {count}"
+        pick = "raised ValueError: need a chain vertex after the anchor"
+        expected = [{"shoelace": shoelace, "pick": pick}] * 2 + [{"shoelace": shoelace}, {}]
+        assert cross_check(self.P, self.prefix(count)).failed == expected[count]
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3])
+    def test_validation_counts_the_vertices_and_finds_no_diagram(self, count):
+        diagnostics = validate_diagram(self.prefix(count))
+        assert tuple(diagnostics) == (count, False, False, True, False, True)
+        assert type(diagnostics.vertex_count) is int
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("work started")
 

@@ -13,6 +13,7 @@ from polydiagram import (
     build_polynomial,
     validate_diagram,
 )
+from polydiagram.areas import _walk_cycle
 from polydiagram.core import _walk_shape
 from references import LatticePoint, simple_by_pairwise_test
 
@@ -186,6 +187,21 @@ class TestValidateDiagram:
         assert not diag.convex
 
 
+class _Pulls:
+    """A one-shot iterator over a cycle that records each vertex it hands out."""
+
+    def __init__(self, vertices):
+        self.pulled, self._rest = [], iter(vertices)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        vertex = next(self._rest)
+        self.pulled.append(vertex)
+        return vertex
+
+
 class TestWalks:
     @pytest.mark.parametrize("q,n,k", [(2, 0, 1), (3, 1, 5), (1, 0, 3)])
     def test_each_structural_check_walks_the_cycle_once(self, q, n, k):
@@ -194,7 +210,16 @@ class TestWalks:
         p = build_polynomial(q, n, k)
         d = build_diagram(p)
         assert _walk_shape(iter(d.vertices)) == _walk_shape(d.vertices)
+        assert _walk_cycle(iter(d.vertices)) == _walk_cycle(d.vertices)
         assert validate_diagram(PolynomialDiagram(iter(d.vertices), p)) == validate_diagram(d)
+
+    @pytest.mark.parametrize("walk", [_walk_shape, _walk_cycle])
+    @pytest.mark.parametrize("q,n,k", [(2, 0, 1), (3, 1, 5), (1, 0, 3)])
+    def test_each_walk_pulls_each_vertex_once(self, walk, q, n, k):
+        vertices = build_diagram(build_polynomial(q, n, k)).vertices
+        pulls = _Pulls(vertices)
+        assert walk(pulls) == walk(vertices)
+        assert pulls.pulled == list(vertices) and len(pulls.pulled) == k + 2
 
     def test_every_pass_regenerates_the_same_cycle(self):
         vertices = build_diagram(build_polynomial(3, 1, 2)).vertices

@@ -341,6 +341,34 @@ def test_early_exit_convexity_matches_all_turns(cycle):
     assert _walk_shape(cycle)[4] == convex_by_all_turns(cycle)
 
 
+@st.composite
+def equal_y_step_cycles(draw):
+    """An anchor, then a chain whose edges all share one y-step in -2..2, 0 included.
+
+    The anchor and the first chain vertex, and every x-step, may be up to
+    2**200 wide, and the x-steps come from a pool of at most three, so
+    consecutive ones are often equal.
+    """
+    y_step = draw(st.integers(min_value=-2, max_value=2))
+    pool = draw(st.lists(wide_coordinates, min_size=1, max_size=3))
+    x_steps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    anchor = LatticePoint(draw(wide_coordinates), 0)
+    chain = [draw(st.builds(LatticePoint, wide_coordinates, wide_coordinates))]
+    for x_step in x_steps:
+        chain.append(LatticePoint(chain[-1].x + x_step, chain[-1].y + y_step))
+    return (anchor, *chain)
+
+
+@given(cycle=equal_y_step_cycles())
+@settings(max_examples=500)
+def test_turns_between_equal_y_steps_match_the_cross_product(cycle):
+    # where consecutive edges share a y-step the walk signs the turn by a
+    # comparison; both references form the full cross product of every turn
+    assert validate_diagram(as_diagram(cycle)).chain_slopes_increasing == (
+        slopes_increasing_by_triples(cycle))
+    assert _walk_shape(cycle)[4] == convex_by_all_turns(cycle)
+
+
 @given(cycle=st.one_of(lattice_cycles, cycles_near_diagram_shape(shaped=True),
                        unit_descent_chains().map(tuple)),
        k=st.integers(min_value=0, max_value=8))
