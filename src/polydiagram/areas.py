@@ -23,11 +23,13 @@ walk (_walk_cycle) reads the cycle as a stream and keeps each oracle's sums
 in its own accumulators: it walks the cycle once, forward, holding O(1)
 vertices, and takes the closing edge from the first vertices it kept, so
 memory stays flat in k when the cycle is regenerated (as build_diagram's
-is) rather than stored.  cross_check takes it once per diagram for both
-oracles.  Each Route states the least q it applies to (Pick's is 2, as a
-q = 1 diagram has no interior): cross_check compares that int and skips
-the route, and route_refusal forms the text that route_area and
-lattice_counts raise from it.
+is) rather than stored.  It is the one place that refuses a cycle of fewer
+than 3 vertices, for both oracles.  cross_check takes it once per diagram
+for both oracles, and records a walk that raises as a failure of each.
+Each Route states the least q it applies to (Pick's is 2, as a q = 1
+diagram has no interior): by default cross_check compares that int and
+skips the route, and route_refusal forms the text that route_area,
+lattice_counts and cross_check, for a route named to it, raise from it.
 
 Each O(k) route evaluates an exact identity:
 
@@ -168,18 +170,15 @@ def _slab_weights(q: int, k: int, lo: int, hi: int, power: bool) -> tuple[int, i
 
 
 class _CycleSums(NamedTuple):
-    """What one walk of a cycle gives each diagram oracle, kept apart.
+    """What one walk of a cycle of at least 3 vertices gives each diagram oracle, kept apart.
 
-    `kept` is the cycle's vertex count, capped at 3: the shoelace sum needs
-    3 vertices and the lattice counts 2.  `shoelace` is the vertex-form
-    shoelace sum, twice the signed area; `interior` and
-    `boundary` are Pick's lattice counts, and `bad_edge` the first chain
-    edge that does not step right and down by one, or None.  A value whose
-    oracle's precondition failed is meaningless; each oracle states its own
-    failure, so no text is formed here.
+    `shoelace` is the vertex-form shoelace sum, twice the signed area;
+    `interior` and `boundary` are Pick's lattice counts, and `bad_edge` the
+    first chain edge that does not step right and down by one, or None.
+    The counts are meaningless when there is a bad edge; Pick states that
+    failure itself, so no text is formed here.
     """
 
-    kept: int
     shoelace: int
     interior: int
     boundary: int
@@ -198,12 +197,14 @@ def _walk_cycle(vertices: Iterable[tuple[int, int]]) -> _CycleSums:
     vertex and at the anchor, come from the first vertices the walk kept.
     It takes the anchor and the first chain vertex with next() and loops
     over the rest of the same iterator, so its set-up is the same for every
-    cycle; it kept a third vertex when that loop ran at least once.
+    cycle.  A cycle of fewer than 3 vertices is no polygon for either
+    oracle, so the walk raises ValueError `need at least 3 vertices, got N`
+    for both; a vertex that is not a pair raises as it is unpacked.
     """
     walk = iter(vertices)
     anchor, first = next(walk, None), next(walk, None)
     if first is None:
-        return _CycleSums(0 if anchor is None else 1, 0, 0, 0, None)
+        raise ValueError(f"need at least 3 vertices, got {0 if anchor is None else 1}")
     (anchor_x, anchor_y), (first_x, first_y) = anchor, first
     total = run = coefficient = 0  # shoelace; run: sum of x since the coefficient last changed
     count = 0  # Pick: sum of x over every chain vertex but the last
@@ -220,13 +221,15 @@ def _walk_cycle(vertices: Iterable[tuple[int, int]]) -> _CycleSums:
             total += run * coefficient
             run, coefficient = here_x, step
         before_y, here_x, here_y = here_y, after_x, after_y
+    if after_x is None:  # the loop never ran
+        raise ValueError("need at least 3 vertices, got 2")
     last_x, last_y = here_x, here_y
     total += run * coefficient + last_x * (anchor_y - before_y) + anchor_x * (first_y - last_y)
     edges = first_y - last_y
     interior = count + last_x * last_y - first_x * first_y - edges - (last_y - 1)
     boundary = (edges + math.gcd(first_y - anchor_y, first_x - anchor_x)
                 + math.gcd(anchor_y - last_y, anchor_x - last_x))
-    return _CycleSums(2 if after_x is None else 3, total, interior, boundary, bad_edge)
+    return _CycleSums(total, interior, boundary, bad_edge)
 
 
 def area_shoelace(d: PolynomialDiagram) -> Fraction:
@@ -249,8 +252,6 @@ def area_shoelace(d: PolynomialDiagram) -> Fraction:
 
 def _shoelace_area(walk: _CycleSums) -> int:
     """The shoelace route: twice area_shoelace from one walk of the cycle."""
-    if walk.kept < 3:
-        raise ValueError(f"need at least 3 vertices, got {walk.kept}")
     return abs(walk.shoelace)
 
 
@@ -274,18 +275,16 @@ def lattice_counts(d: PolynomialDiagram) -> tuple[int, int]:
     from the anchor and the first chain vertex the walk keeps, cost a gcd.
     The walk is the one the shoelace sum reads (see _walk_cycle), with its
     own accumulator.  Raises ValueError with route_refusal's text at q = 1,
-    before the walk, and for the first chain edge that does not step right and down by one.
+    before the walk, with the walk's text for a cycle of fewer than 3
+    vertices, as the shoelace sum does, and for the first chain edge that
+    does not step right and down by one.
     """
-    refusal = route_refusal("pick", d.source)
-    if refusal is not None:
-        raise ValueError(refusal)
+    _refuse(d.source, "pick")
     return _lattice_counts(_walk_cycle(d.vertices))
 
 
 def _lattice_counts(walk: _CycleSums) -> tuple[int, int]:
     """lattice_counts from one walk of the cycle, once its chain edges are checked."""
-    if walk.kept < 2:
-        raise ValueError("need a chain vertex after the anchor")
     if walk.bad_edge is not None:
         a, b = (f"({int_text(x)}, {int_text(y)})" for x, y in walk.bad_edge)
         raise ValueError(f"chain edge {a} -> {b} does not step right and down by one")
@@ -330,14 +329,21 @@ def route_refusal(name: str, p: SpecialPolynomial) -> str | None:
     """Why route `name` does not apply to p, or None when it does.
 
     A route applies from its Route.least_q on; only Pick's is above 1, as a
-    q = 1 diagram has no interior.  route_area and lattice_counts raise this
-    text; cross_check compares Route.least_q itself and skips the route.
+    q = 1 diagram has no interior.  route_area, lattice_counts and
+    cross_check, for a route it is given by name, raise this text; by
+    default cross_check compares Route.least_q itself and skips the route.
     """
     least_q = ROUTES[name].least_q
     if p.q < least_q:
         return (f"route {name!r} needs q >= {least_q} (a q = 1 diagram has no interior), "
                 f"got q = {p.q}")
     return None
+
+
+def _refuse(p: SpecialPolynomial, *names: str) -> None:
+    """Raise, as ValueError, route_refusal's text for the first route of `names` refusing p."""
+    for refusal in filter(None, (route_refusal(name, p) for name in names)):
+        raise ValueError(refusal)
 
 
 def route_failure(given: object, raised: bool = False) -> str | None:
@@ -368,9 +374,7 @@ def route_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = No
     raises raises on, and one that gives a non-int raises NotAnInt.  `d` is p's
     diagram when the caller has built it, else built for a route that reads one.
     """
-    refusal = route_refusal(name, p)
-    if refusal is not None:
-        raise ValueError(refusal)
+    _refuse(p, name)
     reads_diagram, twice_area, _ = ROUTES[name]
     walk = _walk_cycle((build_diagram(p) if d is None else d).vertices) if reads_diagram else None
     twice = twice_area(walk) if reads_diagram else twice_area(p.q, p.n, p.k)
@@ -385,34 +389,44 @@ def half_pair(twice: int) -> tuple[int, int]:
     return (twice, 2) if twice & 1 else (twice >> 1, 1)
 
 
-def cross_check(
-    p: SpecialPolynomial, d: PolynomialDiagram | None = None, names: Iterable[str] | None = None
-) -> AreaCrossCheck:
+def cross_check(p: SpecialPolynomial, d: PolynomialDiagram | None = None,
+                names: Iterable[str] | None = None) -> AreaCrossCheck:
     """Compute twice the area by every route that applies, as exact ints, and compare them.
 
-    `names` are the routes to run, in order, every one in ROUTES by default;
-    a route that does not apply, p.q below its least_q, is skipped.  Each route
-    reads p's ints or one walk, shared by the diagram routes and taken only
-    when one of them runs, of the cycle of `d`, p's diagram when the caller
-    has already built it.  Disagreement is reported in the record, never
-    raised, and so is a route that raises or gives a non-int: it is a fault
-    of that route, kept in `failed` as route_failure's text.
+    By default every route of ROUTES that applies to p (its least_q at most
+    p.q) runs, in order, and the others are skipped.  `names` are the routes
+    to run instead, in order; if one of them does not apply, route_refusal's
+    text is raised as ValueError before any route runs.  Each route reads
+    p's ints or one walk, shared by the diagram routes and taken only when
+    one of them runs, of the cycle of `d`, p's diagram when the caller has
+    already built it.  Disagreement is reported in the record, never raised,
+    and so is a route that raises or gives a non-int: it is a fault of that
+    route, kept in `failed` as route_failure's text.  A walk that raises (a
+    cycle of fewer than 3 vertices, or a vertex that is not a pair) is the
+    fault of every diagram route, each failed with its text.
     """
     twice_areas: dict[str, int] = {}
     failed: dict[str, str] = {}
-    walk = None
+    walk: _CycleSums | Exception | None = None  # the one walk, or what it raised
     q, n, k = p.q, p.n, p.k
+    if names is not None:  # a named route that does not apply is refused before any route runs
+        names = tuple(names)
+        _refuse(p, *names)
     for name in ROUTES if names is None else names:
         reads_diagram, twice_area, least_q = ROUTES[name]
-        if q < least_q:
+        if q < least_q:  # only by default: a route that does not apply is skipped
             continue
-        if reads_diagram and walk is None:
-            walk = _walk_cycle((build_diagram(p) if d is None else d).vertices)
         try:
+            if reads_diagram and walk is None:
+                walk = _walk_cycle((build_diagram(p) if d is None else d).vertices)
+            elif reads_diagram and isinstance(walk, Exception):
+                raise walk
             twice = twice_area(walk) if reads_diagram else twice_area(q, n, k)
             failure = route_failure(twice)
         except Exception as exc:  # any raise is a failed route, reported like a disagreement
             failure = route_failure(exc, raised=True)
+            if reads_diagram and walk is None:  # the walk raised: it fails each diagram route
+                walk = exc
         if failure is None:
             twice_areas[name] = twice
         else:

@@ -6,7 +6,9 @@ verification or cross-check failure, a failed route (by the one rule of
 areas.route_failure, stated in the README's CLI section: `area` and
 `verify` read it from `cross_check`, and `table` and `diff` stop at the
 RouteRaised of `twice_area_sequence`) or an SVG that `render --out` cannot
-write, 2 for a usage error, and 141 (128 + SIGPIPE, as a shell reports for
+write, 2 for a usage error (each refused where the library refuses it:
+`area --method pick` at q = 1 by `cross_check`, and a `diff` range by
+`twice_area_sequence`), and 141 (128 + SIGPIPE, as a shell reports for
 a writer that SIGPIPE ends) when the reader of stdout stops early, as
 `head` does, or is gone before --help is flushed, with nothing on stderr.
 Every stderr line of this module goes through _stderr, and `main` flushes
@@ -38,7 +40,7 @@ import sys
 from itertools import count, tee
 from typing import TYPE_CHECKING, Iterable, TextIO
 
-from .areas import ROUTES, RouteRaised, cross_check, half_pair, route_refusal
+from .areas import ROUTES, RouteRaised, cross_check, half_pair
 from .core import build_diagram, build_polynomial
 from .formats import (
     DEFAULT_DIGITS,
@@ -108,13 +110,8 @@ def _params(args: argparse.Namespace) -> dict[str, str | int]:
 
 def cmd_area(args: argparse.Namespace) -> int:
     p = build_polynomial(args.q, args.n, args.k)
-    if args.method == "all":
-        check = cross_check(p)
-    else:  # a route that does not apply is refused before any work
-        refusal = route_refusal(args.method, p)
-        if refusal is not None:
-            raise ValueError(refusal)
-        check = cross_check(p, names=(args.method,))
+    # cross_check refuses a named route that does not apply before any work
+    check = cross_check(p, names=None if args.method == "all" else (args.method,))
     if p.degenerate:
         _warn("q = 1 produces a degenerate diagram; every area is 0")
 
@@ -131,6 +128,8 @@ def cmd_area(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     from .sequences import check_range, ratio_pairs, twice_area_sequence
 
+    # twice_area_sequence checks the range it is given, which ends one q past
+    # q_to, so an empty range (q_from = q_to + 1) would pass there
     check_range(args.k, args.n, args.q_from, args.q_to)
     if args.q_from == 1:
         _warn("q = 1 row is degenerate; its ratio is undefined")
@@ -144,11 +143,11 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    from .sequences import check_order, check_range, differences, twice_area_sequence
+    from .sequences import check_order, differences, twice_area_sequence
 
-    check_range(args.k, args.n, args.q_from, args.q_to)  # refused before any route runs
-    check_order(args.order, args.q_to - args.q_from + 1)
+    # the range is refused by this call, and the order after it, before any route runs
     twice = twice_area_sequence(args.k, args.n, args.q_from, args.q_to)
+    check_order(args.order, args.q_to - args.q_from + 1)
     rows = zip(map(str, count(args.q_from)), map(half_pair, differences(list(twice), args.order)))
     _emit(records_document(args.format, ("q", "difference"), rows, _params(args), args.digits))
     return 0

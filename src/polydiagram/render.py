@@ -100,13 +100,16 @@ def diagram_svg(d: PolynomialDiagram, spec: RenderSpec | None = None) -> Iterato
     The vertex cycle is read in passes, each holding O(1) vertices: one for
     the plot ranges, one for the path and one for the labeled markers, which
     come CHUNK_ROWS vertices to a chunk.  ''.join of the chunks is the
-    document.
+    document.  A cycle with no vertex is refused with ValueError before
+    the first chunk.
     """
     spec = spec or RenderSpec()
     extent = _plotted(d, spec)
-    x_lo, _, y_hi = next(extent)
+    x_lo, _, y_hi = next(extent, (None, None, None))
+    if x_lo is None:
+        raise ValueError("cannot render a cycle with no vertices")
     x_hi = x_lo
-    for position, _, y in extent:  # the top vertex sits at y = k >= 1
+    for position, _, y in extent:  # a diagram's top vertex sits at y = k >= 1
         if position < x_lo:
             x_lo = position
         elif position > x_hi:
@@ -127,6 +130,8 @@ def diagram_svg(d: PolynomialDiagram, spec: RenderSpec | None = None) -> Iterato
         return left + (x - x_lo) / (x_hi - x_lo) * (right - left)
 
     def py(y: int) -> float:
+        if y_hi == 0:  # a cycle whose highest y is 0 lies on the axis, as px centres one column
+            return bottom
         return bottom - y / y_hi * (bottom - top)
 
     def fmt(v: float) -> str:

@@ -14,9 +14,11 @@ and `sequences.twice_area_sequence`, which `table` and `diff` read.
 
 An outcome is an exit status and one fact (see `outcome`): on exit 1,
 whether stderr blames a route the fault is at; on exit 0, whether stdout is
-byte-identical to the clean run.  A non-int or a raise is at `general`
-from the first q; its `inject` also takes another route, and a later first
-q for a formula route, for the tests of where such a failure is named.
+byte-identical to the clean run.  Exit 2, the usage-error status, is a
+fault that escaped every check, and stands alone.  A non-int or a raise is
+at `general` from the first q; its `inject` also takes another route, and a
+later first q for a formula route, for the tests of where such a failure is
+named.
 `matrix` renders the catalog as the table the README prints.
 """
 
@@ -153,6 +155,13 @@ def _skipping_the_first_chain_vertex(walk: Callable = core.VertexCycle.__iter__)
         islice(vertices := walk(cycle), 1), islice(vertices, 1, None)))
 
 
+def _malforming_the_first_chain_vertex(walk: Callable = core.VertexCycle.__iter__
+                                       ) -> ContextManager:
+    # the anchor, then the first chain vertex as the 1-tuple of its x, then the rest
+    return mock.patch.object(core.VertexCycle, "__iter__", lambda cycle: chain(
+        islice(vertices := walk(cycle), 1), ((x,) for x, _ in islice(vertices, 1)), vertices))
+
+
 def _falsified(finding: str, falsify: Callable) -> Fault:
     """validate_diagram, where verify reads it, reporting falsify(its `finding`)."""
 
@@ -201,6 +210,11 @@ CATALOG: dict[str, Fault] = {
     "cycle-skips-the-first-chain-vertex": Fault(
         "the cycle", "`VertexCycle` skips the first chain vertex", ("shoelace", "pick"),
         _skipping_the_first_chain_vertex, (UNNAMED, NAMED, SAME, SAME)),
+    # both oracles fail in cross_check; validate_diagram's walk raises outside any
+    # check, which verify cannot blame on a rule, so the unpack error exits 2
+    "cycle-yields-a-malformed-pair": Fault(
+        "the cycle", "`VertexCycle` yields `(x,)` for the first chain vertex",
+        ("shoelace", "pick"), _malforming_the_first_chain_vertex, (NAMED, "2", SAME, SAME)),
     **{f"false-{finding}": _falsified(finding, falsify)
        for finding, falsify in [("vertex_count", lambda count: count + 1),
                                 ("simple", lambda _: False),
@@ -227,7 +241,7 @@ def matrix() -> str:
                                               COMMANDS.values()) + " |",
              "|---|---|" + "---|" * len(COMMANDS)]
     for fault in CATALOG.values():
-        cells = (cell if cell[0] == "1" else f"{cell} {document}"  # what stdout holds
+        cells = (cell if cell[0] != "0" else f"{cell} {document}"  # what stdout holds
                  for cell, document in zip(fault.outcomes, ("areas", "report", "rows", "rows")))
         lines.append(f"| {fault.what} | {fault.kind} | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"

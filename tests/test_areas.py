@@ -163,11 +163,15 @@ class TestPick:
         with pytest.raises(ValueError, match=re.escape(PICK_AT_Q_1)):
             area_pick(build_diagram(build_polynomial(1, 0, 2)))
 
-    @pytest.mark.parametrize("vertices", [(), (LatticePoint(1, 0),)])
+    @pytest.mark.parametrize("vertices", [(), (LatticePoint(1, 0),),
+                                          (LatticePoint(1, 0), LatticePoint(1, 2))])
     def test_rejects_a_cycle_without_a_chain_vertex(self, vertices):
+        # with shoelace's text; the two-vertex cycle once gave (-1, 4) and an area of 0
         d = PolynomialDiagram(vertices, build_polynomial(2, 0, 2))
-        with pytest.raises(ValueError, match="need a chain vertex after the anchor"):
-            lattice_counts(d)
+        text = f"^need at least 3 vertices, got {len(vertices)}$"
+        for oracle in lattice_counts, area_pick:
+            with pytest.raises(ValueError, match=text):
+                oracle(d)
 
     def test_large_extent_is_exact(self):
         # x-extent 10^8 - 1: far past what a column scan can visit
@@ -236,10 +240,14 @@ class TestShortCycles:
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3])
     def test_cross_check_fails_the_oracles_with_the_same_texts(self, count):
-        shoelace = f"raised ValueError: need at least 3 vertices, got {count}"
-        pick = "raised ValueError: need a chain vertex after the anchor"
-        expected = [{"shoelace": shoelace, "pick": pick}] * 2 + [{"shoelace": shoelace}, {}]
-        assert cross_check(self.P, self.prefix(count)).failed == expected[count]
+        text = f"raised ValueError: need at least 3 vertices, got {count}"
+        expected = dict.fromkeys(["shoelace", "pick"], text) if count < 3 else {}
+        assert cross_check(self.P, self.prefix(count)).failed == expected
+
+    def test_a_one_shot_cycle_fails_both_oracles_from_its_one_walk(self):
+        once = PolynomialDiagram(iter(self.CYCLE[:2]), self.P)
+        text = "raised ValueError: need at least 3 vertices, got 2"
+        assert cross_check(self.P, once).failed == {"shoelace": text, "pick": text}
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3])
     def test_validation_counts_the_vertices_and_finds_no_diagram(self, count):
@@ -353,8 +361,27 @@ class TestCrossCheck:
         check = cross_check(p, names=("general", "closed"))
         assert check.twice_areas == {name: expected.twice_areas[name]
                                      for name in ("general", "closed")}
-        # a named route that does not apply is skipped, as it is by default
-        assert cross_check(build_polynomial(1, 0, 3), names=("pick",)) == AreaCrossCheck({})
+        # a named route that does not apply is refused; by default it is skipped
+        with pytest.raises(ValueError, match=f"^{re.escape(PICK_AT_Q_1)}$"):
+            cross_check(build_polynomial(1, 0, 3), names=("pick",))
+
+    def test_a_named_route_that_does_not_apply_is_refused_before_any_route_runs(
+            self, monkeypatch):
+        # cross_check records a route's raise, so the route records its own run
+        ran = []
+        monkeypatch.setitem(ROUTES, "general", ROUTES["general"]._replace(
+            twice_area=lambda *args: ran.append(args) or 0))
+        names = iter(("general", "pick"))  # read once, as any iterable may be
+        with pytest.raises(ValueError, match=f"^{re.escape(PICK_AT_Q_1)}$"):
+            cross_check(build_polynomial(1, 0, 3), names=names)
+        assert ran == []
+
+    def test_a_walk_that_raises_fails_each_diagram_route(self):
+        p = build_polynomial(2, 0, 2)
+        check = cross_check(p, PolynomialDiagram(((1, 0), (1, 2), (3,)), p))
+        text = "raised ValueError: not enough values to unpack (expected 2, got 1)"
+        assert check.failed == {"shoelace": text, "pick": text}
+        assert check.twice_areas == {"closed": 5, "general": 5} and not check.agree
 
     def test_a_route_applies_from_q_1_unless_it_says_otherwise(self):
         assert areas.Route(False, area_closed_form).least_q == 1

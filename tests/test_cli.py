@@ -81,11 +81,16 @@ class TestArea:
         assert err == ""
 
     def test_pick_at_q_1_is_refused_before_any_work(self, capsys):
+        # a route that ran would raise, and its failure would show in the document
+        routes = {name: route._replace(twice_area=mock.Mock(side_effect=AssertionError))
+                  for name, route in areas.ROUTES.items()}
         with (
             mock.patch.object(cli, "build_diagram", side_effect=AssertionError),
-            mock.patch.object(cli, "cross_check", side_effect=AssertionError),
+            mock.patch.object(areas, "build_diagram", side_effect=AssertionError),
+            mock.patch.dict(areas.ROUTES, routes),
         ):
             code, out, err = run_cli(capsys, "area", "--q", "1", "--k", "3", "--method", "pick")
+        assert not any(route.twice_area.called for route in routes.values())
         assert (code, out) == (2, "")
         assert err == (
             "error: route 'pick' needs q >= 2 (a q = 1 diagram has no interior), got q = 1\n"
@@ -209,6 +214,15 @@ class TestDiff:
         general = areas.ROUTES["general"]
         monkeypatch.setitem(areas.ROUTES, "general", general._replace(twice_area=no_work))
         assert run_cli(capsys, "diff", *argv) == (2, "", f"error: {message}\n")
+
+
+    def test_the_range_is_checked_once(self, capsys, monkeypatch):
+        # by twice_area_sequence, which refuses it before the order is checked
+        calls, check_range = [], sequences.check_range
+        monkeypatch.setattr(sequences, "check_range",
+                            lambda *args: calls.append(args) or check_range(*args))
+        assert run_cli(capsys, "diff", "--q-to", "5")[0] == 0
+        assert calls == [(2, 0, 2, 5)]
 
 
 class TestVerify:

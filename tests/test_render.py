@@ -164,3 +164,17 @@ def test_an_anchor_past_the_default_cap_is_labelled_exactly(digit_cap):
     with digit_cap(0):
         assert _labels(svg) == [(str(x), str(y)) for x, y in d.vertices]
     assert len(_labels(svg)[0][0]) == 4772
+
+
+def test_a_cycle_with_no_vertex_is_refused_before_the_first_chunk():
+    chunks = svg_chunks(PolynomialDiagram((), build_polynomial(2, 0, 2)))
+    with pytest.raises(ValueError, match="^cannot render a cycle with no vertices$"):
+        next(chunks)
+
+
+@pytest.mark.parametrize("vertices", [((1, 0),), ((1, 0), (4, 0)), ((1, -2), (3, 0), (2, -1))])
+def test_a_cycle_whose_highest_y_is_0_is_drawn_on_the_axis(vertices):
+    svg = diagram_svg(PolynomialDiagram(vertices, build_polynomial(2, 0, 2)))
+    axis_y = re.search(r'<line x1="[0-9.]+" y1="([0-9.]+)"', svg)[1]
+    assert set(re.findall(r'<circle cx="[0-9.]+" cy="([0-9.]+)"', svg)) == {axis_y}
+    assert svg.count("<circle") == len(vertices)
