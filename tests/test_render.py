@@ -172,7 +172,7 @@ def test_a_cycle_with_no_vertex_is_refused_before_the_first_chunk():
         next(chunks)
 
 
-@pytest.mark.parametrize("vertices", [((1, 0),), ((1, 0), (4, 0)), ((1, -2), (3, 0), (2, -1))])
+@pytest.mark.parametrize("vertices", [((1, 0),), ((1, 0), (4, 0))])
 def test_a_cycle_whose_highest_y_is_0_is_drawn_on_the_axis(vertices):
     svg = diagram_svg(PolynomialDiagram(vertices, build_polynomial(2, 0, 2)))
     axis_y = re.search(r'<line x1="[0-9.]+" y1="([0-9.]+)"', svg)[1]
