@@ -8,10 +8,12 @@ holds each route's own function, once, in the order documents list them:
 the formula routes read (q, n, k) and the oracles one walk of the cycle.
 route_failure is the one rule for what a route gave: None for an int, else
 the failure text, `raised <Type>: <text>` or `returned <type>, not an int`.
-route_area, which each public area function runs, runs one route and
-halves its int to a Fraction, or raises NotAnInt with that text;
-AreaCrossCheck keeps the ints and each failure text, and agrees only when
-no route failed and every int is the same.
+cross_check is the one place that runs the routes: AreaCrossCheck keeps
+the ints and each failure text, and agrees only when no route failed and
+every int is the same.  route_area, which each public area function runs, reads its
+one route from cross_check and halves the int to a Fraction, or raises
+RouteRaised, a ValueError, with `route '<route>' <text>`, the text `area`
+writes after `error: `.
 The closed form costs O(1) big-integer operations and every other route O(k)
 of them: the slab sum joins k slab weights by binary splitting, and the
 shoelace sum and the lattice counts do at most one addition per
@@ -28,8 +30,9 @@ than 3 vertices, for both oracles.  cross_check takes it once per diagram
 for both oracles, and records a walk that raises as a failure of each.
 Each Route states the least q it applies to (Pick's is 2, as a q = 1
 diagram has no interior): by default cross_check compares that int and
-skips the route, and route_refusal forms the text that route_area,
-lattice_counts and cross_check, for a route named to it, raise from it.
+skips the route, and route_refusal forms the text that lattice_counts and
+cross_check, for a route named to it (as route_area names one), raise from
+it.
 
 Each O(k) route evaluates an exact identity:
 
@@ -276,8 +279,8 @@ def lattice_counts(d: PolynomialDiagram) -> tuple[int, int]:
     The walk is the one the shoelace sum reads (see _walk_cycle), with its
     own accumulator.  Raises ValueError with route_refusal's text at q = 1,
     before the walk, with the walk's text for a cycle of fewer than 3
-    vertices, as the shoelace sum does, and for the first chain edge that
-    does not step right and down by one.
+    vertices, and for the first chain edge that does not step right and
+    down by one.
     """
     _refuse(d.source, "pick")
     return _lattice_counts(_walk_cycle(d.vertices))
@@ -292,7 +295,11 @@ def _lattice_counts(walk: _CycleSums) -> tuple[int, int]:
 
 
 def area_pick(d: PolynomialDiagram) -> Fraction:
-    """Pick's I + B/2 - 1 by route_area("pick", d.source, d); raises as lattice_counts does."""
+    """Pick's I + B/2 - 1 by route_area("pick", d.source, d).
+
+    Refused at q = 1 as lattice_counts is; any text lattice_counts raises
+    after that comes as RouteRaised, `route 'pick' raised ValueError: <text>`.
+    """
     return route_area("pick", d.source, d)
 
 
@@ -306,7 +313,7 @@ class Route(NamedTuple):
     """An area route: whether it reads the diagram, its twice-area function, and its least q.
 
     `twice_area` gives 2A, an int, from a validated polynomial's ints (q, n, k) or,
-    when `reads_diagram`, one walk of its diagram's cycle (from route_area or cross_check).
+    when `reads_diagram`, one walk of its diagram's cycle (from cross_check).
     The route applies to every q >= `least_q`.
     """
 
@@ -329,8 +336,8 @@ def route_refusal(name: str, p: SpecialPolynomial) -> str | None:
     """Why route `name` does not apply to p, or None when it does.
 
     A route applies from its Route.least_q on; only Pick's is above 1, as a
-    q = 1 diagram has no interior.  route_area, lattice_counts and
-    cross_check, for a route it is given by name, raise this text; by
+    q = 1 diagram has no interior.  lattice_counts and cross_check, for a
+    route it is given by name (and so route_area), raise this text; by
     default cross_check compares Route.least_q itself and skips the route.
     """
     least_q = ROUTES[name].least_q
@@ -359,29 +366,22 @@ def route_failure(given: object, raised: bool = False) -> str | None:
     return None if type(given) is int else f"returned {type(given).__name__}, not an int"
 
 
-class NotAnInt(TypeError):
-    """A route returned a non-int twice-area; the text is the route's name and route_failure's."""
-
-
-class RouteRaised(Exception):
-    """A route failed in a sequence; the text names the route, route_failure's text, and q."""
+class RouteRaised(ValueError):
+    """A route failed: `route '<route>' <route_failure's text>`, and ` at q = <q>` in a sequence."""
 
 
 def route_area(name: str, p: SpecialPolynomial, d: PolynomialDiagram | None = None) -> Fraction:
-    """Area of p by route `name`: ROUTES[name] on p's ints, or one walk of its diagram, halved.
+    """Area of p by route `name` alone: cross_check's twice-area for it, halved.
 
-    A refused route raises route_refusal's text before any work, a route that
-    raises raises on, and one that gives a non-int raises NotAnInt.  `d` is p's
-    diagram when the caller has built it, else built for a route that reads one.
+    cross_check refuses a route that does not apply before any work; a route
+    that raises or gives a non-int raises RouteRaised with its name and
+    route_failure's text.  `d` is p's diagram when the caller has built it,
+    else built for a route that reads one.
     """
-    _refuse(p, name)
-    reads_diagram, twice_area, _ = ROUTES[name]
-    walk = _walk_cycle((build_diagram(p) if d is None else d).vertices) if reads_diagram else None
-    twice = twice_area(walk) if reads_diagram else twice_area(p.q, p.n, p.k)
-    failure = route_failure(twice)
-    if failure is not None:  # Fraction(float, 2) would raise, and blame no route
-        raise NotAnInt(f"{name} {failure}")
-    return Fraction(twice, 2)
+    check = cross_check(p, d, (name,))
+    if name in check.failed:
+        raise RouteRaised(f"route {name!r} {check.failed[name]}")
+    return check.areas[name]
 
 
 def half_pair(twice: int) -> tuple[int, int]:

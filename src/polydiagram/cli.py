@@ -29,7 +29,9 @@ Every call starts with an interpreter that imports this module and builds
 the parser, so the module imports only what `area` runs: `areas`, `core`
 and `formats`.  `table` and `diff` import `sequences`, `verify` imports
 `verify` and `render` imports `render`, each inside its command, and
-`main` catches RouteRaised from `areas`, where it is defined.
+`main` catches ValueError once: exit 1 for a RouteRaised, the ValueError
+of `areas` whose text is the line `area` writes for a failed route, and 2
+for any other.
 """
 
 from __future__ import annotations
@@ -337,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         # flush, and exit as SIGPIPE would end a writer
         _devnull(sys.stdout)
         return 141
-    except (RouteRaised, ValueError) as exc:  # a route's fault in table or diff, or a usage error
+    except ValueError as exc:  # a RouteRaised, a route's fault, or a usage error
         _stderr(f"error: {exc}\n")
         return 1 if isinstance(exc, RouteRaised) else 2
 

@@ -1,10 +1,12 @@
 """Standalone SVG rendering of diagram polygons.
 
 The polygon is a single closed <path>; every vertex gets a circular marker
-and a text label with its true coordinates.  With log_x enabled the
-horizontal position of each vertex is its base-q exponent, which spaces the
-monomial chain evenly no matter how wide the diagram is; labels still show
-the original coordinates.  Rendering is a pure function of its inputs, so
+and a text label with its true coordinates.  The plotted y range runs
+from the cycle's lowest to its highest y, widened to hold the axis y = 0,
+so a cycle below the axis is drawn inside the canvas too.  With log_x
+enabled the horizontal position of each vertex is its base-q exponent,
+which spaces the monomial chain evenly no matter how wide the diagram is;
+labels still show the original coordinates.  Rendering is a pure function of its inputs, so
 identical invocations produce byte-identical documents.  The document is
 yielded in chunks, and the vertex cycle is read in passes that each hold
 O(1) vertices, so its memory stays flat in k although the document grows
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from itertools import starmap
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import PolynomialDiagram, Record
 from .formats import EXACT, batched, int_text
@@ -86,6 +88,15 @@ def _labeled(
         yield position, str(label), y
 
 
+def _axis(lo: int, hi: int, start: float, end: float) -> Callable[[int], float]:
+    """The map of lo..hi onto start..end, which takes every value to the middle when lo == hi."""
+    if hi == lo:
+        return lambda value: (start + end) / 2
+    # int / int is correctly rounded even past the float range, so huge
+    # coordinates need no exact ratio before the conversion.
+    return lambda value: start + (value - lo) / (hi - lo) * (end - start)
+
+
 # A vertex's marker and its label; the label's x is already text.
 _MARKER = (
     '  <circle cx="%.2f" cy="%.2f" r="3.5" fill="#1f77b4"/>\n'
@@ -100,21 +111,25 @@ def diagram_svg(d: PolynomialDiagram, spec: RenderSpec | None = None) -> Iterato
     The vertex cycle is read in passes, each holding O(1) vertices: one for
     the plot ranges, one for the path and one for the labeled markers, which
     come CHUNK_ROWS vertices to a chunk.  ''.join of the chunks is the
-    document.  A cycle with no vertex is refused with ValueError before
-    the first chunk.
+    document.  One map places both coordinates: the abscissae from left to
+    right, and the y range, widened to hold y = 0, from bottom to top; a
+    range of one value maps to its middle.  A cycle with no vertex is
+    refused with ValueError before the first chunk.
     """
     spec = spec or RenderSpec()
     extent = _plotted(d, spec)
-    x_lo, _, y_hi = next(extent, (None, None, None))
+    x_lo, _, y_lo = next(extent, (None, None, None))
     if x_lo is None:
         raise ValueError("cannot render a cycle with no vertices")
-    x_hi = x_lo
-    for position, _, y in extent:  # a diagram's top vertex sits at y = k >= 1
+    x_hi, y_hi = x_lo, y_lo
+    for position, _, y in extent:
         if position < x_lo:
             x_lo = position
         elif position > x_hi:
             x_hi = position
-        if y > y_hi:
+        if y < y_lo:
+            y_lo = y
+        elif y > y_hi:
             y_hi = y
 
     left = spec.margin_px
@@ -122,17 +137,8 @@ def diagram_svg(d: PolynomialDiagram, spec: RenderSpec | None = None) -> Iterato
     top = spec.margin_px
     bottom = spec.height_px - spec.margin_px
 
-    def px(x: int) -> float:
-        if x_hi == x_lo:
-            return (left + right) / 2
-        # int / int is correctly rounded even past the float range, so huge
-        # coordinates need no exact ratio before the conversion.
-        return left + (x - x_lo) / (x_hi - x_lo) * (right - left)
-
-    def py(y: int) -> float:
-        if y_hi == 0:  # a cycle whose highest y is 0 lies on the axis, as px centres one column
-            return bottom
-        return bottom - y / y_hi * (bottom - top)
+    px = _axis(x_lo, x_hi, left, right)
+    py = _axis(min(y_lo, 0), max(y_hi, 0), bottom, top)  # the y range holds y = 0
 
     def fmt(v: float) -> str:
         return f"{v:.2f}"

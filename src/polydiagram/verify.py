@@ -6,8 +6,10 @@ n-1 -> n scaling law, and (for q >= 2) the diagram's structural
 invariants.  It also replays the frozen golden rows for the degree-2, n=0
 family.  A route that cross_check records as failed
 (see areas.route_failure) fails its check against the shoelace oracle with
-that text, and a golden row whose slab sum fails is a problem, so a faulty
-route ends the sweep with a report, not an exception.
+that text, a validation walk that raises fails each structural check with
+route_failure's text for the raise, and a golden row whose slab sum fails
+is a problem, so a faulty route or cycle ends the sweep with a report, not
+an exception.
 Points are visited in (q, n, k) order and failures recorded in that order,
 so reports are deterministic; details write ints by int_text.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
-from .areas import ROUTES, AreaCrossCheck, NotAnInt, area_general, cross_check, route_failure
+from .areas import ROUTES, AreaCrossCheck, cross_check, route_failure
 from .core import PolynomialDiagram, Record, SpecialPolynomial, VertexCycle, validate_diagram
 from .formats import int_text
 
@@ -61,7 +63,8 @@ class CheckFailure(Record):
 
 
 # A point's inputs, by index: its AreaCrossCheck, (2A(n), q*2A(n-1)) from the slab
-# sum and its DiagramDiagnostics, each None where absent.
+# sum and its DiagramDiagnostics, each None where absent; a validation walk that
+# raised leaves its route_failure text, the detail of each check reading it.
 _ROUTES, _SCALING, _SHAPE = range(3)
 
 
@@ -193,7 +196,10 @@ def _verify_point(q: int, n: int, k: int, below: int | None,
     routes = cross_check(p, d)
     slab = routes.twice_areas.get("general")
     scaling = None if slab is None or below is None else (slab, q * below)
-    shape = None if q == 1 else validate_diagram(d)
+    try:
+        shape = None if q == 1 else validate_diagram(d)
+    except Exception as exc:  # a walk that raises fails each structural check with its text
+        shape = route_failure(exc, raised=True)
     key = (scaling is None, shape is None, *routes.twice_areas, *routes.failed)
     seen[key] = seen.get(key, 0) + 1
     held = (routes.agree, scaling is None or scaling[0] == scaling[1],
@@ -203,7 +209,7 @@ def _verify_point(q: int, n: int, k: int, below: int | None,
     inputs = (routes, scaling, shape)
     for name, reads, _, finding in _applicable(key):
         if not held[reads]:
-            detail = finding(inputs[reads], k)
+            detail = inputs[reads] if type(inputs[reads]) is str else finding(inputs[reads], k)
             if detail is not None:
                 failures.append(CheckFailure(q, n, k, name, detail))
     return slab
@@ -219,12 +225,12 @@ def _golden_quadratic_problems() -> list[str]:
     """Exact areas and +/-0.05 decimal ratios against the frozen golden rows."""
     problems: list[str] = []
     for q, expected_area, ratio_text in GOLDEN_QUADRATIC_ROWS:
-        try:
-            area, after = (area_general(SpecialPolynomial(r, 0, 2)) for r in (q, q + 1))
-        except Exception as exc:  # a slab sum that raises, or returns a non-int, is a problem
-            fault = exc if type(exc) is NotAnInt else f"general {route_failure(exc, raised=True)}"
-            problems.append(f"q={q}: {fault}")
+        checks = [cross_check(SpecialPolynomial(r, 0, 2), names=("general",)) for r in (q, q + 1)]
+        failed = [check.failed["general"] for check in checks if check.failed]
+        if failed:  # a slab sum that raises, or returns a non-int, is a problem
+            problems.append(f"q={q}: general {failed[0]}")
             continue
+        area, after = (check.areas["general"] for check in checks)
         if area != expected_area:
             problems.append(f"q={q}: area {_text(area)} != {expected_area}")
             continue

@@ -210,11 +210,11 @@ CATALOG: dict[str, Fault] = {
     "cycle-skips-the-first-chain-vertex": Fault(
         "the cycle", "`VertexCycle` skips the first chain vertex", ("shoelace", "pick"),
         _skipping_the_first_chain_vertex, (UNNAMED, NAMED, SAME, SAME)),
-    # both oracles fail in cross_check; validate_diagram's walk raises outside any
-    # check, which verify cannot blame on a rule, so the unpack error exits 2
+    # both oracles fail in cross_check, and verify fails each structural check
+    # with the unpack error of validate_diagram's walk
     "cycle-yields-a-malformed-pair": Fault(
         "the cycle", "`VertexCycle` yields `(x,)` for the first chain vertex",
-        ("shoelace", "pick"), _malforming_the_first_chain_vertex, (NAMED, "2", SAME, SAME)),
+        ("shoelace", "pick"), _malforming_the_first_chain_vertex, (NAMED, NAMED, SAME, SAME)),
     **{f"false-{finding}": _falsified(finding, falsify)
        for finding, falsify in [("vertex_count", lambda count: count + 1),
                                 ("simple", lambda _: False),

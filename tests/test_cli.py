@@ -303,6 +303,18 @@ def test_a_route_fault_fails_each_command_with_its_text(capsys, fault, command):
             assert out == ""
 
 
+@pytest.mark.parametrize("fault", ["raise-ValueError", "raise-ZeroDivisionError", "float",
+                                   "Fraction"])
+def test_a_failed_route_raises_the_text_area_writes(capsys, fault):
+    # the library's RouteRaised is area's stderr line without its `error: ` prefix
+    with faults.CATALOG[fault].inject():
+        with pytest.raises(areas.RouteRaised) as info:
+            polydiagram.area_general(polydiagram.build_polynomial(7, 0, 3))
+        code, _, err = run_cli(capsys, *faults.COMMANDS["area"][0])
+    assert isinstance(info.value, ValueError)
+    assert (code, err) == (1, f"error: {info.value}\n")
+
+
 @pytest.mark.parametrize("name", areas.ROUTES)
 def test_a_route_run_alone_prints_its_fault_unchecked(capsys, name):
     # one method has nothing to agree with, so its wrong area exits 0

@@ -172,6 +172,22 @@ def test_a_cycle_with_no_vertex_is_refused_before_the_first_chunk():
         next(chunks)
 
 
+def test_a_cycle_below_the_axis_is_drawn_inside_the_canvas():
+    # its y range runs from its lowest y up to the axis y = 0, drawn at the top
+    spec = RenderSpec()
+    d = PolynomialDiagram(((1, -1), (2, -2), (3, -1)), build_polynomial(2, 0, 2))
+    svg = diagram_svg(d, spec)
+    markers = re.findall(r'<circle cx="(-?[0-9.]+)" cy="(-?[0-9.]+)"', svg)
+    assert len(markers) == 3
+    for cx, cy in markers:
+        assert spec.margin_px <= float(cx) <= spec.width_px - spec.margin_px
+        assert spec.margin_px <= float(cy) <= spec.height_px - spec.margin_px
+    axis_y = re.search(r'<line x1="[0-9.]+" y1="(-?[0-9.]+)"', svg)[1]
+    assert float(axis_y) == spec.margin_px
+    # the lowest y, -2, at the bottom, and y = -1 halfway up to the axis
+    assert {cy for _, cy in markers} == {f"{spec.height_px - spec.margin_px:.2f}", "240.00"}
+
+
 @pytest.mark.parametrize("vertices", [((1, 0),), ((1, 0), (4, 0))])
 def test_a_cycle_whose_highest_y_is_0_is_drawn_on_the_axis(vertices):
     svg = diagram_svg(PolynomialDiagram(vertices, build_polynomial(2, 0, 2)))

@@ -266,6 +266,19 @@ def test_a_raising_slab_sum_fails_its_check_and_skips_only_the_checks_that_read_
     assert report.tally["vertex_count"] == 4
 
 
+def test_a_validation_walk_that_raises_fails_each_structural_check_with_its_text():
+    # the cycle's malformed vertex fails both oracles in cross_check, and the
+    # structural checks, which read validate_diagram's walk, with its raise
+    clean = run_grid_verification(q_max=2, n_max=0, k_max=2)
+    with faults.CATALOG["cycle-yields-a-malformed-pair"].inject():
+        report = run_grid_verification(q_max=2, n_max=0, k_max=2)
+    raised = "raised ValueError: not enough values to unpack (expected 2, got 1)"
+    structural = [check.name for check in verify._TABLE if check.reads == verify._SHAPE]
+    assert [(f.q, f.check, f.detail) for f in report.failures if f.check in structural] == [
+        (2, check, raised) for _ in (1, 2) for check in structural]
+    assert report.tally == clean.tally
+
+
 def test_a_failure_detail_past_640_digits_is_exact_under_the_lowest_cap(digit_cap):
     # the slab sum one unit off at (2, n_max, 1), where 2A = 2^n_max has 663 digits
     n_max = 2200
