@@ -16,18 +16,19 @@ RouteRaised, a ValueError, with `route '<route>' <text>`, the text `area`
 writes after `error: `.
 The closed form costs O(1) big-integer operations and every other route O(k)
 of them: the slab sum joins k slab weights by binary splitting, and the
-shoelace sum and the lattice counts do at most one addition per
-vertex each, plus, in the shoelace sum, one product by a small factor
-wherever its coefficient changes, and in the lattice counts two gcds
-(comparisons aside).  None grows with the polygon's x-extent q^(n+k), and
-none uses the fact that consecutive chain x differ by a factor of q.  The
-walk (_walk_cycle) reads the cycle as a stream and keeps each oracle's sums
-in its own accumulators: it walks the cycle once, forward, holding O(1)
-vertices, and takes the closing edge from the first vertices it kept, so
-memory stays flat in k when the cycle is regenerated (as build_diagram's
-is) rather than stored.  It is the one place that refuses a cycle of fewer
-than 3 vertices, for both oracles.  cross_check takes it once per diagram
-for both oracles, and records a walk that raises as a failure of each.
+shoelace sum and the lattice counts share one running sum of the chain x,
+one addition per vertex, to which the shoelace sum adds one subtraction and
+one product by a small factor wherever its coefficient changes, and the
+lattice counts two gcds (comparisons aside).  None grows with the polygon's
+x-extent q^(n+k), and none uses the fact that consecutive chain x differ by
+a factor of q.  The walk (_walk_cycle) reads the cycle as a stream and
+keeps that one sum of x for both oracles: it walks the cycle once,
+forward, holding O(1) vertices, and takes the closing edge from the first
+vertices it kept, so memory stays flat in k when the cycle is regenerated
+(as build_diagram's is) rather than stored.  It is the one place that
+refuses a cycle of fewer than 3 vertices, for both oracles.  cross_check
+takes it once per diagram for both oracles, and records a walk that raises
+as a failure of each.
 Each Route states the least q it applies to (Pick's is 2, as a q = 1
 diagram has no interior): by default cross_check compares that int and
 skips the route, and route_refusal forms the text that lattice_counts and
@@ -42,8 +43,9 @@ Each O(k) route evaluates an exact identity:
   _SLAB_LEAF slabs, so its big-integer products are balanced instead of
   k products by q of an ever longer number;
 - the shoelace sum takes its vertex form, sum of x_i (y_{i+1} - y_{i-1}),
-  which holds for any lattice cycle, and by distributivity adds the x of
-  each run of equal coefficients before multiplying the run once;
+  which holds for any lattice cycle, and by distributivity multiplies each
+  run of equal coefficients once, by the run's sum of x: the running sum of
+  x less its value where the run began;
 - the interior count sums the per-edge counts by parts, which needs every
   chain edge to descend exactly one unit (the walk checks each edge, and a
   failed check is Pick's alone: it never changes the shoelace sum);
@@ -80,6 +82,7 @@ __all__ = [
     "route_refusal",
     "route_failure",
     "route_area",
+    "RouteRaised",
     "cross_check",
 ]
 
@@ -178,8 +181,12 @@ class _CycleSums(NamedTuple):
     `shoelace` is the vertex-form shoelace sum, twice the signed area;
     `interior` and `boundary` are Pick's lattice counts, and `bad_edge` the
     first chain edge that does not step right and down by one, or None.
-    The counts are meaningless when there is a bad edge; Pick states that
-    failure itself, so no text is formed here.
+    The shoelace sum and the interior count are both read from one running
+    sum of the chain x, each weighing and correcting it in its own way; a
+    fault in that sum can move both areas alike, so the formula routes,
+    which never read it, are what catch it.  The counts are meaningless
+    when there is a bad edge; Pick states that failure itself, so no text
+    is formed here.
     """
 
     shoelace: int
@@ -192,10 +199,14 @@ def _walk_cycle(vertices: Iterable[tuple[int, int]]) -> _CycleSums:
     """Walk a cycle once, anchor first, for the shoelace sum and Pick's counts.
 
     Each vertex after the first chain vertex arrives as `after` while its
-    predecessor `here` sits between `before` and `after`.  The shoelace sum
-    and the lattice count each add here.x to their own accumulator, and
-    Pick's check reads the chain edge here -> after; a failed check is
-    recorded and never stops the walk, so the shoelace sum is the same
+    predecessor `here` sits between `before` and `after`.  One addition
+    puts here.x into `count`, the sum of x over every chain vertex but the
+    last, which the interior count reads whole.  The shoelace sum keeps
+    `mark`, the value of `count` where its coefficient last changed, so a
+    run of equal coefficients sums to count - mark: it adds that run times
+    its coefficient at each change and once at the end, exact for any
+    cycle.  Pick's check reads the chain edge here -> after; a failed check
+    is recorded and never stops the walk, so the shoelace sum is the same
     whatever Pick finds.  The two wrap-around shoelace terms, at the last
     vertex and at the anchor, come from the first vertices the walk kept.
     It takes the anchor and the first chain vertex with next() and loops
@@ -209,25 +220,24 @@ def _walk_cycle(vertices: Iterable[tuple[int, int]]) -> _CycleSums:
     if first is None:
         raise ValueError(f"need at least 3 vertices, got {0 if anchor is None else 1}")
     (anchor_x, anchor_y), (first_x, first_y) = anchor, first
-    total = run = coefficient = 0  # shoelace; run: sum of x since the coefficient last changed
-    count = 0  # Pick: sum of x over every chain vertex but the last
+    count = 0  # sum of x over every chain vertex but the last, read by both oracles
+    total = mark = coefficient = 0  # shoelace; mark: count when the coefficient last changed
     bad_edge = after_x = None  # after_x stays None unless a third vertex arrives
     before_y, here_x, here_y = anchor_y, first_x, first_y
     for after_x, after_y in walk:
         if (after_x <= here_x or after_y != here_y - 1) and bad_edge is None:
             bad_edge = (here_x, here_y), (after_x, after_y)
-        count += here_x
         step = after_y - before_y
-        if step == coefficient:
-            run += here_x
-        else:
-            total += run * coefficient
-            run, coefficient = here_x, step
+        if step != coefficient:
+            total += (count - mark) * coefficient
+            mark, coefficient = count, step
+        count += here_x
         before_y, here_x, here_y = here_y, after_x, after_y
     if after_x is None:  # the loop never ran
         raise ValueError("need at least 3 vertices, got 2")
     last_x, last_y = here_x, here_y
-    total += run * coefficient + last_x * (anchor_y - before_y) + anchor_x * (first_y - last_y)
+    total += ((count - mark) * coefficient + last_x * (anchor_y - before_y)
+              + anchor_x * (first_y - last_y))
     edges = first_y - last_y
     interior = count + last_x * last_y - first_x * first_y - edges - (last_y - 1)
     boundary = (edges + math.gcd(first_y - anchor_y, first_x - anchor_x)
@@ -242,13 +252,15 @@ def area_shoelace(d: PolynomialDiagram) -> Fraction:
     in either orientation, and needs no property of the diagram.  Vertices
     whose coefficients y_{i+1} - y_{i-1} repeat in a row form a run: their
     x are added up and the run is multiplied by its coefficient once, which
-    is exact by distributivity.  So each vertex costs one addition, and
-    each change of coefficient one product by a small factor (at most k in
-    a diagram, whose inner chain vertices all have coefficient -2).  The
-    walk (see _walk_cycle) starts next to the anchor, so the running sums
-    grow with the vertices' x instead of starting at full width.  Exact for
-    every diagram, including degenerate ones (which give 0).  Runs
-    ROUTES["shoelace"] on one walk of d's cycle.
+    is exact by distributivity.  A run's sum of x is the difference of the
+    walk's running sum of x, shared with the lattice counts, at its two
+    ends.  So each vertex costs one addition, shared, and each change of
+    coefficient one subtraction and one product by a small factor (at most
+    two changes in a diagram, whose inner chain vertices all have
+    coefficient -2).  The walk (see _walk_cycle) starts next to the
+    anchor, so the running sum grows with the vertices' x instead of
+    starting at full width.  Exact for every diagram, including degenerate
+    ones (which give 0).  Runs ROUTES["shoelace"] on one walk of d's cycle.
     """
     return route_area("shoelace", d.source, d)
 
@@ -276,11 +288,13 @@ def lattice_counts(d: PolynomialDiagram) -> tuple[int, int]:
     them.  On the boundary each such edge holds gcd(1, |dx|) = 1 point
     besides its start, so only the anchor edge and the closing edge, taken
     from the anchor and the first chain vertex the walk keeps, cost a gcd.
-    The walk is the one the shoelace sum reads (see _walk_cycle), with its
-    own accumulator.  Raises ValueError with route_refusal's text at q = 1,
-    before the walk, with the walk's text for a cycle of fewer than 3
-    vertices, and for the first chain edge that does not step right and
-    down by one.
+    The walk is the one the shoelace sum reads (see _walk_cycle), and the
+    sum of x is the one running sum both read; the shoelace sum takes
+    differences of it and weighs them by coefficient, where the count adds
+    it whole to its corrections.  Raises ValueError with route_refusal's
+    text at q = 1, before the walk, with the walk's text for a cycle of
+    fewer than 3 vertices, and for the first chain edge that does not step
+    right and down by one.
     """
     _refuse(d.source, "pick")
     return _lattice_counts(_walk_cycle(d.vertices))

@@ -202,6 +202,20 @@ class _Pulls:
         return vertex
 
 
+class _CountedX(int):
+    """An x that counts, on its class, each addition it is an operand of."""
+
+    additions = 0
+
+    def __add__(self, other):
+        _CountedX.additions += 1
+        return int.__add__(self, other)
+
+    def __radd__(self, other):
+        _CountedX.additions += 1
+        return int.__radd__(self, other)
+
+
 class TestWalks:
     @pytest.mark.parametrize("q,n,k", [(2, 0, 1), (3, 1, 5), (1, 0, 3)])
     def test_each_structural_check_walks_the_cycle_once(self, q, n, k):
@@ -220,6 +234,15 @@ class TestWalks:
         pulls = _Pulls(vertices)
         assert walk(pulls) == walk(vertices)
         assert pulls.pulled == list(vertices) and len(pulls.pulled) == k + 2
+
+    def test_both_oracles_read_one_running_sum_of_chain_x(self):
+        # one addition per chain vertex but the last, k in all: the shoelace
+        # runs are differences of Pick's running sum, not a second sum of x
+        vertices = list(build_diagram(build_polynomial(3, 1, 50)).vertices)
+        _CountedX.additions = 0
+        sums = _walk_cycle([(_CountedX(x), y) for x, y in vertices])
+        assert _CountedX.additions == 50
+        assert sums == _walk_cycle(vertices)
 
     def test_every_pass_regenerates_the_same_cycle(self):
         vertices = build_diagram(build_polynomial(3, 1, 2)).vertices

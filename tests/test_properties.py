@@ -189,8 +189,25 @@ wide_coordinates = st.one_of(
 wide_cycles = st.lists(st.builds(LatticePoint, wide_coordinates, wide_coordinates),
                        min_size=3, max_size=40)
 
+def _cycle(*vertices):
+    """The lattice points of (x, y) pairs, as a list like the strategies draw."""
+    return [LatticePoint(x, y) for x, y in vertices]
+
+
+# The edges of the shoelace runs, each the sum of x since the coefficient last
+# changed: a first run of coefficient 0 (the second chain vertex back on the
+# anchor's row), a coefficient change at every vertex, one run through the chain.
+_RUN_EDGE_CYCLES = (
+    _cycle((1, 0), (1, 2), (2**200, 0), (2**201 + 3, 1)),
+    _cycle((2**200, 0), (-7, 1), (2**199, 3), (-(2**150), 6), (5, 10)),
+    _cycle((3, 0), (2**200, 10), (-4, 2), (2**180, 12), (9, 4), (-(2**200), 14)),
+)
+
 
 @given(cycle=wide_cycles)
+@example(cycle=_RUN_EDGE_CYCLES[0])
+@example(cycle=_RUN_EDGE_CYCLES[1])
+@example(cycle=_RUN_EDGE_CYCLES[2])
 @settings(max_examples=300)
 def test_vertex_form_shoelace_matches_edge_products(cycle):
     forward, backward = as_diagram(cycle), as_diagram(reversed(cycle))
@@ -209,6 +226,9 @@ def few_height_cycles(draw):
 
 
 @given(cycle=few_height_cycles())
+@example(cycle=_RUN_EDGE_CYCLES[0])
+@example(cycle=_RUN_EDGE_CYCLES[1])
+@example(cycle=_RUN_EDGE_CYCLES[2])
 @settings(max_examples=300)
 def test_run_grouped_shoelace_matches_edge_products_on_repeated_heights(cycle):
     forward, backward = as_diagram(cycle), as_diagram(reversed(cycle))
@@ -236,8 +256,24 @@ def unit_descent_chains(draw):
     return [LatticePoint(x, 0), *chain]
 
 
+# The same run edges on unit-descent chains, whose inner vertices all have
+# coefficient -2: the first chain vertex one above the anchor's row (a first
+# run of coefficient 0), a first coefficient neither 0 nor -2 on a four-vertex
+# cycle (a change at every vertex), and the first chain vertex one below the
+# anchor's row (coefficient -2 through the chain).
+_RUN_EDGE_CHAINS = (
+    _cycle((3, 0), (3, 1), (2**200, 0), (2**200 + 7, -1), (2**201, -2)),
+    _cycle((-5, 0), (-5, 5), (2**150, 4), (2**200, 3)),
+    _cycle((7, 0), (7, -1), (9, -2), (2**200, -3), (2**200 + 1, -4)),
+)
+_FAR_ANCHOR = LatticePoint(-(2**200), 3)
+
+
 @given(vertices=unit_descent_chains(), anchor=st.builds(LatticePoint, wide_coordinates,
                                                        wide_coordinates))
+@example(vertices=_RUN_EDGE_CHAINS[0], anchor=_FAR_ANCHOR)
+@example(vertices=_RUN_EDGE_CHAINS[1], anchor=_FAR_ANCHOR)
+@example(vertices=_RUN_EDGE_CHAINS[2], anchor=_FAR_ANCHOR)
 @settings(max_examples=300)
 def test_unit_edges_skip_nothing_in_boundary_or_shoelace(vertices, anchor):
     # forwards every chain edge has dy = -1, backwards dy = +1; the boundary
@@ -251,6 +287,9 @@ def test_unit_edges_skip_nothing_in_boundary_or_shoelace(vertices, anchor):
 
 
 @given(vertices=unit_descent_chains())
+@example(vertices=_RUN_EDGE_CHAINS[0])
+@example(vertices=_RUN_EDGE_CHAINS[1])
+@example(vertices=_RUN_EDGE_CHAINS[2])
 @settings(max_examples=300)
 def test_interior_sum_by_parts_matches_edge_terms(vertices):
     d = as_diagram(vertices)

@@ -40,6 +40,15 @@ def test_star_import_binds_every_exported_name(name):
     assert set(importlib.import_module(name).__all__) <= set(namespace)
 
 
+def test_star_import_of_areas_binds_the_route_failure_exception():
+    # every area_* function raises it, so a star import that binds them binds it too
+    from polydiagram.areas import RouteRaised
+
+    namespace: dict[str, object] = {}
+    exec("from polydiagram.areas import *", namespace)
+    assert namespace["RouteRaised"] is RouteRaised
+
+
 @pytest.mark.parametrize(
     "path", sorted(Path(polydiagram.__file__).parent.glob("*.py")), ids=lambda path: path.stem
 )
