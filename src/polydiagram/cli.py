@@ -39,7 +39,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import count, tee
+from itertools import count
 from typing import TYPE_CHECKING, Iterable, TextIO
 
 from .areas import ROUTES, RouteRaised, cross_check, half_pair
@@ -137,9 +137,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         _warn("q = 1 row is degenerate; its ratio is undefined")
     # One extra value past q_to so the last row still has its ratio; the
     # rows are computed as the document is written.
-    twice, ahead = tee(twice_area_sequence(args.k, args.n, args.q_from, args.q_to + 1))
-    qs = map(str, range(args.q_from, args.q_to + 1))
-    rows = zip(qs, map(half_pair, twice), ratio_pairs(ahead))
+    pairs = ratio_pairs(twice_area_sequence(args.k, args.n, args.q_from, args.q_to + 1))
+    rows = ((str(q), half_pair(twice), ratio)
+            for q, (twice, ratio) in enumerate(pairs, args.q_from))
     _emit(records_document(args.format, ("q", "area", "ratio"), rows, _params(args), args.digits))
     return 0
 

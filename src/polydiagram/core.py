@@ -283,7 +283,7 @@ def _walk_shape(vertices: Iterable[tuple[int, int]]) -> tuple[int, bool, bool, b
     The walk takes the anchor and the first chain vertex with next() and
     loops over the rest of the same iterator, so its set-up is the same
     for every cycle.  Each edge's differences and each turn are formed
-    once; a check once decided is not computed again.
+    once.
     """
     walk = iter(vertices)
     anchor, first = next(walk, None), next(walk, None)
@@ -298,15 +298,14 @@ def _walk_shape(vertices: Iterable[tuple[int, int]]) -> tuple[int, bool, bool, b
         ex, ey = next_x - x, next_y - y
         simple = simple and ex > 0 and y > ay
         steps = steps and ey == -1 and ex > 0
-        if increasing or convex:
-            if ey == dy:  # dy * (dx - ex), signed by comparing dx with ex
-                turn = dy if dx > ex else 0 if dx == ex else -dy
-            else:
-                turn = dx * ey - dy * ex
-            increasing = increasing and (count < 3 or turn > 0)  # from the 2nd chain vertex on
-            if convex and turn:
-                signs.add(turn > 0)
-                convex = len(signs) < 2
+        if ey == dy:  # dy * (dx - ex), signed by comparing dx with ex
+            turn = dy if dx > ex else 0 if dx == ex else -dy
+        else:
+            turn = dx * ey - dy * ex
+        increasing = increasing and (count < 3 or turn > 0)  # from the 2nd chain vertex on
+        if convex and turn:
+            signs.add(turn > 0)
+            convex = len(signs) < 2
         x, y, dx, dy = next_x, next_y, ex, ey
         count += 1
     if convex:

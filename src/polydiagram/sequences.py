@@ -9,12 +9,13 @@ q(q+4) / ((q+3)(q-1)), which decreases strictly toward 1.
 
 Each operation has one implementation on exact ints, which `table` and
 `diff` run on the twice-areas as they are computed, with no Fraction per
-row: twice_area_sequence yields 2A for each q from ROUTES["general"] (a
-raise from the route, or a value that is not an int, comes out as
-RouteRaised with areas.route_failure's text, naming the route and q);
-ratio_pairs reduces each ratio of neighbours by one gcd (_ratio), as the
-halves cancel; differences takes `order` passes of integer subtraction, and
-the result is halved once.  The library functions keep their Fraction
+row: twice_area_sequence yields 2A for each q from ROUTES["general"] in
+one loop, checking each value as it yields it (a raise from the route, or
+a value that is not an int, comes out as RouteRaised with
+areas.route_failure's text, naming the route and q); ratio_pairs pairs
+each value with its ratio to the next, reduced by one gcd (_ratio), as the
+halves cancel; differences takes `order` passes of integer subtraction,
+and the result is halved once.  The library functions keep their Fraction
 results, built from those same ints: area_sequence halves each twice-area
 by half_pair, ratio_sequence cross-multiplies each pair of neighbours into
 _ratio, and finite_difference puts the values on their least common
@@ -26,9 +27,9 @@ q.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby, islice, pairwise, repeat
+from itertools import islice, pairwise
 from math import gcd, lcm
-from operator import length_hint, sub
+from operator import sub
 from typing import Iterable, Iterator
 
 from .areas import ROUTES, RouteRaised, half_pair, route_failure
@@ -84,39 +85,24 @@ def twice_area_sequence(k: int, n: int, q_from: int, q_to: int) -> Iterator[int]
 
     The range is refused, if at all, by this call, before any route runs.  A
     raise from the route, or a value that is not an int, is raised as
-    RouteRaised at the q it came from.
+    RouteRaised with route_failure's text at the q it came from.
     """
     check_range(k, n, q_from, q_to)
-    qs = iter(range(q_from, q_to + 1))
-    values = map(ROUTES["general"].twice_area, qs, repeat(n), repeat(k))
-    return _naming_faults("general", values, qs, q_to)
+    return _twice_areas(k, n, q_from, q_to)
 
 
-def _naming_faults(name: str, values: Iterator[int], qs: Iterator[int], q_to: int) -> Iterator[int]:
-    """Yield from `values`, route `name` applied to each q of `qs`, while each is an int.
-
-    A raise, or the first value route_failure fails, becomes RouteRaised with
-    its text.  groupby passes the values on in runs of one type, in C;
-    route_failure reads the first value of each run, and `yield from` passes
-    the rest through this one generator, so a value costs no Python call
-    (groupby adds about 17 ns to each on CPython 3.11).  `map` takes each q
-    from `qs` before it calls the route, so the q of the value last read is
-    the last one taken: q_to less the number still to come.
-    """
-    cause = None
-    try:
-        for _, run in groupby(values, type):
-            failure = route_failure(first := next(run))
-            if failure is not None:
-                break
-            yield first
-            yield from run
-        else:
-            return
-    except Exception as exc:  # any raise is the route's fault, as in cross_check
-        failure, cause = route_failure(exc, raised=True), exc
-    q = q_to - length_hint(qs)
-    raise RouteRaised(f"route {name!r} {failure} at q = {q}") from cause
+def _twice_areas(k: int, n: int, q_from: int, q_to: int) -> Iterator[int]:
+    """twice_area_sequence once its range is checked: each value checked as it is yielded."""
+    for q in range(q_from, q_to + 1):
+        try:
+            twice = ROUTES["general"].twice_area(q, n, k)
+        except Exception as exc:  # any raise is the route's fault, as in cross_check
+            failure = route_failure(exc, raised=True)
+            raise RouteRaised(f"route 'general' {failure} at q = {q}") from exc
+        failure = route_failure(twice)
+        if failure is not None:
+            raise RouteRaised(f"route 'general' {failure} at q = {q}")
+        yield twice
 
 
 def check_range(k: int, n: int, q_from: int, q_to: int) -> None:
@@ -139,9 +125,12 @@ def ratio_sequence(s: AreaSequence) -> list[Fraction | None]:
     return [None if pair is None else Fraction(*pair) for pair in pairs]
 
 
-def ratio_pairs(values: Iterable[int]) -> Iterator[tuple[int, int] | None]:
-    """Consecutive ratios b / a of integers on one denominator, which cancels, by _ratio as read."""
-    return (_ratio(b, a) for a, b in pairwise(values))
+def ratio_pairs(values: Iterable[int]) -> Iterator[tuple[int, tuple[int, int] | None]]:
+    """Each value a but the last, with its ratio to the next, b / a by _ratio, as read.
+
+    The values share one denominator, which cancels.
+    """
+    return ((a, _ratio(b, a)) for a, b in pairwise(values))
 
 
 def _ratio(b: int, a: int) -> tuple[int, int] | None:

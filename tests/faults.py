@@ -2,13 +2,15 @@
 
 A Fault is named by its key in CATALOG.  It states its class (one route
 everywhere or at some points, two routes alike, every route alike, the
-cycle, a structural finding, a golden row, a non-int or a raise), what it
-does, the routes it is at, how to inject it, and its outcome at each
-command of COMMANDS, as data.  A fault is injected at an `areas.ROUTES`
-entry, which every command reaches, or at a core function where its
-reader imports it: `VertexCycle.__iter__`, `validate_diagram` in `verify`,
-or, for a fault of every route alike, `cross_check` in `cli` and `verify`
-and `sequences.twice_area_sequence`, which `table` and `diff` read.
+cycle, the oracles' walk, a structural finding, a golden row, a non-int or
+a raise), what it does, the routes it is at, how to inject it, and its
+outcome at each command of COMMANDS, as data.  A fault is injected at an
+`areas.ROUTES` entry, which every command reaches, or at a core function
+where its reader imports it: `VertexCycle.__iter__`, `areas._walk_cycle`
+(the one walk whose running sum of x both oracles read), `validate_diagram`
+in `verify`, or, for a fault of every route alike, `cross_check` in `cli`
+and `verify` and `sequences.twice_area_sequence`, which `table` and `diff`
+read.
 (Patching `ROUTES["general"]` as well would offset that route twice, as
 `cross_check` reads the entry.)
 
@@ -162,6 +164,16 @@ def _malforming_the_first_chain_vertex(walk: Callable = core.VertexCycle.__iter_
         islice(vertices := walk(cycle), 1), ((x,) for x, _ in islice(vertices, 1)), vertices))
 
 
+def _one_x_off_in_the_shared_sum(walk: Callable = areas._walk_cycle) -> ContextManager:
+    # one inner chain vertex's x off by one in the running sum both oracles read: its
+    # shoelace coefficient -2 (the sum is negative) and Pick's 2I weigh it alike
+    def walked(vertices):
+        sums = walk(vertices)
+        return sums._replace(shoelace=sums.shoelace - 2, interior=sums.interior + 1)
+
+    return mock.patch.object(areas, "_walk_cycle", walked)
+
+
 def _falsified(finding: str, falsify: Callable) -> Fault:
     """validate_diagram, where verify reads it, reporting falsify(its `finding`)."""
 
@@ -215,6 +227,11 @@ CATALOG: dict[str, Fault] = {
     "cycle-yields-a-malformed-pair": Fault(
         "the cycle", "`VertexCycle` yields `(x,)` for the first chain vertex",
         ("shoelace", "pick"), _malforming_the_first_chain_vertex, (NAMED, NAMED, SAME, SAME)),
+    # both oracles +2 alike, so they agree with each other: only closed and
+    # general, which never read the walk, disagree with them
+    "walk-sum-of-x-one-off": Fault(
+        "the oracles' walk", "`_walk_cycle` adds one inner chain x off by one",
+        ("shoelace", "pick"), _one_x_off_in_the_shared_sum, (UNNAMED, UNNAMED, SAME, SAME)),
     **{f"false-{finding}": _falsified(finding, falsify)
        for finding, falsify in [("vertex_count", lambda count: count + 1),
                                 ("simple", lambda _: False),

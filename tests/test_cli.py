@@ -429,16 +429,6 @@ def assert_table_keeps_the_chunks_written_before(capsys, fault: faults.Fault) ->
     assert lines[-1].startswith("256,")
 
 
-@pytest.mark.parametrize("command", ["table", "diff"])
-def test_a_passing_table_or_diff_reads_the_route_failure_rule_once(monkeypatch, capsys, command):
-    # once for the one run of ints, not once per row
-    calls = []
-    monkeypatch.setattr(sequences, "route_failure",
-                        lambda *args: calls.append(args) or areas.route_failure(*args))
-    assert run_cli(capsys, command, "--q-to", "1000")[0] == 0
-    assert len(calls) == 1
-
-
 class TestHugeValues:
     def test_area_beyond_the_int_digit_cap_is_exact(self, capsys, digit_cap):
         q, k = 3, 20000

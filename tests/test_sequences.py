@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from polydiagram import sequences
+from polydiagram import areas, sequences
 from polydiagram import (
     AreaSequence,
     area_sequence,
@@ -164,11 +164,25 @@ class TestConvergenceReport:
         assert not report.monotone_decreasing
 
 
-@pytest.mark.parametrize("at_q", [2, 4, 6])  # the first, an inner and the last q of the range
-def test_a_raising_route_is_named_with_the_q_it_raised_at(at_q):
-    expected = f"route 'general' raised ZeroDivisionError: division by zero at q = {at_q}"
-    with faults.CATALOG["raise-ZeroDivisionError"].inject(from_q=at_q):
-        values = sequences.twice_area_sequence(2, 0, 2, 6)
-        with pytest.raises(sequences.RouteRaised, match=f"^{expected}$") as info:
-            list(values)
-    assert isinstance(info.value.__cause__, ZeroDivisionError)
+@pytest.mark.parametrize("name, at_q", [
+    # a raise keeps the bare q as its id
+    pytest.param(name, at_q, id=str(at_q) if name.startswith("raise-") else f"{name}-{at_q}")
+    for name in ("raise-ZeroDivisionError", "float")
+    for at_q in (2, 4, 6)  # the first, an inner and the last q of the range
+])
+def test_a_raising_route_is_named_with_the_q_it_raised_at(name, at_q):
+    # the values before at_q are yielded; a raise is the cause, a non-int has none
+    fault = faults.CATALOG[name]
+    before = [areas.ROUTES["general"].twice_area(q, 0, 2) for q in range(2, at_q)]
+    values = []
+    with fault.inject(from_q=at_q):
+        sequence = sequences.twice_area_sequence(2, 0, 2, 6)
+        with pytest.raises(sequences.RouteRaised) as info:
+            for twice in sequence:
+                values.append(twice)
+    assert str(info.value) == f"route 'general' {fault.text} at q = {at_q}"
+    assert values == before
+    if name == "float":
+        assert info.value.__cause__ is None
+    else:
+        assert isinstance(info.value.__cause__, ZeroDivisionError)

@@ -83,6 +83,19 @@ def test_a_broken_route_fails_only_its_own_check():
     assert isinstance(hash(report), int)  # the tally leaves a report hashable
 
 
+def test_a_fault_in_the_shared_sum_of_x_fails_only_the_formula_routes():
+    # both oracles move alike, so pick_vs_shoelace passes and closed and general,
+    # which never read the walk, fail against shoelace at every point
+    clean = run_grid_verification(q_max=4, n_max=1, k_max=3)
+    with faults.CATALOG["walk-sum-of-x-one-off"].inject():
+        report = run_grid_verification(q_max=4, n_max=1, k_max=3)
+    assert [((f.q, f.n, f.k), f.check) for f in report.failures] == [
+        ((q, n, k), check) for q in (1, 2, 3, 4) for n in (0, 1) for k in (1, 2, 3)
+        for check in ("closed_vs_shoelace", "general_vs_shoelace")
+    ]
+    assert report.tally == clean.tally
+
+
 def test_failures_stay_in_grid_order_when_the_slab_sum_is_off():
     with faults.CATALOG["general-plus-2-at-n-1"].inject():
         report = run_grid_verification(q_max=2, n_max=2, k_max=2)
