@@ -410,14 +410,18 @@ def cross_check(p: SpecialPolynomial, d: PolynomialDiagram | None = None,
     By default every route of ROUTES that applies to p (its least_q at most
     p.q) runs, in order, and the others are skipped.  `names` are the routes
     to run instead, in order; if one of them does not apply, route_refusal's
-    text is raised as ValueError before any route runs.  Each route reads
-    p's ints or one walk, shared by the diagram routes and taken only when
-    one of them runs, of the cycle of `d`, p's diagram when the caller has
-    already built it.  Disagreement is reported in the record, never raised,
-    and so is a route that raises or gives a non-int: it is a fault of that
-    route, kept in `failed` as route_failure's text.  A walk that raises (a
-    cycle of fewer than 3 vertices, or a vertex that is not a pair) is the
-    fault of every diagram route, each failed with its text.
+    text is raised as ValueError before any route runs.  Each route that
+    runs branches once on its Route.reads_diagram: a formula route is
+    called on p's ints, and a diagram route on the one walk of the cycle
+    of `d` (p's diagram when the caller has already built it), which the
+    first diagram route to run takes and the other reuses, so no walk is
+    taken when none runs.  Disagreement is reported in the record, never
+    raised, and so is a route that raises or gives a non-int: it is a
+    fault of that route, kept in `failed` as route_failure's text, which
+    is read once per route run.  A walk that raises (a cycle of fewer than
+    3 vertices, or a vertex that is not a pair) is the fault of every
+    diagram route: each re-raises what the walk raised, and fails with
+    its text.
     """
     twice_areas: dict[str, int] = {}
     failed: dict[str, str] = {}
@@ -431,16 +435,20 @@ def cross_check(p: SpecialPolynomial, d: PolynomialDiagram | None = None,
         if q < least_q:  # only by default: a route that does not apply is skipped
             continue
         try:
-            if reads_diagram and walk is None:
-                walk = _walk_cycle((build_diagram(p) if d is None else d).vertices)
-            elif reads_diagram and isinstance(walk, Exception):
-                raise walk
-            twice = twice_area(walk) if reads_diagram else twice_area(q, n, k)
+            if not reads_diagram:
+                twice = twice_area(q, n, k)
+            else:
+                if walk is None:  # the first diagram route to run takes the one walk
+                    try:
+                        walk = _walk_cycle((build_diagram(p) if d is None else d).vertices)
+                    except Exception as exc:  # what the walk raised fails each diagram route
+                        walk = exc
+                if isinstance(walk, Exception):
+                    raise walk
+                twice = twice_area(walk)
             failure = route_failure(twice)
         except Exception as exc:  # any raise is a failed route, reported like a disagreement
             failure = route_failure(exc, raised=True)
-            if reads_diagram and walk is None:  # the walk raised: it fails each diagram route
-                walk = exc
         if failure is None:
             twice_areas[name] = twice
         else:

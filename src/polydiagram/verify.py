@@ -195,18 +195,18 @@ def _verify_point(q: int, n: int, k: int, below: int | None,
     d = PolynomialDiagram(tuple(VertexCycle(q, k, q**n)), p)
     routes = cross_check(p, d)
     slab = routes.twice_areas.get("general")
-    scaling = None if slab is None or below is None else (slab, q * below)
+    scaled = None if slab is None or below is None else q * below  # q*2A(n-1), which slab must equal
     try:
         shape = None if q == 1 else validate_diagram(d)
     except Exception as exc:  # a walk that raises fails each structural check with its text
         shape = route_failure(exc, raised=True)
-    key = (scaling is None, shape is None, *routes.twice_areas, *routes.failed)
+    key = (scaled is None, shape is None, *routes.twice_areas, *routes.failed)
     seen[key] = seen.get(key, 0) + 1
-    held = (routes.agree, scaling is None or scaling[0] == scaling[1],
+    held = (routes.agree, scaled is None or slab == scaled,
             shape is None or shape == (k + 2, False, True, True, True, k == 1))
-    if all(held):
+    if held == (True, True, True):
         return slab
-    inputs = (routes, scaling, shape)
+    inputs = (routes, (slab, scaled), shape)
     for name, reads, _, finding in _applicable(key):
         if not held[reads]:
             detail = inputs[reads] if type(inputs[reads]) is str else finding(inputs[reads], k)
@@ -222,7 +222,12 @@ def _applicable(key: tuple) -> tuple[_Check, ...]:
 
 
 def _golden_quadratic_problems() -> list[str]:
-    """Exact areas and +/-0.05 decimal ratios against the frozen golden rows."""
+    """Exact areas, +/-0.05 decimal ratios and exact ratios against the frozen golden rows.
+
+    A row whose area and decimal ratio hold must also have the ratio
+    A(q+1)/A(q) = q(q+4)/((q+3)(q-1)) exactly, as A(q) = (q+3)(q-1)/2 at
+    k = 2, n = 0; the decimals stay as the paper's printed values.
+    """
     problems: list[str] = []
     for q, expected_area, ratio_text in GOLDEN_QUADRATIC_ROWS:
         checks = [cross_check(SpecialPolynomial(r, 0, 2), names=("general",)) for r in (q, q + 1)]
@@ -235,6 +240,9 @@ def _golden_quadratic_problems() -> list[str]:
             problems.append(f"q={q}: area {_text(area)} != {expected_area}")
             continue
         ratio = after / area
+        exact = Fraction(q * (q + 4), (q + 3) * (q - 1))  # A(q+1)/A(q) at k = 2, n = 0
         if abs(ratio - Fraction(ratio_text)) > _GOLDEN_RATIO_TOLERANCE:
             problems.append(f"q={q}: ratio {_text(ratio)} not within 0.05 of {ratio_text}")
+        elif ratio != exact:
+            problems.append(f"q={q}: ratio {_text(ratio)} != {_text(exact)}")
     return problems

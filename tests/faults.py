@@ -164,6 +164,13 @@ def _malforming_the_first_chain_vertex(walk: Callable = core.VertexCycle.__iter_
         islice(vertices := walk(cycle), 1), ((x,) for x, _ in islice(vertices, 1)), vertices))
 
 
+def _moving_the_height_1_chain_vertex(walk: Callable = core.VertexCycle.__iter__
+                                      ) -> ContextManager:
+    # every vertex as the cycle yields it, but the chain vertex at height 1 one unit right
+    return mock.patch.object(core.VertexCycle, "__iter__", lambda cycle: (
+        (x + 1, y) if y == 1 else (x, y) for x, y in walk(cycle)))
+
+
 def _one_x_off_in_the_shared_sum(walk: Callable = areas._walk_cycle) -> ContextManager:
     # one inner chain vertex's x off by one in the running sum both oracles read: its
     # shoelace coefficient -2 (the sum is negative) and Pick's 2I weigh it alike
@@ -227,6 +234,12 @@ CATALOG: dict[str, Fault] = {
     "cycle-yields-a-malformed-pair": Fault(
         "the cycle", "`VertexCycle` yields `(x,)` for the first chain vertex",
         ("shoelace", "pick"), _malforming_the_first_chain_vertex, (NAMED, NAMED, SAME, SAME)),
+    # both oracles read the moved vertex alike and agree with each other; closed and
+    # general, which never read the cycle, disagree with them, and the moved vertex
+    # breaks the chain's shape
+    "cycle-moves-the-height-1-chain-vertex": Fault(
+        "the cycle", "`VertexCycle` yields the height-1 chain vertex one unit right",
+        ("shoelace", "pick"), _moving_the_height_1_chain_vertex, (UNNAMED, UNNAMED, SAME, SAME)),
     # both oracles +2 alike, so they agree with each other: only closed and
     # general, which never read the walk, disagree with them
     "walk-sum-of-x-one-off": Fault(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polydiagram import (
     DiagramDiagnostics,
@@ -14,7 +16,7 @@ from polydiagram import (
     validate_diagram,
 )
 from polydiagram.areas import _walk_cycle
-from polydiagram.core import _walk_shape
+from polydiagram.core import VertexCycle, _walk_shape
 from references import LatticePoint, simple_by_pairwise_test
 
 
@@ -214,6 +216,40 @@ class _CountedX(int):
     def __radd__(self, other):
         _CountedX.additions += 1
         return int.__radd__(self, other)
+
+
+class _CountedQ(int):
+    """A q that counts, on its class, each product it is an operand of."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountedQ.products += 1
+        return int.__mul__(self, other)
+
+    def __rmul__(self, other):
+        _CountedQ.products += 1
+        return int.__rmul__(self, other)
+
+
+class TestVertexCycle:
+    @given(st.integers(1, 60), st.integers(0, 12), st.integers(1, 40))
+    def test_every_pass_yields_the_anchor_then_the_monomial_points(self, q, n, k):
+        # each power of q formed on its own, with no product carried from the last
+        cycle = VertexCycle(q, k, q**n)
+        expected = [(q**n, 0), *((q ** (n + i), k - i) for i in range(k + 1))]
+        assert list(cycle) == list(cycle) == expected
+        assert len(cycle) == k + 2
+
+    @pytest.mark.parametrize("k", [1, 2, 12, 150])
+    def test_a_pass_forms_one_product_by_q_per_chain_edge(self, k):
+        # k products per pass: one per chain vertex after the first, none for the anchor
+        expected = list(build_diagram(build_polynomial(3, 2, k)).vertices)
+        cycle = VertexCycle(_CountedQ(3), k, 3**2)
+        for _ in range(2):  # each pass forms its own products
+            _CountedQ.products = 0
+            assert list(cycle) == expected
+            assert _CountedQ.products == k
 
 
 class TestWalks:

@@ -171,6 +171,17 @@ def test_a_non_int_twice_area_fails_only_its_check_against_shoelace(name):
     assert [(f.check, f.detail) for f in report.failures] == [("general_vs_shoelace", fault)]
 
 
+def test_a_golden_ratio_within_its_decimal_but_not_exact_is_a_problem(capsys):
+    # the slab sum +2 at q = 17 only, past the grid: the q = 16 row's ratio reads
+    # 161/142.5, within 0.05 of its printed 1.12 but not the exact 16*20/(19*15)
+    with faults._at_routes(("general",), lambda f: lambda q, n, k: f(q, n, k) + 2 * (q == 17)):
+        report = run_grid_verification(q_max=10, n_max=1, k_max=3)
+        assert main(["verify", "--q-max", "10", "--n-max", "1", "--k-max", "3"]) == 1
+    assert report.failures == ()
+    assert report.golden_problems == ("q=16: ratio 322/285 != 64/57",)
+    assert "error: golden row mismatch: q=16: ratio 322/285 != 64/57\n" in capsys.readouterr().err
+
+
 def test_a_value_past_640_digits_is_written_under_the_lowest_cap(digit_cap):
     # an int route off by 10^700 at every point: the detail and the golden
     # problem each write an area of 700 digits through int_text
