@@ -22,13 +22,16 @@ and a rational equal to the one rendered just before it (the agreeing
 routes of `area`) reuses that one's cells, so a run of equal values is
 converted once in all.  `zip` rebuilds the rows from the columns.  Each
 JSON row object is then written by one `%` template built from the
-headers, each chunk of markdown rows by one join of the rows' joined
-cells, and CSV rows go through csv.writer.  `table_document` is the one
-CSV and markdown writer, `verify`'s tables included.  The JSON frame
-around the rows is a few lines, written by `records_document` itself;
-`json_document`, verify's writer, is json.dumps with a two-space indent.
-The `json` and `csv` modules are imported by the writers that use them, so
-importing this module, as every CLI call does, costs neither.
+headers, and each chunk of CSV or markdown rows by one join of the rows'
+joined cells.  `table_document` is the one CSV and markdown writer,
+`verify`'s tables included.  A few counts over a chunk's text tell whether
+a cell in it needs quoting (CSV) or escaping (markdown); only such a chunk,
+which no area, table or diff row makes, is written again, by csv.writer or
+with its cells escaped.  The JSON frame around the rows is a few lines,
+written by `records_document` itself; `json_document`, verify's writer, is
+json.dumps with a two-space indent.  The `json` and `csv` modules are
+imported by the writers that use them, `csv` only for a chunk that needs
+quoting, so importing this module, as every CLI call does, costs neither.
 
 Python 3.11+ caps the digits str() converts from an int, and a setting can
 lower the cap to 640 (sys.int_info.str_digits_check_threshold).  `int_text`
@@ -167,23 +170,50 @@ def batched(items: Iterable) -> Iterator[list]:
         yield batch
 
 
+# A markdown line break in a cell, each of which becomes <br>.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+
+
 def table_document(fmt: str, headers: list[str], rows: Iterable[Sequence[str]]) -> Iterator[str]:
     """A markdown pipe table when fmt is "markdown", else a CSV table with '\\n' line endings.
 
-    The text comes in chunks of CHUNK_ROWS lines, the header first, as the rows are read.
-    A markdown chunk is one join of its rows' joined cells; CSV rows go through csv.writer.
+    The text comes in chunks of CHUNK_ROWS lines, the header first, as the
+    rows are read.  Each chunk is one join of its lines' joined cells: ","
+    and "\\n" in CSV, "| ", " | " and " |\\n" in markdown.  A few scans of
+    that text, in C, tell whether some cell needs quoting or escaping: the
+    chunk holds more commas (CSV) or bars (markdown) than the joins put
+    there, more "\\n" than lines, or a "\\r"; in CSV also a '"', or an empty
+    line, which a line of one empty cell (or of none) makes.  Only such a
+    chunk is written again, cell by cell: by csv.writer in CSV, so every
+    byte is csv.writer's on every Python, and in markdown with each | in a
+    cell escaped as \\| and each line break written <br>, so that each line
+    stays one row.
     """
-    if fmt == "markdown":
-        lines = chain((headers, ["---"] * len(headers)), rows)
-        for batch in batched(lines):
-            yield "| " + " |\n| ".join(map(" | ".join, batch)) + " |\n"
-        return
-    import csv
+    markdown = fmt == "markdown"
+    start, between, end, mark = ("| ", " | ", " |\n", "|") if markdown else ("", ",", "\n", ",")
+    separator = end + start
+    lines = chain((headers, ["---"] * len(headers)) if markdown else (headers,), rows)
+    for batch in batched(lines):
+        text = start + separator.join(map(between.join, batch)) + end
+        # a line of n cells holds n + 1 |, or n - 1 commas
+        marks = sum(map(len, batch)) + (len(batch) if markdown else -len(batch))
+        if (
+            text.count(mark) > marks
+            or text.count("\n") > len(batch)
+            or "\r" in text
+            or not markdown and ('"' in text or text[0] == "\n" or "\n\n" in text)
+        ):
+            if markdown:
+                escaped = ([_LINE_BREAK.sub("<br>", cell.replace("|", "\\|")) for cell in line]
+                           for line in batch)
+                text = start + separator.join(map(between.join, escaped)) + end
+            else:
+                import csv
 
-    for batch in batched(chain((headers,), rows)):
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows(batch)
-        yield buffer.getvalue()
+                buffer = io.StringIO()
+                csv.writer(buffer, lineterminator="\n").writerows(batch)
+                text = buffer.getvalue()
+        yield text
 
 
 def json_document(payload: dict) -> str:
@@ -316,10 +346,9 @@ def _rational_cells(
     if as_json:
         missing = ("null", "null")
         fraction = f'{{\n{_FIELD_PAD}  "num": "%s",\n{_FIELD_PAD}  "den": "%s"\n{_FIELD_PAD}}}'
-        decimal_cell = '"%s"'
     else:
         missing = (_UNDEFINED, _UNDEFINED)
-        fraction, decimal_cell = "%s/%s", "%s"
+        fraction = "%s/%s"
     last = pair = None  # the rational rendered last, and its two cells
 
     def cells(value: tuple[int, int] | None) -> tuple[str, str]:
@@ -346,7 +375,7 @@ def _rational_cells(
                 decimal = text(scaled)
         # %s gives str() of each int of a small value; a large one's ints are converted once
         texts = (num, den) if small else (decimal if den == 1 else text(num), text(den))
-        pair = fraction % texts, decimal_cell % decimal
+        pair = fraction % texts, '"%s"' % decimal if as_json else decimal
         return pair
 
     return cells

@@ -29,7 +29,7 @@ off the shape walk.  The paper's per-slab formulas, `trapezoid_area` and
 `format_rational` and `rational_to_json` the former per-cell encoders of
 the documents, which now render each chunk's cells column by column;
 `records_document_by_rows` writes a whole records document from them, a
-row and a cell at a time.  Every
+row and a cell at a time, each markdown line by `markdown_line`.  Every
 oracle that reads a diagram first materializes its vertices, so it indexes
 them freely.
 """
@@ -105,6 +105,13 @@ def rational_to_json(value: Fraction) -> dict[str, str]:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
+def markdown_line(cells: list[str]) -> str:
+    """One markdown table line, each | in a cell escaped as \\| and each line break as <br>."""
+    escaped = [cell.replace("|", "\\|").replace("\r\n", "<br>").replace("\r", "<br>")
+               .replace("\n", "<br>") for cell in cells]
+    return f"| {' | '.join(escaped)} |\n"
+
+
 def records_document_by_rows(
     fmt: str, fields: list[str], rows: list[tuple], params: dict, digits: int,
     key: str = "rows", **extra: object,
@@ -113,7 +120,7 @@ def records_document_by_rows(
 
     Each rational cell, a (num, den) pair or None, goes through Fraction,
     `format_rational`, `rational_to_json` and `decimal_by_fraction_round`;
-    CSV is one csv.writer row per line, markdown one join per line, and JSON
+    CSV is one csv.writer row per line, markdown one markdown_line per line, and JSON
     json.dumps of the whole document.
     """
     kinds = [isinstance(cell, str) for cell in rows[0]] if rows else []
@@ -139,7 +146,7 @@ def records_document_by_rows(
     lines = [cells(row, False) for row in rows]
     if fmt == "markdown":
         lines = [headers, ["---"] * len(headers), *lines]
-        return "".join(f"| {' | '.join(line)} |\n" for line in lines)
+        return "".join(map(markdown_line, lines))
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     for line in [headers, *lines]:

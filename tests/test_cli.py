@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -610,6 +612,55 @@ def test_rows_build_no_fraction(capsys, monkeypatch, command):
         counts.append(len(built))
     capsys.readouterr()
     assert counts[0] == counts[1]
+
+
+# Commands whose CSV cells are all digits, '/', '.', '-', 'undefined', a method or a key.
+CLEAN_CSV = {
+    "area": ("area", "--q", "3", "--k", "5", "--method", "all"),
+    "table": ("table", "--q-to", str(2 * CHUNK_ROWS)),
+    "diff": ("diff", "--q-to", str(2 * CHUNK_ROWS)),
+    "verify": ("verify", "--q-max", "3", "--n-max", "1", "--k-max", "2", "--format", "csv"),
+}
+
+
+@pytest.mark.parametrize("command", CLEAN_CSV)
+def test_clean_csv_never_calls_csv_writer(capsys, command):
+    # no chunk of these documents needs quoting, so each is one join
+    with mock.patch("csv.writer", wraps=csv.writer) as writer:
+        assert main(list(CLEAN_CSV[command])) == 0
+    assert capsys.readouterr().out.count("\n") > 2
+    assert writer.call_count == 0
+
+
+def test_a_verify_failure_holding_a_comma_goes_through_csv_writer(capsys):
+    # a failure row reads "(q=1, n=0, k=1) ...", and csv.writer quotes its commas
+    with faults.CATALOG["raise-ValueError"].inject(), \
+            mock.patch("csv.writer", wraps=csv.writer) as writer:
+        assert main(["verify", "--q-max", "1", "--n-max", "0", "--k-max", "1",
+                     "--format", "csv"]) == 1
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert writer.call_count == 1
+    assert {len(row) for row in rows} == {2}
+    assert ["failure", "(q=1, n=0, k=1) general_vs_shoelace: general raised ValueError: no"] in rows
+
+
+def test_markdown_escapes_a_bar_and_a_line_break_in_a_text_cell(capsys):
+    # the failure and golden_problem rows hold the route's text
+    def raising(*args):
+        raise ValueError("x | y\nz")
+
+    general = areas.ROUTES["general"]._replace(twice_area=raising)
+    with mock.patch.dict(areas.ROUTES, general=general):
+        assert main(["verify", "--q-max", "1", "--n-max", "0", "--k-max", "1",
+                     "--format", "markdown"]) == 1
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    # the header, the rule, six totals, one failure and a problem per golden row
+    assert len(lines) == 9 + len(GOLDEN_QUADRATIC_ROWS)
+    for line in lines:  # "| key | value |": two columns between its unescaped bars
+        assert len(re.split(r"(?<!\\)\|", line)) == 4, line
+    assert lines[8] == (r"| failure | (q=1, n=0, k=1) general_vs_shoelace: general raised "
+                        r"ValueError: x \| y<br>z |")
 
 
 class _Discard(io.TextIOBase):

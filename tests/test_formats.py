@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import sys
 from contextlib import contextmanager
@@ -29,6 +31,7 @@ import faults
 from references import (
     decimal_by_fraction_round,
     format_rational,
+    markdown_line,
     rational_to_json,
     records_document_by_rows,
 )
@@ -186,6 +189,39 @@ json_values = st.recursive(
     ),
     max_leaves=20,
 )
+
+# Cells that make csv.writer quote, or that end a markdown cell or line, and clean ones.
+table_cells = st.one_of(
+    json_texts,
+    st.sampled_from([",", '"', '""', "\r", "\n", "\r\n", "|", "", "7/2"]),
+    st.text(st.sampled_from(',"\r\n| a'), max_size=4),
+    st.from_regex(r"-?\d{1,3}(/\d{1,2}|\.\d{1,4})?|undefined", fullmatch=True),
+)
+# A row of any width: none, one cell, or several.
+table_rows = st.lists(table_cells, max_size=4)
+
+
+@given(
+    headers=table_rows,
+    rows=st.lists(table_rows, min_size=1, max_size=6),
+    run=st.sampled_from([1, 7, CHUNK_ROWS]),
+    length=st.sampled_from([0, 1, CHUNK_ROWS - 1, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 2]),
+)
+@example(headers=["a", "b"], rows=[["1", "2"]], run=1, length=2 * CHUNK_ROWS + 2)  # all clean
+@example(headers=["a"], rows=[[""], []], run=1, length=2)  # one empty cell, or none
+@example(headers=["a", "b"], rows=[["1", "x | y\nz"]], run=1, length=1)  # a line break in a cell
+@example(headers=["a", "b"], rows=[["1", "2"], ["x,y", "\r"], ["3", "4"]], run=CHUNK_ROWS,
+         length=2 * CHUNK_ROWS + 2)  # a chunk that needs quoting between clean ones
+@settings(max_examples=60, deadline=None)
+def test_table_document_is_csv_writer_and_an_escaped_markdown_table(headers, rows, run, length):
+    # runs of `run` equal rows, so some chunks can be clean and others not
+    lines = [rows[j // run % len(rows)] for j in range(length)]
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([headers, *lines])
+    assert "".join(table_document("csv", headers, iter(lines))) == buffer.getvalue()
+    assert "".join(table_document("markdown", headers, iter(lines))) == "".join(
+        map(markdown_line, [headers, ["---"] * len(headers), *lines])
+    )
 
 
 def _pair(value: Fraction | None) -> tuple[int, int] | None:
