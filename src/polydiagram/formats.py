@@ -6,24 +6,25 @@ values survive any JSON reader; CSV and markdown carry "num/den" text plus
 a rounded decimal column.  Decimal rendering rounds half to even at the
 configured number of places, trims trailing zeros, and always uses '.' as
 the decimal point, so identical inputs give byte-identical output.
-`records_document` renders rows of cells in any of the three formats.  A
+`records_document` renders rows of cells in any of the three formats.  Its
+first field is text and every later one rational, so its columns come from
+its fields alone, and a document with no rows still has its header.  A
 rational cell arrives as a (num, den) pair of ints in lowest terms, so no
 Fraction is built per row.  The rows are read as the document is written,
 and each writer yields its text in chunks of CHUNK_ROWS rows, so a document
 of any length is written in flat memory, one write per chunk.
 
 Whatever is the same for every row is set up once per document, and most
-of the per-row work runs in C.  Each chunk's rows are read as columns, by
-the kinds of the first row: a text column passes as it is (quoted in JSON),
-and a rational column is one `map` of the document's cell function, which
-fixes 10**digits and its templates once.  That function converts each
-numerator to text once, an integer's decimal cell being that same text,
-and a rational equal to the one rendered just before it (the agreeing
-routes of `area`) reuses that one's cells, so a run of equal values is
-converted once in all.  `zip` rebuilds the rows from the columns.  Each
-JSON row object is then written by one `%` template built from the
-headers, and each chunk of CSV or markdown rows by one join of the rows'
-joined cells.  `table_document` is the one CSV and markdown writer,
+of the per-row work runs in C.  Each chunk's rows are read as columns: the
+text column passes as it is (quoted in JSON), and each rational column is
+one `map` of the document's cell function, which fixes 10**digits and its
+templates once.  That function converts each numerator to text once, an
+integer's decimal cell being that same text, and a rational equal to the
+one rendered just before it (the agreeing routes of `area`) reuses that
+one's cells, so a run of equal values is converted once in all.  `zip`
+rebuilds the rows from the columns.  Each JSON row object is then written
+by one `%` template built from the headers, and each chunk of CSV or
+markdown rows by one join of the rows' joined cells.  `table_document` is the one CSV and markdown writer,
 `verify`'s tables included.  A few counts over a chunk's text tell whether
 a cell in it needs quoting (CSV) or escaping (markdown); only such a chunk,
 which no area, table or diff row makes, is written again, by csv.writer or
@@ -247,12 +248,12 @@ def records_document(
 ) -> Iterator[str]:
     """Render rows of cells, one per field, as a csv, markdown or json document, in chunks.
 
-    A text cell is one column.  A rational cell, a (num, den) pair in lowest
-    terms with den > 0, makes its field `f` the columns `f` ("num/den", or
-    {"num", "den"} in JSON) and `f_decimal`; None, a rational that does not
-    exist, fills both with "undefined" (null in JSON).  The first row's
-    cells tell which fields are text, and every row has the same kinds in
-    the same order; with no rows there are no columns.
+    The first field is text, one column.  Every later field is rational: its
+    cell, a (num, den) pair in lowest terms with den > 0, makes the field `f`
+    the columns `f` ("num/den", or {"num", "den"} in JSON) and `f_decimal`;
+    None, a rational that does not exist, fills both with "undefined" (null
+    in JSON).  So the headers come from `fields` alone, and a document with
+    no rows still writes them in CSV and markdown, as JSON writes its keys.
 
     The rows are read as the chunks are taken, CHUNK_ROWS to a chunk, so a
     document of any length is written in flat memory.  Each chunk's cells
@@ -261,22 +262,14 @@ def records_document(
     of 1 ("6/1").  CSV and markdown rows go to table_document, and omit
     params.  In JSON the cells are already JSON text, and each row's object
     is one `%` template of the headers, every cell after its field's
-    `"name": ` prefix.  The document around the rows is written here too:
-    params, the rows under `key`, then each extra key, every value but the
-    rows through json.dumps with a two-space indent, so the whole is what
-    json_document({"params": params, key: rows, **extra}) would write.
+    `"name": ` prefix.  The document around the rows is written here too,
+    its start in the first chunk of rows: params, the rows under `key`, then
+    each extra key, every value but the rows through json.dumps with a
+    two-space indent, so the whole is what json_document({"params": params,
+    key: rows, **extra}) would write.
     """
-    rows = iter(rows)
-    first = next(rows, None)
-    kinds = () if first is None else [isinstance(cell, str) for cell in first]
-    headers = [
-        column
-        for name, text in zip(fields, kinds)
-        for column in ((name,) if text else (name, name + "_decimal"))
-    ]
-    batches = _row_batches(
-        fmt == "json", kinds, () if first is None else chain((first,), rows), digits
-    )
+    headers = [fields[0], *(f for name in fields[1:] for f in (name, name + "_decimal"))]
+    batches = _row_batches(fmt == "json", rows, digits)
     if fmt != "json":
         yield from table_document(fmt, headers, chain.from_iterable(batches))
         return
@@ -286,41 +279,37 @@ def records_document(
         f"{_FIELD_PAD}{quote(name).replace('%', '%%')}: %s" for name in headers
     )
     row = f"{_ROW_PAD}{{\n{fields_text}\n{_ROW_PAD}}}"
-    yield f'{{\n  "params": {_indented_json(params)},\n  {quote(key)}: ['
-    separator = "\n"  # before the first row; ",\n" between rows
+    start = f'{{\n  "params": {_indented_json(params)},\n  {quote(key)}: ['
+    separator = start + "\n"  # the start, with the first chunk of rows; ",\n" between rows
     for batch in batches:
         yield separator + ",\n".join(map(row.__mod__, batch))
         separator = ",\n"
     extra_text = "".join(
         f",\n  {quote(name)}: {_indented_json(value)}" for name, value in extra.items()
     )
-    yield ("]" if first is None else "\n  ]") + extra_text + "\n}\n"
+    yield ("\n  ]" if separator == ",\n" else start + "]") + extra_text + "\n}\n"
 
 
 def _row_batches(
     as_json: bool,
-    kinds: Sequence[bool],
     rows: Iterable[Sequence[str | tuple[int, int] | None]],
     digits: int,
 ) -> Iterator[Iterable[tuple[str, ...]]]:
     """Each CHUNK_ROWS rows' cells in column order, JSON text when as_json, as the rows are read.
 
-    `kinds` tells, per field, whether its cells are text.  A chunk is read as
-    columns: a text column passes as it is, or quoted in JSON, and a
-    rational column is one map of the document's cell function, split into
-    its two columns; zip rebuilds the rows.
+    A chunk is read as columns: the first, text, passes as it is, or quoted
+    in JSON, and each later one, rational, is one map of the document's cell
+    function, split into its two columns; zip rebuilds the rows.
     """
     rational = _rational_cells(as_json, digits)
     if as_json:
         from json.encoder import encode_basestring_ascii as quote
     for batch in batched(rows):
-        columns: list[Iterable[str]] = []
-        for text, column in zip(kinds, zip(*batch)):
-            if not text:
-                columns += zip(*map(rational, column))
-            else:
-                columns.append(map(quote, column) if as_json else column)
-        yield zip(*columns) if columns else [()] * len(batch)
+        text, *rationals = zip(*batch)
+        columns = [map(quote, text) if as_json else text]
+        for column in rationals:
+            columns += zip(*map(rational, column))
+        yield zip(*columns)
 
 
 def _rational_cells(

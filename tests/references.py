@@ -118,21 +118,22 @@ def records_document_by_rows(
 ) -> str:
     """records_document's text, written a row and a cell at a time.
 
+    The first field is text and every later one rational, so the headers
+    come from `fields` alone, and a document with no rows still has them.
     Each rational cell, a (num, den) pair or None, goes through Fraction,
     `format_rational`, `rational_to_json` and `decimal_by_fraction_round`;
     CSV is one csv.writer row per line, markdown one markdown_line per line, and JSON
     json.dumps of the whole document.
     """
-    kinds = [isinstance(cell, str) for cell in rows[0]] if rows else []
-    headers = [column for name, text in zip(fields, kinds)
-               for column in ((name,) if text else (name, name + "_decimal"))]
+    headers = [fields[0]]
+    for name in fields[1:]:
+        headers += [name, name + "_decimal"]
 
     def cells(row: tuple, as_json: bool) -> list:
-        out: list = []
-        for text, cell in zip(kinds, row):
-            if text:
-                out.append(cell)
-            elif cell is None:
+        text, *rationals = row
+        out: list = [text]
+        for cell in rationals:
+            if cell is None:
                 out += [None, None] if as_json else ["undefined", "undefined"]
             else:
                 value = Fraction(*cell)

@@ -24,6 +24,7 @@ import polydiagram
 import polydiagram.areas as areas
 import polydiagram.cli as cli
 import polydiagram.sequences as sequences
+import polydiagram.verify as verify
 from polydiagram.cli import main
 from polydiagram.formats import CHUNK_ROWS, rational_from_json
 from polydiagram.verify import GOLDEN_QUADRATIC_ROWS
@@ -266,9 +267,21 @@ class TestVerify:
         assert doc["checks"] == 58008
         assert "pick_budget" not in doc["params"]
 
-    def test_invalid_bounds_are_usage_errors(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "--q-max", "0")
-        assert code == 2
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--q-max", "0", "q_max must be a positive integer, got 0"),
+         ("--n-max", "-1", "n_max must be a non-negative integer, got -1"),
+         ("--k-max", "0", "k_max must be a positive integer, got 0")],
+        ids=["q_max", "n_max", "k_max"],
+    )
+    def test_invalid_bounds_are_usage_errors(self, capsys, monkeypatch, flag, value, message):
+        # each bound is refused before the sweep visits a grid point
+        calls = []
+        cross_check = verify.cross_check
+        monkeypatch.setattr(verify, "cross_check",
+                            lambda *args, **kw: calls.append(args) or cross_check(*args, **kw))
+        assert run_cli(capsys, "verify", flag, value) == (2, "", f"error: {message}\n")
+        assert calls == []
 
     @pytest.mark.parametrize("digits", ["4", "1001", "-1"])
     def test_digits_flag_is_usage_error(self, digits):
@@ -303,6 +316,14 @@ def test_a_route_fault_fails_each_command_with_its_text(capsys, fault, command):
                 f"q={row[0]}: general {injected.text}" for row in GOLDEN_QUADRATIC_ROWS]
         else:  # the first q fails before the first chunk is complete
             assert out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+def test_a_table_whose_first_chunk_fails_writes_nothing(capsys, fmt):
+    # a records document's first chunk holds its start (the header, or JSON's params)
+    with faults.CATALOG["raise-ValueError"].inject():
+        code, out, _ = run_cli(capsys, *faults.COMMANDS["table"][0], "--format", fmt)
+    assert (code, out) == (1, "")
 
 
 @pytest.mark.parametrize("fault", ["raise-ValueError", "raise-ZeroDivisionError", "float",

@@ -229,34 +229,33 @@ def _pair(value: Fraction | None) -> tuple[int, int] | None:
 
 
 def _streamed(
-    fmt: str, records: list[dict], params: dict, digits: int, key: str = "rows", **extra: object
+    fmt: str, fields: tuple[str, ...], records: list[dict], params: dict, digits: int,
+    key: str = "rows", **extra: object,
 ) -> str:
-    """records_document's chunks, joined, for records of text and Fraction fields."""
-    fields = list(records[0]) if records else []
-    rows = (
-        tuple(v if isinstance(v, str) else _pair(v) for v in record.values())
-        for record in records
-    )
+    """records_document's chunks, joined, for records of a text field, then Fraction fields."""
+    text, *rationals = fields
+    rows = ((record[text], *(_pair(record[name]) for name in rationals)) for record in records)
     return "".join(records_document(fmt, fields, rows, params, digits, key, **extra))
 
 
 class TestRecordsDocument:
+    FIELDS = ("q", "ratio")
     RECORDS = [
         {"q": "1", "ratio": None},
         {"q": "2", "ratio": Fraction(7, 4)},
     ]
 
     def test_csv_splits_rationals_and_marks_missing_ones(self):
-        doc = _streamed("csv", self.RECORDS, {"k": "2"}, 1)
+        doc = _streamed("csv", self.FIELDS, self.RECORDS, {"k": "2"}, 1)
         assert doc == "q,ratio,ratio_decimal\n1,undefined,undefined\n2,7/4,1.8\n"
 
     def test_markdown_has_the_csv_columns(self):
-        doc = _streamed("markdown", self.RECORDS, {"k": "2"}, 1)
+        doc = _streamed("markdown", self.FIELDS, self.RECORDS, {"k": "2"}, 1)
         assert doc.splitlines()[0] == "| q | ratio | ratio_decimal |"
         assert doc.splitlines()[2] == "| 1 | undefined | undefined |"
 
     def test_json_carries_params_rows_and_extra_keys(self):
-        doc = _streamed("json", self.RECORDS, {"k": "2"}, 1, "results", agree=True)
+        doc = _streamed("json", self.FIELDS, self.RECORDS, {"k": "2"}, 1, "results", agree=True)
         assert json.loads(doc) == {
             "params": {"k": "2"},
             "results": [
@@ -274,45 +273,44 @@ wide_rationals = st.one_of(
 )
 
 
-def _json_rows(records: list[dict], digits: int) -> list[dict]:
+def _json_rows(fields: tuple[str, ...], records: list[dict], digits: int) -> list[dict]:
     """The records as the JSON rows records_document must write, each rational on its own."""
+    text, *rationals = fields
     rows = []
     for record in records:
-        row: dict = {}
-        for name, v in record.items():
-            if isinstance(v, str):
-                row[name] = v
-            else:
-                row[name] = None if v is None else rational_to_json(v)
-                row[name + "_decimal"] = None if v is None else format_decimal(v, digits)
+        row: dict = {text: record[text]}
+        for name in rationals:
+            v = record[name]
+            row[name] = None if v is None else rational_to_json(v)
+            row[name + "_decimal"] = None if v is None else format_decimal(v, digits)
         rows.append(row)
     return rows
 
 
 def _cells_one_by_one(
-    fmt: str, records: list[dict], digits: int, key: str = "rows", **extra: object
+    fmt: str, fields: tuple[str, ...], records: list[dict], digits: int, key: str = "rows",
+    **extra: object,
 ) -> str:
     """The document records_document must write, each rational rendered on its own."""
     if fmt == "json":
-        document = {"params": {}, key: _json_rows(records, digits), **extra}
+        document = {"params": {}, key: _json_rows(fields, records, digits), **extra}
         return json.dumps(document, indent=2) + "\n"
+    text, *rationals = fields
     rows = [
         [
-            cell
-            for v in record.values()
-            for cell in (
-                (v,) if isinstance(v, str)
-                else ("undefined", "undefined") if v is None
-                else (format_rational(v), format_decimal(v, digits))
-            )
+            record[text],
+            *(
+                cell
+                for v in map(record.__getitem__, rationals)
+                for cell in (
+                    ("undefined", "undefined") if v is None
+                    else (format_rational(v), format_decimal(v, digits))
+                )
+            ),
         ]
         for record in records
     ]
-    headers = [
-        column
-        for name, v in (records[0].items() if records else ())
-        for column in ((name,) if isinstance(v, str) else (name, name + "_decimal"))
-    ]
+    headers = [text, *(column for name in rationals for column in (name, name + "_decimal"))]
     return "".join(table_document(fmt, headers, rows))
 
 
@@ -331,9 +329,11 @@ def test_records_document_renders_each_cell_as_alone(a, b, digits):
     shifted = values[4:] + values[:4]
     pairs = [{"i": str(i), "u": u, "v": v} for i, (u, v) in enumerate(zip(shifted, values))]
     for fmt in ("csv", "markdown", "json"):
-        assert _streamed(fmt, records, {}, digits) == _cells_one_by_one(fmt, records, digits)
-        assert _streamed(fmt, pairs, {}, digits, "results", agree=False) == (
-            _cells_one_by_one(fmt, pairs, digits, "results", agree=False)
+        assert _streamed(fmt, ("i", "v"), records, {}, digits) == (
+            _cells_one_by_one(fmt, ("i", "v"), records, digits)
+        )
+        assert _streamed(fmt, ("i", "u", "v"), pairs, {}, digits, "results", agree=False) == (
+            _cells_one_by_one(fmt, ("i", "u", "v"), pairs, digits, "results", agree=False)
         )
 
 
@@ -359,8 +359,8 @@ def test_records_document_json_is_json_dumps_of_the_same_document(
     # the frame around the pre-encoded rows (params, the rows key, each extra
     # key) is written by records_document itself
     records = [{field: text, "v": v} for text, v in cells]
-    document = {"params": params, "results": _json_rows(records, digits), **extra}
-    assert _streamed("json", records, params, digits, "results", **extra) == (
+    document = {"params": params, "results": _json_rows((field, "v"), records, digits), **extra}
+    assert _streamed("json", (field, "v"), records, params, digits, "results", **extra) == (
         json.dumps(document, indent=2) + "\n"
     )
 
@@ -391,7 +391,8 @@ def test_streamed_chunks_join_to_the_one_cell_at_a_time_document(
         chunks = list(records_document(fmt, ("q", "area", "ratio"), iter(rows), {}, digits,
                                        **extra))
         kept = extra if fmt == "json" else {}
-        assert "".join(chunks) == _cells_one_by_one(fmt, records, digits, **kept)
+        assert "".join(chunks) == _cells_one_by_one(fmt, ("q", "area", "ratio"), records, digits,
+                                                    **kept)
         assert len(chunks) <= length // 64 + 3
 
 

@@ -83,6 +83,13 @@ CASES.update(
 )
 CASES.update(
     {
+        f"area_general_float_{fmt}": (("area", "--q", "3", "--k", "2", "--method", "general",
+                                       "--format", fmt), 1)
+        for fmt in ("csv", "json", "markdown")
+    }
+)
+CASES.update(
+    {
         f"verify_failure_{fmt}": (("verify", "--q-max", "2", "--n-max", "1", "--k-max", "2",
                                    "--format", fmt), 1)
         for fmt in ("csv", "json", "markdown")
@@ -92,10 +99,13 @@ CASES.update(
 
 # name -> the catalog faults injected while the case runs: for verify, the slab
 # sum off by one at n = 1 and the q = 16 golden row's area off by one; for area,
-# Pick's area one too large, so `area --method all` renders two distinct values
+# Pick's area one too large, so `area --method all` renders two distinct values,
+# and the slab sum returning a float, so `area --method general` renders no rows
+# and its document is the header alone
 FAULTS = {f"verify_failure_{fmt}": ("general-plus-2-at-n-1", "golden-row-16-off")
           for fmt in ("csv", "json", "markdown")}
 FAULTS.update({f"area_pick_off_by_one_{fmt}": ("pick-plus-2",) for fmt in ("csv", "json")})
+FAULTS.update({f"area_general_float_{fmt}": ("float",) for fmt in ("csv", "json", "markdown")})
 
 
 def run(name: str) -> tuple[int, str, str]:
